@@ -10,6 +10,14 @@ rest of that subtree, so one lemma typically kills many assignments. The
 resulting set L satisfies: every theory-inconsistent total model of the
 target falsifies some member of L, while theory-consistent assignments
 satisfy all of L (lemmas are theory-valid, so they cannot cut those).
+
+The walk is incremental. Each node carries a witness of its arithmetic
+prefix: the backend contract is that a sat verdict's witness, when present,
+satisfies every queried literal (variables it omits read as 0). An
+extension that already holds at the parent's witness is therefore sat
+without a backend call, and keeps that witness. Every other prefix is
+decided by the backend once, its verdict memoised, so each unsat verdict
+and conflict is exactly what the backend returns for that prefix.
 """
 
 from __future__ import annotations
@@ -24,7 +32,13 @@ from .formulas import (
     abstract,
     atoms_of,
 )
-from .theory import Literal, LraBackend, minimize_conflict
+from .theory import (
+    Literal,
+    LraBackend,
+    TheoryVerdict,
+    holds_at,
+    minimize_conflict,
+)
 
 TARGET_FORMULA = "forFormula"
 TARGET_NEGATION = "forNegation"
@@ -136,8 +150,13 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
 
     learned: list[TLemma] = []
     learned_keys: set[tuple] = set()
-    learned_indexed: list[tuple] = []  # [(index, polarity), ...] per lemma
-    sat_memo: dict[frozenset, bool] = {}
+    # (index, value) -> the other literals, as (index, polarity), of every
+    # learned clause whose highest-index literal is falsified by giving atom
+    # `index` that value. A conflict found while assigning atom i always
+    # involves atom i, since the prefix without it was sat, so i is the
+    # clause's highest index and the clause is stored under it.
+    by_last: dict[tuple, list[tuple]] = {}
+    verdicts: dict[frozenset, TheoryVerdict] = {}
 
     def learn(core: frozenset) -> None:
         lemma = canonical_lemma(((a, not p) for a, p in core), alpha)
@@ -145,25 +164,33 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
         if key not in learned_keys:
             learned_keys.add(key)
             learned.append(lemma)
-            learned_indexed.append(key)
+            last, pol = key[-1]
+            by_last.setdefault((last, not pol), []).append(key[:-1])
 
-    def blocked(values: dict) -> bool:
-        for clause in learned_indexed:
-            if all(values.get(i) == (not p) for i, p in clause):
+    def blocked(i: int, val: bool) -> bool:
+        # Exact although only the clauses stored under (i, val) are scanned.
+        # A clause with highest index j < i that is falsified here was
+        # learned at a depth-j conflict node. That node has no children, so
+        # it is not this path's depth-j node, and it lies outside that
+        # node's subtree: it was learned before this path assigned atom j.
+        # The scan at depth j then saw it falsified and pruned the path.
+        for rest in by_last.get((i, val), ()):
+            if all(values[j] != p for j, p in rest):
                 return True
         return False
 
-    def consistent(lra_lits: tuple) -> bool:
+    def verdict_of(lra_lits: tuple) -> TheoryVerdict:
         key = frozenset(lra_lits)
-        hit = sat_memo.get(key)
-        if hit is None:
-            hit = backend.check_conjunction(key).is_sat
-            sat_memo[key] = hit
-        return hit
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = backend.check_conjunction(key)
+            verdicts[key] = verdict
+        return verdict
 
     values: dict[int, bool] = {}
 
-    def dfs(i: int, lra_lits: tuple, residual: int) -> None:
+    def dfs(i: int, lra_lits: tuple, residual: int,
+            witness: dict | None) -> None:
         if i > n or i > last_lra:
             # Only Boolean atoms remain: no extension can become
             # theory-inconsistent, so there is nothing left to rule out.
@@ -175,25 +202,30 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
                 continue
             values[i] = val
             try:
-                if blocked(values):
+                if blocked(i, val):
                     continue
+                lits, point = lra_lits, witness
                 if atom.kind == "lra":
                     lits = lra_lits + ((atom, val),)
-                    if not consistent(lits):
-                        verdict = backend.check_conjunction(lits)
-                        core = minimize_conflict(
-                            backend, lits, verdict.conflict,
-                            index_of=amap.index).literals
-                        learn(core)
-                        continue
-                else:
-                    lits = lra_lits
-                dfs(i + 1, lits, res)
+                    # The witness satisfies the prefix; variables it lacks
+                    # occur in no prefix literal, so reading them as 0 keeps
+                    # it a witness of the extension whenever the new literal
+                    # holds there.
+                    if point is None or not holds_at(atom, val, point):
+                        verdict = verdict_of(lits)
+                        if not verdict.is_sat:
+                            core = minimize_conflict(
+                                backend, lits, verdict.conflict,
+                                index_of=amap.index).literals
+                            learn(core)
+                            continue
+                        point = verdict.witness
+                dfs(i + 1, lits, res, point)
             finally:
                 del values[i]
 
     if pid != pdag.FALSE:
-        dfs(1, (), pid)
+        dfs(1, (), pid, {})
 
     ordered = sorted(
         learned,

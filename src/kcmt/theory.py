@@ -36,6 +36,16 @@ class TheoryInternalError(AssertionError):
 
 @dataclass(frozen=True)
 class TheoryVerdict:
+    """Outcome of one consistency check.
+
+    Backend contract: a sat verdict's witness, when present, satisfies every
+    queried literal, reading any variable it omits as 0. Lemma enumeration
+    relies on this: it carries the witness down its search and skips the
+    backend for every extension that already holds there. A sat verdict
+    may leave the witness as None; an unsat verdict always has a conflict
+    that is a subset of the queried literals.
+    """
+
     status: str  # "sat" | "unsat"
     witness: Optional[dict] = None  # variable -> Fraction
     conflict: Optional[frozenset] = None  # frozenset of (Atom, bool)
@@ -217,8 +227,14 @@ class LraBackend:
     """Sound and complete consistency oracle for LRA atom-literals.
 
     Boolean atoms are theory-free: they only matter through the
-    complementary-pair check shared by every backend.
+    complementary-pair check shared by every backend. Every sat verdict
+    carries a witness that assigns each variable of the queried literals
+    and satisfies all of them (see `TheoryVerdict`). Each distinct atom is
+    checked for normal form once per backend instance.
     """
+
+    def __init__(self) -> None:
+        self._normalized: set[Atom] = set()
 
     def check_conjunction(self, literals: Iterable[Literal]) -> TheoryVerdict:
         lits = sorted(set(literals), key=lambda lp: (lp[0].sort_key(), lp[1]))
@@ -228,7 +244,9 @@ class LraBackend:
         base: list[_Constraint] = []
         diseqs: list[tuple[dict, Fraction, Literal]] = []
         for atom, pol in lits:
-            _check_normalized(atom)
+            if atom not in self._normalized:
+                _check_normalized(atom)
+                self._normalized.add(atom)
             if atom.kind == "bool":
                 continue
             origin = frozenset(((atom, pol),))
@@ -279,7 +297,12 @@ class LraBackend:
 
 
 class BooleanBackend:
-    """Degenerate theory: every atom is opaque, only complements conflict."""
+    """Degenerate theory: every atom is opaque, only complements conflict.
+
+    The empty witness satisfies no LRA literal in general, yet lemma
+    enumeration stays exact with it: an extension it short-cuts adds an
+    atom absent from the prefix, which this backend accepts anyway.
+    """
 
     def check_conjunction(self, literals: Iterable[Literal]) -> TheoryVerdict:
         lits = sorted(set(literals), key=lambda lp: (lp[0].sort_key(), lp[1]))
@@ -290,10 +313,20 @@ class BooleanBackend:
 
 
 def evaluate_literal(atom: Atom, pol: bool, witness: dict) -> bool:
-    """Exact evaluation of an LRA literal at a rational point."""
+    """Exact evaluation of an LRA literal at a rational point that assigns
+    every variable of the atom."""
     if atom.kind != "lra":
         raise TheoryError("cannot evaluate a Boolean atom at a point")
-    total = sum((Fraction(a) * witness[v] for v, a in atom.coeffs), Fraction(0))
+    for v, _a in atom.coeffs:
+        if v not in witness:
+            raise TheoryError("the point assigns no value to variable %r of %s"
+                              % (v, atom))
+    return holds_at(atom, pol, witness)
+
+
+def holds_at(atom: Atom, pol: bool, point: dict) -> bool:
+    """Exact truth of an LRA literal at a point; absent variables read as 0."""
+    total = sum((a * point.get(v, 0) for v, a in atom.coeffs), Fraction(0))
     if atom.rel == REL_LE:
         holds = total <= atom.const
     elif atom.rel == REL_LT:

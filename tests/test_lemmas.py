@@ -1,6 +1,7 @@
 """Lemma enumeration: fixed worked examples plus the four corpus properties
 (validity, completeness, conservativity, determinism)."""
 
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from kcmt.formulas import (
     Dag,
     atoms_of,
 )
+from kcmt.generate import InstanceSpec, generate
 from kcmt.lemmas import (
     TARGET_FORMULA,
     TARGET_TOP,
@@ -25,7 +27,7 @@ from kcmt.lemmas import (
     rules_out,
 )
 from kcmt.oracle import Oracle
-from kcmt.theory import LraBackend
+from kcmt.theory import LraBackend, TheoryVerdict
 
 from conftest import (
     X1_GE_1,
@@ -204,3 +206,82 @@ class TestCorpusProperties:
         assert rules_out(lset, oracle.ctta_itta(fdag, node, alpha).itta)
         mentioned = {a for lm in lset.lemmas for a, _ in lm.literals}
         assert X_GE_2 in mentioned
+
+
+# Lemma sets of the criterion-7 family, recorded with the plain enumerator
+# (one backend call per prefix, no witness reuse): seed -> (formula count,
+# sha-256 of its lemma lines, negation count, sha-256 of its lemma lines).
+PINNED_LEMMA_SETS = [
+    (1000, 57, "500defee770d5a4e0c0dff0e0210f1d700476821d8e7982255c8936df9c5e784",
+     55, "d32a42a430ab039af5f46235144954575bb7fda5e5c10778ff4b22ca44ae19f8"),
+    (1001, 51, "c3dc842e431b28400f2f93c669bd0a1102ca6fb1bd2b2039a3f6636e461d24ca",
+     48, "483f83f0cda452cd791973cf9f974bd861e33f866e1ee56157f4e8762ec6fad5"),
+    (1002, 73, "17cb06f90ed92983855e3e6392bf1f88b5682ff45e39aa7b09cbe0f2ec3e06d9",
+     54, "3b6daa18e0391482ef34091f64ff600a47b33e87099e0c6c18b95b8604d148c3"),
+    (1003, 82, "2a40c2ea3ac983150acccbf0fdf8ccf71d7377ae2b00c91082c3f14f16235f6d",
+     56, "e0a11aa0022594c48b244c98a740f04b2868329dbe4adf4e8e5ea618d68d365c"),
+    (1004, 61, "da03f23de9881679e2773c76ef840488f8b112c368e720e28718b738ad1c7298",
+     91, "430997aebd20f3272ce68dcf60510ec705073c9100b058d03914dd6735d9a11e"),
+]
+
+
+class _CountingBackend:
+    """Counts the checks of an `LraBackend`. Without `keep_witness` it drops
+    every sat witness, which turns the enumerator's witness reuse off."""
+
+    def __init__(self, keep_witness):
+        self.inner = LraBackend()
+        self.keep_witness = keep_witness
+        self.checks = 0
+
+    def check_conjunction(self, literals):
+        self.checks += 1
+        verdict = self.inner.check_conjunction(literals)
+        if verdict.is_sat and not self.keep_witness:
+            return TheoryVerdict("sat")
+        return verdict
+
+
+def _introduces_fresh_variable(alpha):
+    """True when some LRA atom after the first mentions a variable that no
+    earlier atom of the order mentions."""
+    seen = set()
+    for i, atom in enumerate(a for a in alpha if a.kind == "lra"):
+        fresh = set(atom.variables()) - seen
+        if i and fresh:
+            return True
+        seen |= fresh
+    return False
+
+
+class TestIncrementalEnumeration:
+    @pytest.mark.parametrize("row", PINNED_LEMMA_SETS, ids=lambda r: str(r[0]))
+    def test_lemma_sets_match_the_pinned_ones(self, row):
+        seed, n_formula, h_formula, n_negation, h_negation = row
+        dag = Dag()
+        node, alpha = generate(dag, InstanceSpec(
+            num_lra_atoms=14 + seed % 5, num_rational_vars=3 + seed % 2,
+            dag_depth=4, seed=seed))
+        for target, count, digest in ((node, n_formula, h_formula),
+                                      (dag.negate(node), n_negation, h_negation)):
+            lset = enumerate_lemmas(dag, target, alpha)
+            text = "\n".join(str(lm) for lm in lset.lemmas)
+            assert (len(lset), hashlib.sha256(text.encode()).hexdigest()) == \
+                (count, digest)
+
+    def test_witness_reuse_changes_no_lemma(self):
+        reused = _CountingBackend(keep_witness=True)
+        plain = _CountingBackend(keep_witness=False)
+        fresh = 0
+        for dag, node, alpha in _corpus(52001, 60):
+            fresh += _introduces_fresh_variable(alpha)
+            for target in (node, dag.negate(node)):
+                with_reuse = enumerate_lemmas(dag, target, alpha, backend=reused)
+                without = enumerate_lemmas(dag, target, alpha, backend=plain)
+                assert [str(lm) for lm in with_reuse.lemmas] == \
+                    [str(lm) for lm in without.lemmas]
+        # Atoms over variables no earlier atom mentions are read at 0 by the
+        # reused witness; the corpus must exercise that case.
+        assert fresh >= 10, fresh
+        # Reuse really happened: it saved backend calls.
+        assert reused.checks < plain.checks, (reused.checks, plain.checks)

@@ -23,6 +23,7 @@ from kcmt.theory import (
     LraBackend,
     TheoryError,
     evaluate_literal,
+    holds_at,
     minimize_conflict,
 )
 
@@ -240,6 +241,24 @@ class TestLraVerdicts:
     def test_evaluate_literal_rejects_boolean(self):
         with pytest.raises(TheoryError):
             evaluate_literal(Atom.boolean("b"), True, {})
+
+    def test_evaluate_literal_rejects_missing_variable(self):
+        atom = lin({"x": 1, "y": 1}, "<=", 0)
+        with pytest.raises(TheoryError, match="'y'"):
+            evaluate_literal(atom, True, {"x": Fraction(0)})
+        assert evaluate_literal(atom, True, {"x": Fraction(0), "y": Fraction(0)})
+
+    def test_holds_at_reads_absent_variables_as_zero(self):
+        atom = lin({"x": 1, "y": 1}, "<", 1)
+        assert holds_at(atom, True, {"x": Fraction(1, 2)})
+        assert not holds_at(atom, True, {"x": Fraction(1)})
+        assert holds_at(atom, False, {"x": Fraction(1)})
+
+    def test_atom_normal_form_checked_on_every_call_until_it_passes(self):
+        raw = Atom(kind="lra", coeffs=(("x", 2),), rel="<=", const=Fraction(1))
+        for _ in range(2):
+            with pytest.raises(TheoryError):
+                self.check([(raw, True), (X_LE_0, True)])
 
 
 class TestMinimizeConflict:
