@@ -6,7 +6,8 @@ same verbs by exhaustive enumeration on the input formula, `gen` writes
 seeded random instances, and `bench` runs the benchmark harness.
 
 Exit codes: 0 success (and "true" verdicts), 1 "false" verdicts,
-2 usage or parse errors, 3 mode violations, 4 timeouts.
+2 usage or parse errors, 3 mode violations, 4 timeouts, 5 internal
+errors (any other exception, reported on one line).
 """
 
 import sys
@@ -408,6 +409,15 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         click.echo("error: %s" % exc, err=True)
         return 2
+    except click.exceptions.Abort:
+        raise  # click's form of an interrupt, not a fault of the program
+    except Exception as exc:
+        # Anything else is a fault of the program, not a verdict: a
+        # traceback's exit code 1 would read as "false".
+        click.echo("internal error: %s: %s"
+                   % (type(exc).__name__, " ".join(str(exc).split())),
+                   err=True)
+        return 5
     return rv if isinstance(rv, int) else 0
 
 

@@ -4,8 +4,8 @@ theory-aware artifact pipelines built on top of it.
 The propositional core turns an NNF input into a decision-DNNF: a DAG
 whose AND nodes split over disjoint atom sets and whose OR nodes are
 binary decisions on one variable. Smoothing pads decision branches so
-every OR ranges over the same atoms, which makes model counting a
-single bottom-up pass.
+every OR ranges over the same atoms, which lets model enumeration read
+each branch's models as total assignments.
 
 The two pipelines conjoin (`build_tred`) or disjoin (`build_text`) the
 clausal lemmas produced by `enumerate_lemmas` before compiling, so the
@@ -18,7 +18,7 @@ canonicity gives constant-time equivalence checks downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formulas import (AND, FALSE_KIND, LIT, OR, TRUE_KIND, AbstractionMap,
                        AtomSet, Dag, abstract, atoms_of)
@@ -205,14 +205,33 @@ class ValidationReport:
     first_violation: str | None = None
 
 
-def _asserted_literals(pdag: Dag, node: int) -> set:
-    """Literals a branch asserts: itself, or its direct AND conjuncts."""
-    if pdag.kind(node) == LIT:
-        return {pdag.leaf(node)}
-    if pdag.kind(node) == AND:
-        return {pdag.leaf(c) for c in pdag.children(node)
-                if pdag.kind(c) == LIT}
-    return set()
+def _asserted_literals(pdag: Dag, node: int) -> tuple:
+    """Literals a branch asserts, in child order: itself, or its direct
+    AND conjuncts."""
+    tag = pdag.kind(node)
+    if tag == LIT:
+        return (pdag.leaf(node),)
+    if tag == AND:
+        return tuple(pdag.leaf(c) for c in pdag.children(node)
+                     if pdag.kind(c) == LIT)
+    return ()
+
+
+def decision_var(pdag: Dag, node: int):
+    """Variable a binary OR decides, or None when it has no such shape.
+
+    The OR decides v when one branch asserts v and the other asserts not
+    v, which makes the branches mutually exclusive. When several
+    variables qualify, the first one the left branch asserts wins.
+    """
+    kids = pdag.children(node)
+    if len(kids) != 2:
+        return None
+    right = set(_asserted_literals(pdag, kids[1]))
+    for v, p in _asserted_literals(pdag, kids[0]):
+        if (v, not p) in right:
+            return v
+    return None
 
 
 def validate(pdag: Dag, node: int, nvars: int | None = None) -> ValidationReport:
@@ -253,13 +272,7 @@ def validate(pdag: Dag, node: int, nvars: int | None = None) -> ValidationReport
                     break
                 used |= keys
         if tag == OR and report.deterministic:
-            kids = pdag.children(n)
-            decided = False
-            if len(kids) == 2:
-                left = _asserted_literals(pdag, kids[0])
-                right = _asserted_literals(pdag, kids[1])
-                decided = any((v, not p) in right for v, p in left)
-            if not decided:
+            if decision_var(pdag, n) is None:
                 report.deterministic = False
                 violations.append(
                     "disjunction %d is not a binary decision on one variable"
@@ -288,7 +301,9 @@ class CompiledArtifact:
 
     `kind` picks the backend: "ddnnf" roots live in `dag`, "obdd" roots
     in `manager`. `mode` records which lemma transformation produced the
-    circuit and therefore which queries it can answer soundly.
+    circuit and therefore which queries it can answer soundly. Queries
+    read the circuit as it is and never add nodes to `dag`, except
+    model enumeration, which smooths it first.
     """
     kind: str
     mode: str
@@ -299,29 +314,16 @@ class CompiledArtifact:
     dag: Dag | None = None
     manager: ObddManager | None = None
     order: tuple | None = None
-    conditioned: bool = False
-    _smooth_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def nvars(self) -> int:
         return len(self.alpha)
 
-    def smooth_root(self, scope=None, root: int | None = None) -> int:
-        """Smoothed root over `scope` (default: all of alpha), cached.
-
-        `root` smooths a conditioned root instead of the artifact's own.
-        """
+    def smooth_root(self) -> int:
+        """The root smoothed over all of alpha, built in `dag`."""
         if self.kind != KIND_DDNNF:
             raise CompileError("smoothing applies to the ddnnf backend only")
-        target = frozenset(range(1, self.nvars + 1)) if scope is None \
-            else frozenset(scope)
-        node = self.root if root is None else root
-        key = (node, target)
-        got = self._smooth_cache.get(key)
-        if got is None:
-            got = smooth(self.dag, node, target)
-            self._smooth_cache[key] = got
-        return got
+        return smooth(self.dag, self.root, self.nvars)
 
 
 def _check_reusable(lemmas: LemmaSet, alpha, targets) -> None:

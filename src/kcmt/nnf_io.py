@@ -12,6 +12,12 @@ Ids are 0-based positions of earlier body lines; the root is the last
 line. `A 0` is the true constant, `O 0 0` the false one. A decision
 variable of 0 marks an OR node with no recognized branching variable.
 
+A circuit of kind ddnnf must be a decision-DNNF, because the queries
+count on it: no `A` line's conjuncts share a variable, and every `O`
+line's two branches assert complementary literals of one variable. The
+reader checks both on each line and judges a decision by its branches
+alone.
+
 The sidecar map file carries everything the circuit cannot: the atom
 strings in index order, the artifact's kind and mode, the lemma clauses
 (signed atom indices, DIMACS style), and the variable order for OBDD
@@ -33,6 +39,7 @@ from .compiler import (
     MODE_T_EXTENDED,
     MODE_T_REDUCED,
     CompiledArtifact,
+    decision_var,
 )
 from .formulas import (
     AND,
@@ -216,33 +223,6 @@ def _parse_map(text: str, path: str):
 # -- circuit body ------------------------------------------------------------
 
 
-def _decision_var(pdag: Dag, node: int) -> int:
-    """Branching variable of a 2-way OR whose branches assert complementary
-    literals, or 0 when the node has no such shape."""
-    kids = pdag.children(node)
-    if len(kids) != 2:
-        return 0
-
-    def asserted(branch: int) -> dict:
-        tag = pdag.kind(branch)
-        if tag == LIT:
-            v, p = pdag.leaf(branch)
-            return {v: p}
-        out = {}
-        if tag == AND:
-            for c in pdag.children(branch):
-                if pdag.kind(c) == LIT:
-                    v, p = pdag.leaf(c)
-                    out[v] = p
-        return out
-
-    left, right = asserted(kids[0]), asserted(kids[1])
-    for v, p in left.items():
-        if v in right and right[v] != p:
-            return v
-    return 0
-
-
 def _ddnnf_lines(pdag: Dag, root: int) -> list[str]:
     ids: dict[int, int] = {}
     lines: list[str] = []
@@ -275,7 +255,7 @@ def _ddnnf_lines(pdag: Dag, root: int) -> list[str]:
         elif tag == OR:
             kids = pdag.children(node)
             emit(node, "O %d %d %s" % (
-                _decision_var(pdag, node), len(kids),
+                decision_var(pdag, node) or 0, len(kids),
                 " ".join(str(ids[c]) for c in kids)))
         else:
             raise NnfIoError(
@@ -339,15 +319,37 @@ def _edge_count(lines: list[str]) -> int:
     return edges
 
 
+def _ddnnf_mask(pdag: Dag, node: int, masks: dict, path: str,
+                lineno: int) -> int:
+    """Variables under a new node of a d-DNNF file, as a bit mask.
+
+    Rejects the two shapes that would make counting wrong: a conjunction
+    whose conjuncts share a variable, and a disjunction that is not a
+    binary decision. `masks` must hold every child of `node`.
+    """
+    tag = pdag.kind(node)
+    if tag == LIT:
+        return 1 << pdag.leaf(node)[0]
+    mask = 0
+    for c in pdag.children(node):
+        shared = mask & masks[c]
+        if tag == AND and shared:
+            raise _fail(path, lineno,
+                        "conjuncts share variable %d, so the circuit is not "
+                        "decomposable" % (shared.bit_length() - 1))
+        mask |= masks[c]
+    if tag == OR and decision_var(pdag, node) is None:
+        raise _fail(path, lineno,
+                    "O node is not a binary decision on one variable, so "
+                    "the circuit is not deterministic")
+    return mask
+
+
 # -- public entry points ------------------------------------------------------
 
 
 def write_nnf(artifact: CompiledArtifact, nnf_path, map_path) -> None:
     """Serialize an artifact as a circuit file plus its map sidecar."""
-    if artifact.conditioned:
-        raise NnfIoError(
-            "conditioned artifacts are internal working copies and cannot "
-            "be serialized")
     map_text = _map_text(artifact)
     digest = hashlib.sha256(map_text.encode()).hexdigest()
     if artifact.kind == KIND_DDNNF:
@@ -436,6 +438,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
 
     pdag = Dag()
     nodes: list[int] = []
+    masks = {pdag.TRUE: 0, pdag.FALSE: 0} if kind == KIND_DDNNF else None
     edges = 0
     for i in range(body_start, len(raw)):
         s = raw[i].strip()
@@ -462,7 +465,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
             if not 1 <= abs(v) <= n_vars:
                 raise _fail(path, lineno,
                             "literal variable %d outside 1..%d" % (v, n_vars))
-            nodes.append(pdag.lit(abs(v), v > 0))
+            node = pdag.lit(abs(v), v > 0)
         elif toks[0] == "A" and len(toks) >= 2:
             try:
                 k = int(toks[1])
@@ -472,7 +475,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
                 raise _fail(path, lineno,
                             "A node announces %d children but lists %d"
                             % (k, len(toks) - 2))
-            nodes.append(pdag.and_([child(t) for t in toks[2:]]))
+            node = pdag.and_([child(t) for t in toks[2:]])
             edges += k
         elif toks[0] == "O" and len(toks) >= 3:
             try:
@@ -486,13 +489,13 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
                 raise _fail(path, lineno,
                             "O node announces %d children but lists %d"
                             % (k, len(toks) - 3))
-            if k == 0:
-                nodes.append(pdag.FALSE)
-            else:
-                nodes.append(pdag.or_([child(t) for t in toks[3:]]))
+            node = pdag.or_([child(t) for t in toks[3:]])
             edges += k
         else:
             raise _fail(path, lineno, "unrecognized line %r" % s)
+        if masks is not None and node not in masks:
+            masks[node] = _ddnnf_mask(pdag, node, masks, path, lineno)
+        nodes.append(node)
     if not nodes:
         raise NnfIoError("%s: circuit has no nodes" % path)
     if len(nodes) != n_nodes:

@@ -54,6 +54,8 @@ class ObddManager:
             (len(order), 0, 0), (len(order), 0, 0)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_cache: dict[tuple, int] = {}
+        # satcount of each counted node over the levels from its own down
+        self._counts: dict[int, int] = {self.FALSE: 0, self.TRUE: 1}
 
     # -- structure ----------------------------------------------------------
 
@@ -201,7 +203,7 @@ class ObddManager:
 
     def satcount(self, a: int) -> int:
         """Number of total assignments over the full order satisfying a."""
-        memo: dict[int, int] = {self.FALSE: 0, self.TRUE: 1}
+        memo = self._counts
 
         def rec(node: int) -> int:
             out = memo.get(node)

@@ -7,6 +7,11 @@ validity and implicant checks need a T-extended one. Equivalence and
 sentential entailment additionally need the canonical OBDD backend,
 where they reduce to handle identity and one linear apply.
 
+CO, CE, CT, CT under assumptions, VA and IM all reduce to one count of
+the models that extend a set of fixed literals (`_count`): a single
+bottom-up pass over the d-DNNF as loaded, which adds no node to it, or
+one restriction per literal and a satcount on an OBDD.
+
 Wrong-mode calls always raise, never return a wrong answer. Queries
 mentioning atoms outside the artifact's atom set are rejected: the atom
 set is fixed at compilation time.
@@ -17,10 +22,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from . import obdd as _obdd
-from .compiler import (KIND_DDNNF, KIND_OBDD, MODE_T_EXTENDED,
-                       MODE_T_REDUCED, CompiledArtifact)
-from .formulas import (AND, FALSE_KIND, LIT, TRUE_KIND, AbstractionError,
-                       Assignment, Atom)
+from .compiler import (KIND_OBDD, MODE_T_EXTENDED, MODE_T_REDUCED,
+                       CompiledArtifact)
+from .formulas import (AND, FALSE_KIND, LIT, OR, TRUE_KIND,
+                       AbstractionError, Assignment, Atom)
 
 
 class QueryError(ValueError):
@@ -36,30 +41,24 @@ class UnsupportedQueryError(ModeError):
 
 
 def _require(artifact: CompiledArtifact, mode: str, query: str) -> None:
-    if artifact.conditioned:
-        raise ModeError(
-            "%s requires an unconditioned artifact; conditioned artifacts "
-            "are internal" % query)
     if artifact.mode != mode:
         raise ModeError("%s requires a %s artifact, got %s"
                         % (query, mode, artifact.mode))
 
 
 def _indexed(artifact: CompiledArtifact,
-             literals: Iterable[tuple[Atom, bool]]) -> list[tuple[int, bool]]:
+             literals: Iterable[tuple[Atom, bool]]) -> dict[int, bool]:
     """Map atom-literals to variable indices, rejecting malformed input."""
-    out: list[tuple[int, bool]] = []
-    seen = set()
+    out: dict[int, bool] = {}
     for atom, positive in literals:
         try:
             idx = artifact.amap.index(atom)
         except AbstractionError:
             raise QueryError("atom %s is outside the artifact's atom set"
                              % atom) from None
-        if idx in seen:
+        if idx in out:
             raise QueryError("atom %s appears twice" % atom)
-        seen.add(idx)
-        out.append((idx, bool(positive)))
+        out[idx] = bool(positive)
     return out
 
 
@@ -68,43 +67,30 @@ def _bump(stats: dict | None) -> None:
         stats["visits"] = stats.get("visits", 0) + 1
 
 
-# -- internal primitives (no mode guards; used on conditioned roots too) ----
+def _count(artifact: CompiledArtifact, fixed: dict[int, bool],
+           stats: dict | None = None) -> int:
+    """Number of total assignments over alpha that extend `fixed` (variable
+    index to value) and satisfy the root; either backend.
 
-
-def _ddnnf_live(artifact: CompiledArtifact, root: int,
-                stats: dict | None = None) -> bool:
-    """Satisfiability by one traversal: a node is live iff it is the true
-    terminal, a literal, a conjunction of live nodes, or a decision with
-    a live branch."""
-    pdag = artifact.dag
-    memo: dict[int, bool] = {}
-
-    def rec(n: int) -> bool:
-        out = memo.get(n)
-        if out is not None:
-            return out
+    A d-DNNF is read as it is, in one bottom-up pass. With F free
+    variables, a node's value is 2**F times its probability when every
+    free variable is true with probability 1/2: decisions add, because
+    their branches exclude each other, and conjunctions multiply, because
+    their conjuncts share no variable. Every partial product of a
+    conjunction spans at most F free variables, so `out * value >> F`
+    stays an exact integer. Both properties are what `compile_ddnnf`
+    builds and what `read_nnf` checks on load.
+    """
+    if artifact.kind == KIND_OBDD:
+        manager = artifact.manager
+        node = artifact.root.node
+        for var, value in fixed.items():
+            node = manager.restrict(node, var, value)
         _bump(stats)
-        tag = pdag.kind(n)
-        if tag == TRUE_KIND or tag == LIT:
-            out = True
-        elif tag == FALSE_KIND:
-            out = False
-        elif tag == AND:
-            out = all(rec(c) for c in pdag.children(n))
-        else:
-            out = any(rec(c) for c in pdag.children(n))
-        memo[n] = out
-        return out
-
-    return rec(root)
-
-
-def _ddnnf_count(artifact: CompiledArtifact, root: int, scope: frozenset,
-                 stats: dict | None = None) -> int:
-    """Model count over `scope`, via the smoothed root: literals count 1,
-    conjunctions multiply, decisions add."""
+        return manager.satcount(node) >> len(fixed)
     pdag = artifact.dag
-    smoothed = artifact.smooth_root(scope, root=root)
+    free = artifact.nvars - len(fixed)
+    top = 1 << free
     memo: dict[int, int] = {}
 
     def rec(n: int) -> int:
@@ -113,60 +99,27 @@ def _ddnnf_count(artifact: CompiledArtifact, root: int, scope: frozenset,
             return out
         _bump(stats)
         tag = pdag.kind(n)
-        if tag == FALSE_KIND:
-            out = 0
-        elif tag == TRUE_KIND or tag == LIT:
-            out = 1
+        if tag == LIT:
+            var, positive = pdag.leaf(n)
+            value = fixed.get(var)
+            if value is None:
+                out = top >> 1
+            else:
+                out = top if value == positive else 0
         elif tag == AND:
-            out = 1
+            out = top
             for c in pdag.children(n):
-                out *= rec(c)
-        else:
+                out = out * rec(c) >> free
+                if not out:
+                    break
+        elif tag == OR:
             out = sum(rec(c) for c in pdag.children(n))
+        else:
+            out = top if tag == TRUE_KIND else 0
         memo[n] = out
         return out
 
-    return rec(smoothed)
-
-
-def _count(artifact: CompiledArtifact, root, fixed: int = 0,
-           stats: dict | None = None) -> int:
-    """Count over all non-fixed variables, either backend. `fixed` is the
-    number of conditioned-away variables."""
-    n = artifact.nvars
-    if artifact.kind == KIND_OBDD:
-        total = artifact.manager.satcount(root.node)
-        _bump(stats)
-        return total >> fixed
-    scope = frozenset(range(1, n + 1))
-    return _ddnnf_count(artifact, root, scope, stats)
-
-
-def condition(artifact: CompiledArtifact,
-              cube: Iterable[tuple[Atom, bool]]) -> CompiledArtifact:
-    """Artifact with the cube's literals fixed in the root.
-
-    The result is B-equivalent to root ∧ cube projected on the remaining
-    atoms. It is marked conditioned: the lemma transformation was not
-    re-run, so the mode invariant is no longer guaranteed and the public
-    queries refuse it. The query operations consume it internally.
-    """
-    lits = _indexed(artifact, cube)
-    if not lits:
-        return artifact
-    if artifact.kind == KIND_DDNNF:
-        root = artifact.dag.residual(artifact.root, dict(lits))
-        return CompiledArtifact(
-            artifact.kind, artifact.mode, artifact.alpha, artifact.amap,
-            artifact.lemmas, root, dag=artifact.dag, conditioned=True,
-            _smooth_cache=artifact._smooth_cache)
-    node = artifact.root.node
-    for idx, positive in lits:
-        node = artifact.manager.restrict(node, idx, positive)
-    return CompiledArtifact(
-        artifact.kind, artifact.mode, artifact.alpha, artifact.amap,
-        artifact.lemmas, artifact.manager.ref(node),
-        manager=artifact.manager, order=artifact.order, conditioned=True)
+    return rec(artifact.root)
 
 
 # -- the eight queries -------------------------------------------------------
@@ -174,55 +127,42 @@ def condition(artifact: CompiledArtifact,
 
 def is_consistent(artifact: CompiledArtifact,
                   stats: dict | None = None) -> bool:
-    """CO: theory satisfiability, as propositional satisfiability."""
+    """CO: theory satisfiability, as a nonzero model count."""
     _require(artifact, MODE_T_REDUCED, "isConsistent")
-    if artifact.kind == KIND_OBDD:
-        _bump(stats)
-        return not artifact.root.is_false
-    return _ddnnf_live(artifact, artifact.root, stats)
+    return _count(artifact, {}, stats) > 0
 
 
 def is_valid(artifact: CompiledArtifact, stats: dict | None = None) -> bool:
     """VA: theory validity, as a full propositional model count."""
     _require(artifact, MODE_T_EXTENDED, "isValid")
-    return _count(artifact, artifact.root, 0, stats) == \
-        (1 << artifact.nvars)
+    return _count(artifact, {}, stats) == 1 << artifact.nvars
 
 
 def entails_clause(artifact: CompiledArtifact,
                    clause: Sequence[tuple[Atom, bool]],
                    stats: dict | None = None) -> bool:
-    """CE: artifact ⊨ clause, by conditioning on the negated clause and
-    checking unsatisfiability."""
+    """CE: artifact ⊨ clause, iff no model extends the negated clause."""
     _require(artifact, MODE_T_REDUCED, "entailsClause")
     negated = [(atom, not positive) for atom, positive in clause]
-    cond = condition(artifact, negated)
-    if artifact.kind == KIND_OBDD:
-        _bump(stats)
-        return cond.root.is_false
-    return not _ddnnf_live(cond, cond.root, stats)
+    return _count(artifact, _indexed(artifact, negated), stats) == 0
 
 
 def is_implicant(artifact: CompiledArtifact,
                  cube: Sequence[tuple[Atom, bool]],
                  stats: dict | None = None) -> bool:
-    """IM: cube ⊨ artifact, by conditioning on the cube and checking
-    validity over the remaining atoms."""
+    """IM: cube ⊨ artifact, iff every assignment extending the cube is a
+    model."""
     _require(artifact, MODE_T_EXTENDED, "isImplicant")
-    lits = _indexed(artifact, cube)
-    cond = condition(artifact, cube)
-    remaining = artifact.nvars - len(lits)
-    if artifact.kind == KIND_OBDD:
-        return _count(cond, cond.root, len(lits), stats) == (1 << remaining)
-    scope = frozenset(range(1, artifact.nvars + 1)) - {i for i, _ in lits}
-    return _ddnnf_count(cond, cond.root, scope, stats) == (1 << remaining)
+    fixed = _indexed(artifact, cube)
+    return _count(artifact, fixed, stats) == \
+        1 << (artifact.nvars - len(fixed))
 
 
 def count_models(artifact: CompiledArtifact,
                  stats: dict | None = None) -> int:
     """CT: number of theory-consistent total assignments."""
     _require(artifact, MODE_T_REDUCED, "countModels")
-    return _count(artifact, artifact.root, 0, stats)
+    return _count(artifact, {}, stats)
 
 
 def count_models_assume(artifact: CompiledArtifact,
@@ -230,12 +170,7 @@ def count_models_assume(artifact: CompiledArtifact,
                         stats: dict | None = None) -> int:
     """CT under assumptions: models extending the cube."""
     _require(artifact, MODE_T_REDUCED, "countModelsAssume")
-    lits = _indexed(artifact, cube)
-    cond = condition(artifact, cube)
-    if artifact.kind == KIND_OBDD:
-        return _count(cond, cond.root, len(lits), stats)
-    scope = frozenset(range(1, artifact.nvars + 1)) - {i for i, _ in lits}
-    return _ddnnf_count(cond, cond.root, scope, stats)
+    return _count(artifact, _indexed(artifact, cube), stats)
 
 
 def enumerate_models(artifact: CompiledArtifact) -> Iterator[Assignment]:
@@ -286,8 +221,6 @@ def _matching_obdds(a: CompiledArtifact, b: CompiledArtifact,
     if a.kind != KIND_OBDD or b.kind != KIND_OBDD:
         raise UnsupportedQueryError(
             "%s is supported on OBDD-backed artifacts only" % query)
-    if a.conditioned or b.conditioned:
-        raise ModeError("%s requires unconditioned artifacts" % query)
     if a.mode != b.mode:
         raise UnsupportedQueryError(
             "%s requires artifacts of the same mode, got %s and %s"

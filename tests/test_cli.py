@@ -204,6 +204,27 @@ class TestQuery:
                          "--other", *art(ws, "tred"), *art(ws, "tred"))
         assert code == 3
 
+    def test_non_decomposable_circuit_exits_two(self, ws, tmp_path, capsys):
+        # p or q, hand-written as a non-deterministic OR: counting it as a
+        # d-DNNF would print 4 where the answer is 3.
+        (tmp_path / "pq.nnf").write_text("nnf 3 2 2\nL 1\nL 2\nO 0 2 0 1\n")
+        (tmp_path / "pq.map").write_text(
+            "kcmt-map 1\nkind ddnnf\nmode tReduced\ntarget forFormula\n"
+            "atoms 2\np\nq\nlemmas 0\n")
+        code, out, err = run(capsys, "query", "ct", str(tmp_path / "pq.nnf"),
+                             str(tmp_path / "pq.map"))
+        assert (code, out) == (2, "")
+        assert "not a binary decision" in err
+
+    def test_internal_error_exits_five(self, ws, capsys, monkeypatch):
+        def broken(artifact):
+            raise RuntimeError("broken\ncounter")
+
+        monkeypatch.setattr("kcmt.cli.count_models", broken)
+        code, out, err = run(capsys, "query", "ct", *art(ws, "tred"))
+        assert (code, out) == (5, "")
+        assert err == "internal error: RuntimeError: broken counter\n"
+
     def test_eq_obdd_equivalent_pair(self, ws, capsys):
         code, out, _ = run(capsys, "query", "eq",
                            "--other", *art(ws, "o2"), *art(ws, "o1"))

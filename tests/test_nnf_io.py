@@ -20,7 +20,6 @@ from kcmt.nnf_io import (
     write_nnf,
 )
 from kcmt.queries import (
-    condition,
     count_models,
     enumerate_models,
     equivalent,
@@ -241,6 +240,26 @@ class TestHandWrittenFiles:
         art = read_nnf(str(nnf), str(mp))
         assert count_models(art) == 2
 
+    def test_decision_judged_by_its_branches(self, tmp_path):
+        nnf = tmp_path / "h.nnf"
+        mp = tmp_path / "h.map"
+        nnf.write_text("nnf 3 2 2\nL 1\nL -1\nO 2 2 0 1\n")
+        mp.write_text(self.MAP_ONE.replace("atoms 1\nx <= 0",
+                                           "atoms 2\nx <= 0\nx = 1"))
+        art = read_nnf(str(nnf), str(mp))
+        assert count_models(art) == 4
+
+    def test_obdd_kind_accepts_any_nnf(self, tmp_path):
+        # OBDD artifacts are rebuilt on read, so p or q counts right.
+        nnf = tmp_path / "h.nnf"
+        mp = tmp_path / "h.map"
+        nnf.write_text("nnf 3 2 2\nL 1\nL 2\nO 0 2 0 1\n")
+        mp.write_text("kcmt-map 1\nkind obdd\nmode tReduced\n"
+                      "target forFormula\norder 1 2\natoms 2\nx <= 0\n"
+                      "x = 1\nlemmas 0\n")
+        art = read_nnf(str(nnf), str(mp))
+        assert count_models(art) == 3
+
     def test_blank_lines_and_comments_in_body(self, tmp_path):
         nnf = tmp_path / "h.nnf"
         mp = tmp_path / "h.map"
@@ -257,14 +276,6 @@ class TestFormatErrors:
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
         return art, nnf, mp
-
-    def test_conditioned_artifact_refuses(self, tmp_path):
-        fdag = Dag()
-        art = build_tred(fdag, build_phi1(fdag))
-        cond = condition(art, [(X_LE_0, True)])
-        nnf, mp = paths(tmp_path)
-        with pytest.raises(NnfIoError, match="conditioned"):
-            write_nnf(cond, nnf, mp)
 
     def test_map_hash_mismatch(self, tmp_path):
         art, nnf, mp = self._written(tmp_path)
@@ -294,6 +305,13 @@ class TestFormatErrors:
         ("nnf 2 5 2\nL 1\nA 1 0\n", "announces 5 edges"),
         ("c only a comment\n", "missing 'nnf' header"),
         ("nnf 1 0\nL 1\n", "nnf <nodes> <edges> <vars>"),
+        ("nnf 3 2 2\nL 1\nL 2\nO 0 2 0 1\n", "not a binary decision"),
+        ("nnf 3 2 2\nL 1\nL 2\nO 1 2 0 1\n", "not a binary decision"),
+        ("nnf 4 3 2\nL 1\nL -1\nL 2\nO 1 3 0 1 2\n",
+         "not a binary decision"),
+        ("nnf 3 2 2\nL 1\nL -1\nA 2 0 1\n", "share variable 1"),
+        ("nnf 5 4 2\nL 1\nL 2\nA 2 0 1\nL -2\nA 2 2 3\n",
+         "share variable 2"),
     ])
     def test_malformed_circuits(self, tmp_path, body, err):
         nnf = tmp_path / "bad.nnf"

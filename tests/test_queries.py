@@ -1,6 +1,8 @@
 """The eight queries: worked examples, mode guards, oracle agreement on a
-random corpus, and the linear node-visit bound."""
+random corpus, exact counts on the circuit as built, and the linear
+node-visit bound."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from kcmt.compiler import (
     build_obdd_artifact,
     build_text,
     build_tred,
+    validate,
 )
 from kcmt.formulas import Assignment, Atom, AtomSet, Dag, atoms_of
 from kcmt.obdd import ObddManager
@@ -19,7 +22,6 @@ from kcmt.queries import (
     ModeError,
     QueryError,
     UnsupportedQueryError,
-    condition,
     count_models,
     count_models_assume,
     enumerate_models,
@@ -161,6 +163,35 @@ class TestCounting:
         assert count_models_assume(art, [(X1_LE_0, True)]) == 1
 
 
+class TestExactCounts:
+    """Counts past 2**53 stay exact integers on both modes."""
+
+    ALPHA = AtomSet([Atom.boolean("b%d" % i) for i in range(60)])
+
+    def test_top_over_sixty_atoms(self, fdag):
+        first = self.ALPHA[0]
+        tred = build_tred(fdag, fdag.TRUE, self.ALPHA)
+        assert count_models(tred) == 2 ** 60
+        assert count_models_assume(tred, [(first, False)]) == 2 ** 59
+        text = build_text(fdag, fdag.TRUE, self.ALPHA)
+        assert is_valid(text)
+        assert is_implicant(text, [(first, False)])
+
+    def test_clause_over_sixty_atoms(self, fdag):
+        # 2**60 - 1 has no exact float, so a float count would call the
+        # clause valid.
+        first = self.ALPHA[0]
+        clause = fdag.or_([fdag.lit(a) for a in self.ALPHA])
+        tred = build_tred(fdag, clause, self.ALPHA)
+        assert count_models(tred) == 2 ** 60 - 1
+        assert count_models_assume(tred, [(first, False)]) == 2 ** 59 - 1
+        assert count_models_assume(tred, [(first, True)]) == 2 ** 59
+        text = build_text(fdag, clause, self.ALPHA)
+        assert not is_valid(text)
+        assert is_implicant(text, [(first, True)])
+        assert not is_implicant(text, [(first, False)])
+
+
 class TestEnumeration:
     def test_worked_disjunction_order(self, tred_phi1):
         got = list(enumerate_models(tred_phi1))
@@ -223,34 +254,6 @@ class TestEquivalenceAndEntailment:
         assert sentential_entails(b, top)
 
 
-class TestConditioning:
-    def test_empty_cube_returns_same_root(self, tred_phi1):
-        assert condition(tred_phi1, []) is tred_phi1
-
-    def test_propositional_substitution(self, fdag):
-        # Pure Boolean artifact: conditioning is residual at the circuit level.
-        p_atom, q_atom = Atom.boolean("p"), Atom.boolean("q")
-        node = fdag.and_([
-            fdag.or_([fdag.lit(p_atom), fdag.lit(q_atom)]),
-            fdag.or_([fdag.lit(p_atom, False), fdag.lit(q_atom, False)]),
-        ])
-        art = build_tred(fdag, node)
-        cond = condition(art, [(p_atom, True)])
-        assert cond.conditioned
-        assert cond.root == art.dag.lit(2, False)
-
-    def test_count_after_conditioning(self, tred_phi1):
-        cond = condition(tred_phi1, [(X_LE_0, True)])
-        from kcmt.queries import _ddnnf_count
-        assert _ddnnf_count(cond, cond.root, frozenset({2})) == 1
-
-    def test_obdd_conditioning(self, fdag):
-        art = build_obdd_artifact(fdag, build_phi1(fdag))
-        cond = condition(art, [(X_LE_0, True)])
-        assert cond.conditioned
-        assert cond.manager.satcount(cond.root.node) == 2  # var 1 is free
-
-
 class TestGuards:
     def test_reduced_queries_reject_extended_artifacts(self, text_phi1):
         with pytest.raises(ModeError):
@@ -275,13 +278,6 @@ class TestGuards:
             is_consistent(text_phi1)
         with pytest.raises(ModeError, match=MODE_T_EXTENDED):
             is_valid(tred_phi1)
-
-    def test_conditioned_artifacts_are_internal(self, tred_phi1):
-        cond = condition(tred_phi1, [(X_LE_0, True)])
-        with pytest.raises(ModeError):
-            count_models(cond)
-        with pytest.raises(ModeError):
-            is_consistent(cond)
 
     def test_malformed_literal_sets(self, tred_phi1):
         outside = Atom.linear({"y": 1}, "<=", 0)
@@ -398,6 +394,33 @@ class TestOracleAgreement:
         assert se_hits >= 3
         assert eq_hits >= 1
 
+    def test_small_cubes_match_truth_table(self):
+        # The circuits stay unsmoothed, so decisions whose branches range
+        # over unequal atom sets are counted as they are.
+        unsmooth = 0
+        for rng, fdag, node, alpha in self._instances(81005, 25):
+            n = len(alpha)
+            order = list(range(1, n + 1))
+            tred = build_tred(fdag, node, alpha)
+            text = build_text(fdag, node, alpha)
+            unsmooth += not validate(tred.dag, tred.root).smooth
+            tred_bits = tred.dag.truth_bits(tred.root, order)
+            text_bits = text.dag.truth_bits(text.root, order)
+            lits = [(i, pol) for i in order for pol in (True, False)]
+            cubes = [()] + [(l,) for l in lits] + [
+                pair for pair in itertools.combinations(lits, 2)
+                if pair[0][0] != pair[1][0]]
+            for cube in cubes:
+                extending = [b for b in range(1 << n)
+                             if all((b >> (i - 1) & 1) == pol
+                                    for i, pol in cube)]
+                atoms = [(tred.amap.atom(i), pol) for i, pol in cube]
+                assert count_models_assume(tred, atoms) == sum(
+                    tred_bits >> b & 1 for b in extending)
+                assert is_implicant(text, atoms) == all(
+                    text_bits >> b & 1 for b in extending)
+        assert unsmooth >= 5
+
     def test_single_literal_implicants_match_oracle(self):
         oracle = Oracle()
         for rng, fdag, node, alpha in self._instances(81003, 20):
@@ -446,3 +469,26 @@ class TestVisitCosts:
             stats = {}
             count_models_assume(tred, cube, stats)
             assert stats.get("visits", 0) <= len(tred.dag)
+
+
+class TestFrozenCircuit:
+    def test_queries_add_no_nodes(self):
+        rng = random.Random(81006)
+        for _ in range(10):
+            fdag = Dag()
+            atoms = random_atoms(rng, 1, rng.randint(2, 4), 2)
+            node = random_formula(fdag, rng, atoms, depth=3)
+            alpha = AtomSet(atoms).union(atoms_of(fdag, node))
+            tred = build_tred(fdag, node, alpha)
+            text = build_text(fdag, node, alpha)
+            sizes = len(tred.dag), len(text.dag)
+            for _ in range(5):
+                k = rng.randint(1, len(alpha))
+                cube = _random_literals(rng, alpha, k)
+                is_consistent(tred)
+                count_models(tred)
+                count_models_assume(tred, cube)
+                entails_clause(tred, cube)
+                is_valid(text)
+                is_implicant(text, cube)
+            assert (len(tred.dag), len(text.dag)) == sizes
