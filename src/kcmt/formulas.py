@@ -17,7 +17,7 @@ into literals, so downstream code only ever sees simplified nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Hashable, Iterable, Iterator, Mapping
@@ -53,6 +53,9 @@ class Atom:
     Two atoms are equal iff their normal forms are identical. A constraint
     with no variables (trivially true or false) is rejected: the framework
     assumes no atom is by itself T-valid or T-inconsistent.
+
+    The hash is computed once, at construction, since atoms key the sets
+    and dicts of lemma enumeration and loading.
     """
 
     kind: str  # "bool" | "lra"
@@ -60,6 +63,20 @@ class Atom:
     coeffs: tuple = ()
     rel: str = ""
     const: Fraction = Fraction(0)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.name, self.coeffs, self.rel, self.const)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so an unpickled atom
+        # recomputes its hash rather than carrying the cached one over.
+        return (Atom, (self.kind, self.name, self.coeffs, self.rel,
+                       self.const))
 
     @staticmethod
     def boolean(name: str) -> "Atom":

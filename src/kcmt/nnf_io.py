@@ -24,14 +24,17 @@ strings in index order, the artifact's kind and mode, the lemma clauses
 backed artifacts. The circuit file's first comment records the sha-256
 of the map text, so a circuit is never silently re-interpreted against
 a foreign atom map; hand-written files without the comment are accepted
-as-is. OBDD artifacts are re-canonicalized on read by rebuilding the
-diagram under the stored order.
+as-is. An OBDD artifact's circuit is read straight into a fresh
+manager under the stored order, each line applied as a literal,
+conjunction or disjunction, so any NNF over the atoms is accepted and
+the loaded diagram is canonical.
 """
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import reduce
 
 from .compiler import (
     KIND_DDNNF,
@@ -57,10 +60,11 @@ from .lemmas import (
     TARGET_FORMULA,
     TARGET_NEGATION,
     TARGET_TOP,
+    LemmaError,
     LemmaSet,
-    canonical_lemma,
+    TLemma,
 )
-from .obdd import ObddManager, from_formula
+from .obdd import ObddManager
 
 MAP_HEADER = "kcmt-map 1"
 _TARGETS = (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP)
@@ -118,6 +122,30 @@ def _atom_from_string(s: str) -> Atom:
 # -- map sidecar -------------------------------------------------------------
 
 
+def _lemma_lines(artifact: CompiledArtifact) -> list[str]:
+    """One `<signed atom indices> 0` line per lemma, DIMACS style."""
+    alpha = artifact.alpha
+    return ["%s 0" % " ".join(
+                str((alpha.position(a) + 1) * (1 if p else -1))
+                for a, p in lemma.literals)
+            for lemma in artifact.lemmas]
+
+
+def _lemma_from_ids(ids: list[int], atoms: list[Atom]) -> TLemma:
+    """The canonical lemma of a clause of signed 1-based atom indices.
+
+    Sorting by index gives `canonical_lemma`'s order, since no index may
+    repeat.
+    """
+    ids.sort(key=abs)
+    for i in (ids[0], ids[-1]):
+        if not 1 <= abs(i) <= len(atoms):
+            raise LemmaError("no atom with index %d" % abs(i))
+    if len(set(map(abs, ids))) != len(ids):
+        raise LemmaError("duplicate or complementary literals in a lemma")
+    return TLemma(tuple([(atoms[abs(i) - 1], i > 0) for i in ids]))
+
+
 def _map_text(artifact: CompiledArtifact) -> str:
     alpha = artifact.alpha
     lines = [MAP_HEADER,
@@ -129,10 +157,7 @@ def _map_text(artifact: CompiledArtifact) -> str:
     lines.append("atoms %d" % len(alpha))
     lines.extend(str(a) for a in alpha)
     lines.append("lemmas %d" % len(artifact.lemmas))
-    for lemma in artifact.lemmas:
-        ids = ((alpha.position(a) + 1) * (1 if p else -1)
-               for a, p in lemma.literals)
-        lines.append("%s 0" % " ".join(str(i) for i in ids))
+    lines.extend(_lemma_lines(artifact))
     return "\n".join(lines) + "\n"
 
 
@@ -193,7 +218,7 @@ def _parse_map(text: str, path: str):
         nlemmas = int(raw)
     except ValueError:
         raise _fail(path, no, "lemma count must be an integer")
-    amap = AbstractionMap(alpha)
+    atoms = list(alpha)
     lemmas = []
     for _ in range(nlemmas):
         line, no = take("lemma clause")
@@ -207,9 +232,8 @@ def _parse_map(text: str, path: str):
         if not ids:
             raise _fail(path, no, "empty lemma clause")
         try:
-            lits = [(amap.atom(abs(i)), i > 0) for i in ids]
-            lemmas.append(canonical_lemma(lits, alpha))
-        except Exception as e:
+            lemmas.append(_lemma_from_ids(ids, atoms))
+        except LemmaError as e:
             raise _fail(path, no, "bad lemma clause: %s" % e)
     if pos != len(lines):
         raise _fail(path, pos + 1, "unexpected trailing content")
@@ -217,7 +241,7 @@ def _parse_map(text: str, path: str):
         raise NnfIoError(
             "%s: order must be a permutation of 1..%d" % (path, natoms))
     lemma_set = LemmaSet(tuple(lemmas), target, alpha)
-    return kind, mode, order, alpha, amap, lemma_set
+    return kind, mode, order, alpha, AbstractionMap(alpha), lemma_set
 
 
 # -- circuit body ------------------------------------------------------------
@@ -319,6 +343,21 @@ def _edge_count(lines: list[str]) -> int:
     return edges
 
 
+def _bad_child(toks: list[str], count: int, path: str,
+               lineno: int) -> NnfIoError:
+    """The error for the first child id in `toks` that is not an integer
+    in 0..count-1, the ids of the lines read so far."""
+    for tok in toks:
+        try:
+            j = int(tok)
+        except ValueError:
+            return _fail(path, lineno, "node id %r is not an integer" % tok)
+        if not 0 <= j < count:
+            return _fail(path, lineno,
+                         "node id %d does not reference an earlier line" % j)
+    raise AssertionError("every child id is valid")
+
+
 def _ddnnf_mask(pdag: Dag, node: int, masks: dict, path: str,
                 lineno: int) -> int:
     """Variables under a new node of a d-DNNF file, as a bit mask.
@@ -367,13 +406,9 @@ def write_nnf(artifact: CompiledArtifact, nnf_path, map_path) -> None:
 
 def write_lemmas(artifact: CompiledArtifact, path) -> None:
     """Dump the artifact's lemma clauses in DIMACS style."""
-    alpha = artifact.alpha
     lines = ["c theory lemmas, atoms indexed as in the map sidecar",
-             "p cnf %d %d" % (len(alpha), len(artifact.lemmas))]
-    for lemma in artifact.lemmas:
-        ids = ((alpha.position(a) + 1) * (1 if p else -1)
-               for a, p in lemma.literals)
-        lines.append("%s 0" % " ".join(str(i) for i in ids))
+             "p cnf %d %d" % (len(artifact.alpha), len(artifact.lemmas))]
+    lines.extend(_lemma_lines(artifact))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -394,7 +429,10 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
     """Load a circuit/map pair back into a queryable artifact.
 
     The map's hash must match the circuit's `c map` comment when one is
-    present. OBDD artifacts are rebuilt under the stored variable order.
+    present, and the header's counts must match the body. A ddnnf
+    circuit must be a decision-DNNF. An OBDD circuit may be any NNF: its
+    lines are folded into a fresh manager under the stored variable
+    order as they are read.
     """
     with open(map_path) as f:
         map_text = f.read()
@@ -436,28 +474,29 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
             "%s: circuit ranges over %d variables but the map lists %d "
             "atoms" % (path, n_vars, len(alpha)))
 
-    pdag = Dag()
+    if kind == KIND_DDNNF:
+        pdag = Dag()
+        lit, conj, disj = pdag.lit, pdag.and_, pdag.or_
+        masks = {pdag.TRUE: 0, pdag.FALSE: 0}
+    else:
+        manager = ObddManager(order)
+        lit = manager.literal
+
+        def conj(kids):
+            return reduce(manager.and_, kids) if kids else manager.TRUE
+
+        def disj(kids):
+            return reduce(manager.or_, kids) if kids else manager.FALSE
+
     nodes: list[int] = []
-    masks = {pdag.TRUE: 0, pdag.FALSE: 0} if kind == KIND_DDNNF else None
     edges = 0
     for i in range(body_start, len(raw)):
-        s = raw[i].strip()
-        lineno = i + 1
-        if not s or s.startswith("c"):
+        toks = raw[i].split()
+        if not toks or toks[0][0] == "c":
             continue
-        toks = s.split()
-
-        def child(tok: str) -> int:
-            try:
-                j = int(tok)
-            except ValueError:
-                raise _fail(path, lineno, "node id %r is not an integer" % tok)
-            if not 0 <= j < len(nodes):
-                raise _fail(path, lineno,
-                            "node id %d does not reference an earlier line" % j)
-            return nodes[j]
-
-        if toks[0] == "L" and len(toks) == 2:
+        lineno = i + 1
+        tag, ntoks = toks[0], len(toks)
+        if tag == "L" and ntoks == 2:
             try:
                 v = int(toks[1])
             except ValueError:
@@ -465,35 +504,42 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
             if not 1 <= abs(v) <= n_vars:
                 raise _fail(path, lineno,
                             "literal variable %d outside 1..%d" % (v, n_vars))
-            node = pdag.lit(abs(v), v > 0)
-        elif toks[0] == "A" and len(toks) >= 2:
-            try:
-                k = int(toks[1])
-            except ValueError:
-                raise _fail(path, lineno, "bad child count %r" % toks[1])
-            if len(toks) != 2 + k:
-                raise _fail(path, lineno,
-                            "A node announces %d children but lists %d"
-                            % (k, len(toks) - 2))
-            node = pdag.and_([child(t) for t in toks[2:]])
-            edges += k
-        elif toks[0] == "O" and len(toks) >= 3:
-            try:
-                v, k = int(toks[1]), int(toks[2])
-            except ValueError:
-                raise _fail(path, lineno, "bad O node header")
-            if not 0 <= v <= n_vars:
-                raise _fail(path, lineno,
-                            "decision variable %d outside 0..%d" % (v, n_vars))
-            if len(toks) != 3 + k:
-                raise _fail(path, lineno,
-                            "O node announces %d children but lists %d"
-                            % (k, len(toks) - 3))
-            node = pdag.or_([child(t) for t in toks[3:]])
-            edges += k
+            node = lit(abs(v), v > 0)
         else:
-            raise _fail(path, lineno, "unrecognized line %r" % s)
-        if masks is not None and node not in masks:
+            if tag == "A" and ntoks >= 2:
+                try:
+                    k = int(toks[1])
+                except ValueError:
+                    raise _fail(path, lineno, "bad child count %r" % toks[1])
+                start, build = 2, conj
+            elif tag == "O" and ntoks >= 3:
+                try:
+                    v, k = int(toks[1]), int(toks[2])
+                except ValueError:
+                    raise _fail(path, lineno, "bad O node header")
+                if not 0 <= v <= n_vars:
+                    raise _fail(path, lineno,
+                                "decision variable %d outside 0..%d"
+                                % (v, n_vars))
+                start, build = 3, disj
+            else:
+                raise _fail(path, lineno,
+                            "unrecognized line %r" % raw[i].strip())
+            if ntoks != start + k:
+                raise _fail(path, lineno,
+                            "%s node announces %d children but lists %d"
+                            % (tag, k, ntoks - start))
+            # A negative id is dropped and one past the end raises, so
+            # either leaves fewer than k children.
+            try:
+                kids = [nodes[j] for j in map(int, toks[start:]) if j >= 0]
+            except (ValueError, IndexError):
+                kids = ()
+            if len(kids) != k:
+                raise _bad_child(toks[start:], len(nodes), path, lineno)
+            node = build(kids)
+            edges += k
+        if kind == KIND_DDNNF and node not in masks:
             masks[node] = _ddnnf_mask(pdag, node, masks, path, lineno)
         nodes.append(node)
     if not nodes:
@@ -506,12 +552,10 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
         raise NnfIoError(
             "%s: header announces %d edges but the body has %d"
             % (path, n_edges, edges))
-    root = nodes[-1]
 
     if kind == KIND_DDNNF:
-        return CompiledArtifact(kind, mode, alpha, amap, lemma_set, root,
+        return CompiledArtifact(kind, mode, alpha, amap, lemma_set, nodes[-1],
                                 dag=pdag)
-    manager = ObddManager(order)
     return CompiledArtifact(kind, mode, alpha, amap, lemma_set,
-                            from_formula(pdag, root, manager),
-                            manager=manager, order=order)
+                            manager.ref(nodes[-1]), manager=manager,
+                            order=order)

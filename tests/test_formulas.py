@@ -2,7 +2,12 @@
 abstraction/refinement. Expected values are hand-checked truth tables or
 fixed normal forms."""
 
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +30,7 @@ from kcmt.formulas import (
     atoms_of,
     refine,
 )
+from kcmt.nnf_io import _atom_from_string
 
 from conftest import (
     X_EQ_1,
@@ -171,6 +177,46 @@ class TestAtomContainers:
         total = Assignment({X_LE_0: True, X_EQ_1: False})
         assert total.extends(Assignment({X_LE_0: True}))
         assert not total.extends(Assignment({X_EQ_1: True}))
+
+
+class TestAtomHash:
+    """Atoms cache their hash; it must still follow equality."""
+
+    def test_equal_atoms_built_differently_hash_equal(self):
+        a = Atom.linear({"x": 1, "y": -2}, "<=", Fraction(3, 2))
+        scaled = Atom.linear({"y": 8, "x": -4}, ">=", -6)
+        rational = Atom.linear({"x": Fraction(1, 3), "y": Fraction(-2, 3)},
+                               "<=", Fraction(1, 2))
+        parsed = _atom_from_string("x - 2*y <= 3/2")
+        for b in (scaled, rational, parsed):
+            assert b == a and hash(b) == hash(a)
+        assert len({a, scaled, rational, parsed}) == 1
+        assert Atom.boolean("p") in {_atom_from_string("p")}
+
+    def test_replace_recomputes_the_hash(self):
+        a = Atom.linear({"x": 1}, "<=", 0)
+        b = dataclasses.replace(a, rel="<")
+        assert b == Atom.linear({"x": 1}, "<", 0)
+        assert hash(b) == hash(Atom.linear({"x": 1}, "<", 0))
+        assert dataclasses.replace(b, rel="<=") in {a}
+
+    def test_unpickled_atom_hashes_as_built_here(self):
+        # String hashes differ between processes, so an atom pickled
+        # elsewhere must not bring its hash along.
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        code = ("import pickle, sys\n"
+                "from kcmt.formulas import Atom\n"
+                "sys.stdout.write(pickle.dumps(Atom.linear("
+                "{'x': 1, 'y': 2}, '<', 3)).hex())\n")
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(sys.modules[Atom.__module__].__file__)))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        atom = pickle.loads(bytes.fromhex(out.stdout))
+        here = Atom.linear({"x": 1, "y": 2}, "<", 3)
+        assert atom == here and hash(atom) == hash(here)
+        assert atom in {here}
 
 
 # -- DAG construction --------------------------------------------------------

@@ -12,6 +12,8 @@ from kcmt.compiler import (
     build_tred,
 )
 from kcmt.formulas import Atom, AtomSet, Dag, atoms_of
+from kcmt.lemmas import canonical_lemma
+from kcmt.obdd import ObddManager, copy_into, from_formula
 from kcmt.nnf_io import (
     NnfIoError,
     _atom_from_string,
@@ -198,6 +200,61 @@ class TestObddRoundTrip:
                 canonical_export(art.manager, art.root.node)
 
 
+def nnf_dag(nnf_path):
+    """A circuit file's NNF as a Dag, read without any checks."""
+    pdag, nodes = Dag(), []
+    for line in open(nnf_path).read().splitlines():
+        toks = line.split()
+        if not toks or toks[0] in ("c", "nnf"):
+            continue
+        if toks[0] == "L":
+            v = int(toks[1])
+            nodes.append(pdag.lit(abs(v), v > 0))
+        elif toks[0] == "A":
+            nodes.append(pdag.and_([nodes[int(t)] for t in toks[2:]]))
+        else:
+            nodes.append(pdag.or_([nodes[int(t)] for t in toks[3:]]))
+    return pdag, nodes[-1]
+
+
+class TestObddFold:
+    """Loading folds an OBDD file's lines straight into the manager; the
+    diagram must be the one `from_formula` builds from the same NNF."""
+
+    def assert_fold_is_from_formula(self, nnf, mp):
+        back = read_nnf(nnf, mp)
+        pdag, root = nnf_dag(nnf)
+        built = from_formula(pdag, root, ObddManager(back.order))
+        shared = ObddManager(back.order)
+        assert copy_into(back.root, shared).node == \
+            copy_into(built, shared).node
+
+    def test_random_corpus(self, tmp_path):
+        rng = random.Random(90403)
+        for i in range(12):
+            fdag = Dag()
+            atoms = random_atoms(rng, rng.randint(0, 1), rng.randint(1, 3),
+                                 rng.randint(1, 2))
+            node = random_formula(fdag, rng, atoms)
+            alpha = atoms_of(fdag, node).union(AtomSet(atoms))
+            # every third instance under the reversed order
+            order = tuple(range(len(alpha), 0, -1)) if i % 3 == 2 else None
+            art = build_obdd_artifact(fdag, node, alpha, order=order)
+            nnf, mp = paths(tmp_path, "r%d" % i)
+            write_nnf(art, nnf, mp)
+            self.assert_fold_is_from_formula(nnf, mp)
+
+    @pytest.mark.parametrize("order", ["1 2", "2 1"])
+    def test_hand_written_disjunction(self, tmp_path, order):
+        nnf = tmp_path / "h.nnf"
+        mp = tmp_path / "h.map"
+        nnf.write_text("nnf 3 2 2\nL 1\nL 2\nO 0 2 0 1\n")
+        mp.write_text("kcmt-map 1\nkind obdd\nmode tReduced\n"
+                      "target forFormula\norder %s\natoms 2\nx <= 0\n"
+                      "x = 1\nlemmas 0\n" % order)
+        self.assert_fold_is_from_formula(str(nnf), str(mp))
+
+
 class TestLemmaDump:
     def test_dimacs_shape(self, tmp_path):
         fdag = Dag()
@@ -260,6 +317,19 @@ class TestHandWrittenFiles:
         art = read_nnf(str(nnf), str(mp))
         assert count_models(art) == 3
 
+    def test_lemma_clause_read_in_canonical_order(self, tmp_path):
+        nnf = tmp_path / "h.nnf"
+        mp = tmp_path / "h.map"
+        nnf.write_text("nnf 1 0 2\nL 1\n")
+        mp.write_text(self.MAP_ONE.replace(
+            "atoms 1\nx <= 0\nlemmas 0",
+            "atoms 2\nx <= 0\nx = 1\nlemmas 1\n-2 -1 0"))
+        art = read_nnf(str(nnf), str(mp))
+        assert art.lemmas.lemmas == (
+            canonical_lemma([(X_EQ_1, False), (X_LE_0, False)], art.alpha),)
+        assert [a for a, _ in art.lemmas.lemmas[0].literals] == \
+            [X_LE_0, X_EQ_1]
+
     def test_blank_lines_and_comments_in_body(self, tmp_path):
         nnf = tmp_path / "h.nnf"
         mp = tmp_path / "h.map"
@@ -312,6 +382,11 @@ class TestFormatErrors:
         ("nnf 3 2 2\nL 1\nL -1\nA 2 0 1\n", "share variable 1"),
         ("nnf 5 4 2\nL 1\nL 2\nA 2 0 1\nL -2\nA 2 2 3\n",
          "share variable 2"),
+        ("nnf 2 1 2\nL 1\nA 1 x\n", "node id 'x' is not an integer"),
+        ("nnf 2 1 2\nL 1\nA 1 -1\n",
+         "node id -1 does not reference an earlier line"),
+        ("nnf 3 2 2\nL 1\nO 1 2 0 2\nL -1\n",
+         "node id 2 does not reference an earlier line"),
     ])
     def test_malformed_circuits(self, tmp_path, body, err):
         nnf = tmp_path / "bad.nnf"
@@ -341,6 +416,14 @@ class TestFormatErrors:
         (lambda t: t.replace("x = 1", "x ? 1"), "bad atom string"),
         (lambda t: t.replace("-1 -2 0", "-1 -2"), "end with 0"),
         (lambda t: t.replace("-1 -2 0", "-1 -9 0"), "bad lemma clause"),
+        pytest.param(lambda t: t.replace("-1 -2 0", "-1 0 0"),
+                     "bad lemma clause", id="lemma index 0"),
+        pytest.param(lambda t: t.replace("-1 -2 0", "1 1 0"),
+                     "bad lemma clause", id="duplicate lemma literal"),
+        pytest.param(lambda t: t.replace("-1 -2 0", "1 -1 0"),
+                     "bad lemma clause", id="complementary lemma literals"),
+        pytest.param(lambda t: t.replace("-1 -2 0", "-1 x 0"),
+                     "signed integers", id="non-integer lemma token"),
         (lambda t: t + "extra\n", "trailing content"),
     ])
     def test_malformed_maps(self, tmp_path, mutate, err):
