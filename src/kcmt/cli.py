@@ -1,15 +1,19 @@
 """Command-line surface tying the toolkit together.
 
-Verbs: `compile` turns an SMT-LIB file into a circuit/map pair, `query`
-answers the eight queries on compiled artifacts, `oracle` answers the
-same verbs by exhaustive enumeration on the input formula, `gen` writes
-seeded random instances, and `bench` runs the benchmark harness.
+Verbs: `compile` turns an SMT-LIB file into a circuit/map pair, `gen`
+writes seeded random instances, and `bench` runs the benchmark harness.
+`query` and `oracle` take the same eight verbs (co va ce im ct me eq se)
+from one table. `query` answers on a compiled artifact, `F.nnf F.map`,
+with `--other G.nnf G.map` for eq/se. `oracle` answers by exhaustive
+theory-level enumeration on the input formula, `--input F.smt2
+[--alpha-from F.map]`, with `--other G.smt2`.
 
 Exit codes: 0 success (and "true" verdicts), 1 "false" verdicts,
 2 usage or parse errors, 3 mode violations, 4 timeouts, 5 internal
 errors (any other exception, reported on one line).
 """
 
+import functools
 import sys
 
 import click
@@ -81,14 +85,18 @@ def _parse_literals(text: str, alpha, what: str) -> list:
     return literals
 
 
-def _cube_text(assignment, alpha) -> str:
-    return ",".join(
-        ("" if assignment.value(a) else "!") + str(a) for a in alpha)
-
-
-def _verdict(answer: bool) -> int:
-    click.echo("true" if answer else "false")
-    return 0 if answer else 1
+def _print_answer(answer, alpha) -> int:
+    """A verdict as true/false, a count, or one cube line per model."""
+    if isinstance(answer, bool):
+        click.echo("true" if answer else "false")
+        return 0 if answer else 1
+    if isinstance(answer, int):
+        click.echo(str(answer))
+    else:
+        for model in answer:
+            click.echo(",".join(
+                ("" if model.value(a) else "!") + str(a) for a in alpha))
+    return 0
 
 
 # --- compile ---------------------------------------------------------------
@@ -142,120 +150,68 @@ def compile_cmd(input_path, mode, target, lemmas_scope, order_path,
     return 0
 
 
-# --- query -----------------------------------------------------------------
+# --- query and oracle ------------------------------------------------------
+
+# One row per verb: name, one-line help, argument option, and the answer on a
+# compiled artifact. The lambdas look the query functions up when a verb runs,
+# so a patched function is the one called.
+_VERBS = (
+    ("co", "Consistency: does the formula have a theory model?", None,
+     lambda artifact, _: is_consistent(artifact)),
+    ("va", "Validity: is the formula true under every theory assignment?",
+     None, lambda artifact, _: is_valid(artifact)),
+    ("ce", "Clausal entailment: does the formula entail the clause?",
+     "--clause", lambda artifact, clause: entails_clause(artifact, clause)),
+    ("im", "Implicant: does the cube entail the formula?",
+     "--cube", lambda artifact, cube: is_implicant(artifact, cube)),
+    ("ct", "Model count over the atom set.",
+     "--assume", lambda artifact, cube: count_models(artifact) if cube is None
+     else count_models_assume(artifact, cube)),
+    ("me", "Model enumeration, one literal-cube line per model.", None,
+     lambda artifact, _: enumerate_models(artifact)),
+    ("eq", "Equivalence: does this formula have the models of the other?",
+     "--other", lambda artifact, other: equivalent(artifact, other)),
+    ("se", "Sentential entailment: does this formula entail the other?",
+     "--other", lambda artifact, other: sentential_entails(artifact, other)),
+)
+
+_LITERALS = '"LIT,LIT,..."'
+_LITERAL_OPTIONS = {
+    "--clause": {"required": True, "metavar": _LITERALS},
+    "--cube": {"required": True, "metavar": _LITERALS},
+    "--assume": {"metavar": _LITERALS,
+                 "help": "count only models extending this cube"},
+}
+
 
 @cli.group("query")
 def query_group():
     """Answer a query on a compiled artifact."""
 
 
-def _artifact_args(fn):
-    fn = click.argument("map_path", metavar="F.map")(fn)
-    fn = click.argument("nnf_path", metavar="F.nnf")(fn)
-    return fn
-
-
-@query_group.command("co")
-@_artifact_args
-def query_co(nnf_path, map_path):
-    """Consistency: does the formula have a theory model?"""
-    return _verdict(is_consistent(read_nnf(nnf_path, map_path)))
-
-
-@query_group.command("va")
-@_artifact_args
-def query_va(nnf_path, map_path):
-    """Validity: is the formula true under every theory assignment?"""
-    return _verdict(is_valid(read_nnf(nnf_path, map_path)))
-
-
-@query_group.command("ce")
-@click.option("--clause", required=True, metavar='"LIT,LIT,..."')
-@_artifact_args
-def query_ce(clause, nnf_path, map_path):
-    """Clausal entailment: does the formula entail the clause?"""
-    artifact = read_nnf(nnf_path, map_path)
-    lits = _parse_literals(clause, artifact.alpha, "--clause")
-    return _verdict(entails_clause(artifact, lits))
-
-
-@query_group.command("im")
-@click.option("--cube", required=True, metavar='"LIT,LIT,..."')
-@_artifact_args
-def query_im(cube, nnf_path, map_path):
-    """Implicant: does the cube entail the formula?"""
-    artifact = read_nnf(nnf_path, map_path)
-    lits = _parse_literals(cube, artifact.alpha, "--cube")
-    return _verdict(is_implicant(artifact, lits))
-
-
-@query_group.command("ct")
-@click.option("--assume", default=None, metavar='"LIT,LIT,..."',
-              help="count only models extending this cube")
-@_artifact_args
-def query_ct(assume, nnf_path, map_path):
-    """Model count over the artifact's atom set."""
-    artifact = read_nnf(nnf_path, map_path)
-    if assume is None:
-        click.echo(str(count_models(artifact)))
-    else:
-        lits = _parse_literals(assume, artifact.alpha, "--assume")
-        click.echo(str(count_models_assume(artifact, lits)))
-    return 0
-
-
-@query_group.command("me")
-@_artifact_args
-def query_me(nnf_path, map_path):
-    """Model enumeration, one literal-cube line per model."""
-    artifact = read_nnf(nnf_path, map_path)
-    for model in enumerate_models(artifact):
-        click.echo(_cube_text(model, artifact.alpha))
-    return 0
-
-
-def _query_pair(kind, nnf_path, map_path, other):
-    artifact = read_nnf(nnf_path, map_path)
-    other_artifact = read_nnf(other[0], other[1])
-    if kind == "eq":
-        return equivalent(artifact, other_artifact)
-    return sentential_entails(artifact, other_artifact)
-
-
-@query_group.command("eq")
-@click.option("--other", required=True, nargs=2, metavar="G.nnf G.map")
-@_artifact_args
-def query_eq(other, nnf_path, map_path):
-    """Equivalence of two artifacts compiled in the same mode."""
-    return _verdict(_query_pair("eq", nnf_path, map_path, other))
-
-
-@query_group.command("se")
-@click.option("--other", required=True, nargs=2, metavar="G.nnf G.map")
-@_artifact_args
-def query_se(other, nnf_path, map_path):
-    """Sentential entailment: does this artifact entail the other?"""
-    return _verdict(_query_pair("se", nnf_path, map_path, other))
-
-
-# --- oracle ----------------------------------------------------------------
-
 @cli.group("oracle")
 def oracle_group():
     """Answer the same verbs by exhaustive theory-level enumeration."""
 
 
-def _oracle_args(fn):
-    fn = click.option("--alpha-from", "alpha_from", default=None,
-                      metavar="F.map",
-                      help="pin the atom set and order to a map sidecar")(fn)
-    fn = click.option("--input", "input_path", required=True,
-                      metavar="F.smt2")(fn)
-    return fn
+def _load_artifact(nnf_path, map_path, other=None):
+    artifact = read_nnf(nnf_path, map_path)
+    return (artifact, artifact.alpha,
+            None if other is None else read_nnf(*other))
 
 
-def _oracle_target(input_path, alpha_from, fdag=None):
-    parsed_dag, node, alpha = parse_smt2(_read(input_path), fdag)
+def _load_formula(input_path, alpha_from, other=None):
+    """The formula, its atom set and the `--other` formula's root.
+
+    Without `--alpha-from` the atom set is the union of the formulas'
+    atoms; with it, that union must lie inside the map's atom set, which
+    then fixes the atoms and their order.
+    """
+    fdag, node, alpha = parse_smt2(_read(input_path))
+    other_node = None
+    if other is not None:
+        _, other_node, other_alpha = parse_smt2(_read(other), fdag)
+        alpha = alpha.union(other_alpha)
     if alpha_from is not None:
         pinned = read_map(alpha_from)
         for atom in alpha:
@@ -263,86 +219,56 @@ def _oracle_target(input_path, alpha_from, fdag=None):
                 raise click.UsageError(
                     "formula atom %s is not in the map %s" % (atom, alpha_from))
         alpha = pinned
-    return parsed_dag, node, alpha
+    return (fdag, node), alpha, other_node
 
 
-@oracle_group.command("co")
-@_oracle_args
-def oracle_co(input_path, alpha_from):
-    fdag, node, alpha = _oracle_target(input_path, alpha_from)
-    return _verdict(Oracle().query("co", fdag, node, alpha))
-
-
-@oracle_group.command("va")
-@_oracle_args
-def oracle_va(input_path, alpha_from):
-    fdag, node, alpha = _oracle_target(input_path, alpha_from)
-    return _verdict(Oracle().query("va", fdag, node, alpha))
-
-
-@oracle_group.command("ce")
-@click.option("--clause", required=True, metavar='"LIT,LIT,..."')
-@_oracle_args
-def oracle_ce(clause, input_path, alpha_from):
-    fdag, node, alpha = _oracle_target(input_path, alpha_from)
-    lits = _parse_literals(clause, alpha, "--clause")
-    return _verdict(Oracle().query("ce", fdag, node, alpha, lits))
-
-
-@oracle_group.command("im")
-@click.option("--cube", required=True, metavar='"LIT,LIT,..."')
-@_oracle_args
-def oracle_im(cube, input_path, alpha_from):
-    fdag, node, alpha = _oracle_target(input_path, alpha_from)
-    lits = _parse_literals(cube, alpha, "--cube")
-    return _verdict(Oracle().query("im", fdag, node, alpha, lits))
-
-
-@oracle_group.command("ct")
-@click.option("--assume", default=None, metavar='"LIT,LIT,..."')
-@_oracle_args
-def oracle_ct(assume, input_path, alpha_from):
-    fdag, node, alpha = _oracle_target(input_path, alpha_from)
-    arg = _parse_literals(assume, alpha, "--assume") if assume else None
-    click.echo(str(Oracle().query("ct", fdag, node, alpha, arg)))
-    return 0
-
-
-@oracle_group.command("me")
-@_oracle_args
-def oracle_me(input_path, alpha_from):
-    fdag, node, alpha = _oracle_target(input_path, alpha_from)
-    for model in Oracle().query("me", fdag, node, alpha):
-        click.echo(_cube_text(model, alpha))
-    return 0
-
-
-def _oracle_pair(kind, input_path, alpha_from, other_path):
-    fdag, node, alpha = _oracle_target(input_path, alpha_from)
-    _, other_node, other_alpha = parse_smt2(_read(other_path), fdag)
-    if alpha_from is not None:
-        for atom in other_alpha:
-            if atom not in alpha:
-                raise click.UsageError(
-                    "formula atom %s is not in the map %s"
-                    % (atom, alpha_from))
+def _run_verb(load, ask, verb, option, answer, arg=None, **inputs):
+    if option == "--other":
+        target, alpha, arg = load(other=arg, **inputs)
     else:
-        alpha = alpha.union(other_alpha)
-    return _verdict(Oracle().query(kind, fdag, node, alpha, other_node))
+        target, alpha, _ = load(**inputs)
+        if arg is not None:
+            arg = _parse_literals(arg, alpha, option)
+    return _print_answer(ask(verb, answer, target, alpha, arg), alpha)
 
 
-@oracle_group.command("eq")
-@click.option("--other", required=True, metavar="G.smt2")
-@_oracle_args
-def oracle_eq(other, input_path, alpha_from):
-    return _oracle_pair("eq", input_path, alpha_from, other)
+def _add_verbs(group, inputs, other, load, ask):
+    """Register every row of `_VERBS` in `group`.
+
+    inputs() makes the parameters naming the input, `other` holds the
+    `--other` option's settings, load(other=..., **inputs) returns the
+    target, its atom set and the other target, and ask(verb, answer,
+    target, alpha, arg) answers the query.
+    """
+    options = {**_LITERAL_OPTIONS, "--other": {"required": True, **other}}
+    for verb, help_line, option, answer in _VERBS:
+        params = inputs()
+        if option is not None:
+            params.insert(0, click.Option([option, "arg"], **options[option]))
+        group.add_command(click.Command(
+            verb, help=help_line, params=params,
+            callback=functools.partial(_run_verb, load, ask, verb, option,
+                                       answer)))
 
 
-@oracle_group.command("se")
-@click.option("--other", required=True, metavar="G.smt2")
-@_oracle_args
-def oracle_se(other, input_path, alpha_from):
-    return _oracle_pair("se", input_path, alpha_from, other)
+_add_verbs(
+    query_group,
+    lambda: [click.Argument(["nnf_path"], metavar="F.nnf"),
+             click.Argument(["map_path"], metavar="F.map")],
+    {"nargs": 2, "metavar": "G.nnf G.map"},
+    _load_artifact,
+    lambda verb, answer, artifact, alpha, arg: answer(artifact, arg))
+_add_verbs(
+    oracle_group,
+    lambda: [click.Option(["--input", "input_path"], required=True,
+                          metavar="F.smt2"),
+             click.Option(["--alpha-from", "alpha_from"], default=None,
+                          metavar="F.map",
+                          help="pin the atom set and order to a map sidecar")],
+    {"metavar": "G.smt2"},
+    _load_formula,
+    lambda verb, answer, target, alpha, arg: Oracle().query(
+        verb, *target, alpha, arg))
 
 
 # --- gen / bench -----------------------------------------------------------

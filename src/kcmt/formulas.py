@@ -391,10 +391,18 @@ class Dag:
         return p[1], p[2]
 
     def is_nnf(self, node: int) -> bool:
-        p = self._payload[node]
-        if p[0] in (NOT, IFF, IMPLIES):
-            return False
-        return all(self.is_nnf(c) for c in self.children(node))
+        """No NOT, IFF or IMPLIES node is reachable: one visit per node."""
+        seen = {node}
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            if self._payload[n][0] in (NOT, IFF, IMPLIES):
+                return False
+            for c in self.children(n):
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        return True
 
     def __len__(self) -> int:
         return len(self._payload)
@@ -642,66 +650,42 @@ def abstract(fdag: Dag, node: int, alpha: AtomSet, pdag: Dag) -> tuple[int, Abst
         if a not in alpha:
             raise AbstractionError("formula atom missing from the atom set: %s" % a)
     amap = AbstractionMap(alpha)
-    memo: dict[int, int] = {}
-
-    def rec(n: int) -> int:
-        out = memo.get(n)
-        if out is not None:
-            return out
-        tag = fdag.kind(n)
-        if tag == TRUE_KIND:
-            out = pdag.TRUE
-        elif tag == FALSE_KIND:
-            out = pdag.FALSE
-        elif tag == LIT:
-            atom, pol = fdag.leaf(n)
-            out = pdag.lit(amap.index(atom), pol)
-        elif tag == AND:
-            out = pdag.and_([rec(c) for c in fdag.children(n)])
-        elif tag == OR:
-            out = pdag.or_([rec(c) for c in fdag.children(n)])
-        elif tag == NOT:
-            out = pdag.not_(rec(fdag.children(n)[0]))
-        elif tag == IMPLIES:
-            a, b = fdag.children(n)
-            out = pdag.implies(rec(a), rec(b))
-        else:
-            a, b = fdag.children(n)
-            out = pdag.iff(rec(a), rec(b))
-        memo[n] = out
-        return out
-
-    return rec(node), amap
+    return _translate(fdag, node, pdag, amap.index), amap
 
 
 def refine(pdag: Dag, node: int, amap: AbstractionMap, fdag: Dag) -> int:
     """Inverse of abstract: indices replaced by their atoms."""
+    return _translate(pdag, node, fdag, amap.atom)
+
+
+def _translate(src: Dag, node: int, dst: Dag, leaf) -> int:
+    """Copy `node` into `dst`, mapping each leaf key through `leaf`."""
     memo: dict[int, int] = {}
 
     def rec(n: int) -> int:
         out = memo.get(n)
         if out is not None:
             return out
-        tag = pdag.kind(n)
+        tag = src.kind(n)
         if tag == TRUE_KIND:
-            out = fdag.TRUE
+            out = dst.TRUE
         elif tag == FALSE_KIND:
-            out = fdag.FALSE
+            out = dst.FALSE
         elif tag == LIT:
-            idx, pol = pdag.leaf(n)
-            out = fdag.lit(amap.atom(idx), pol)
+            key, pol = src.leaf(n)
+            out = dst.lit(leaf(key), pol)
         elif tag == AND:
-            out = fdag.and_([rec(c) for c in pdag.children(n)])
+            out = dst.and_([rec(c) for c in src.children(n)])
         elif tag == OR:
-            out = fdag.or_([rec(c) for c in pdag.children(n)])
+            out = dst.or_([rec(c) for c in src.children(n)])
         elif tag == NOT:
-            out = fdag.not_(rec(pdag.children(n)[0]))
+            out = dst.not_(rec(src.children(n)[0]))
         elif tag == IMPLIES:
-            a, b = pdag.children(n)
-            out = fdag.implies(rec(a), rec(b))
+            a, b = src.children(n)
+            out = dst.implies(rec(a), rec(b))
         else:
-            a, b = pdag.children(n)
-            out = fdag.iff(rec(a), rec(b))
+            a, b = src.children(n)
+            out = dst.iff(rec(a), rec(b))
         memo[n] = out
         return out
 

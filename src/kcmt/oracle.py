@@ -79,14 +79,9 @@ class Oracle:
         cached = self._sets_memo.get(memo_key)
         if cached is not None:
             return cached
-        order = list(alpha)
-        n = len(order)
-        bits = dag.truth_bits(node, order)
         ctta, itta = [], []
-        for b in range(1 << n):
-            if not (bits >> b) & 1:
-                continue
-            eta = Assignment({a: bool((b >> j) & 1) for j, a in enumerate(order)})
+        for values in _models(dag, node, list(alpha)):
+            eta = Assignment(values)
             if self.consistent(eta.items()):
                 ctta.append(eta)
             else:
@@ -121,16 +116,11 @@ class Oracle:
                 any(eta.value(a) == p for a, p in clause) for eta in sets.ctta)
         if kind == "im":
             cube = self._check_literals(arg, alpha)
-            return all(
-                dag.evaluate(node, {a: eta.value(a) for a in alpha})
-                for eta in self._satisfying_cube(cube, alpha))
+            neg = self.ctta_itta(dag, dag.negate(node), alpha)
+            return not any(_extends(eta, cube) for eta in neg.ctta)
         if kind == "ct":
-            if arg:
-                cube = self._check_literals(arg, alpha)
-                return sum(
-                    1 for eta in sets.ctta
-                    if all(eta.value(a) == p for a, p in cube))
-            return len(sets.ctta)
+            cube = self._check_literals(arg, alpha)
+            return sum(1 for eta in sets.ctta if _extends(eta, cube))
         if kind == "me":
             return sorted(sets.ctta, key=_assignment_key(alpha))
         if kind in ("eq", "se"):
@@ -150,18 +140,29 @@ class Oracle:
                 raise TheoryError("query literal outside alpha: %s" % a)
         return lits
 
-    def _satisfying_cube(self, cube: Sequence[Literal], alpha: AtomSet):
-        """All theory-consistent totals over alpha extending the cube."""
-        fixed = dict(cube)
-        order = list(alpha)
-        free = [a for a in order if a not in fixed]
-        for b in range(1 << len(free)):
-            values = dict(fixed)
-            for j, a in enumerate(free):
-                values[a] = bool((b >> j) & 1)
-            eta = Assignment(values)
-            if self.consistent(eta.items()):
-                yield eta
+
+def _extends(eta: Assignment, cube: Sequence[Literal]) -> bool:
+    return all(eta.value(a) == p for a, p in cube)
+
+
+def _models(dag: Dag, node: int, order: list,
+            cube: Sequence[Literal] = (), timeout_s: Optional[float] = None):
+    """Propositional models of `node` over `order` that extend `cube`.
+
+    Yields one value dict per model, in increasing order of the integer
+    whose bit j is order[j]'s value. With a time budget the clock is read
+    every 256 assignments, and OracleTimeout is raised once it has run out.
+    """
+    bits = dag.truth_bits(node, order)
+    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    for b in range(1 << len(order)):
+        if deadline is not None and (b & 255) == 0 and time.monotonic() > deadline:
+            raise OracleTimeout("AllSMT-style count exceeded %.3fs" % timeout_s)
+        if not (bits >> b) & 1:
+            continue
+        values = {a: bool((b >> j) & 1) for j, a in enumerate(order)}
+        if all(values[a] == p for a, p in cube):
+            yield values
 
 
 def count_allsmt(dag: Dag, node: int, alpha: AtomSet,
@@ -172,28 +173,6 @@ def count_allsmt(dag: Dag, node: int, alpha: AtomSet,
     propositional model, with no pre-enumerated lemmas and no cross-call
     caching. Raises OracleTimeout when the budget runs out.
     """
-    backend = backend if backend is not None else LraBackend()
-    order = list(alpha)
-    n = len(order)
-    fixed = {a: p for a, p in assume}
-    bits = dag.truth_bits(node, order)
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    memo: dict[frozenset, bool] = {}
-    count = 0
-    for b in range(1 << n):
-        if deadline is not None and (b & 255) == 0 and time.monotonic() > deadline:
-            raise OracleTimeout("AllSMT-style count exceeded %.3fs" % timeout_s)
-        if not (bits >> b) & 1:
-            continue
-        values = {a: bool((b >> j) & 1) for j, a in enumerate(order)}
-        if any(values[a] != p for a, p in fixed.items()):
-            continue
-        key = frozenset(
-            (a, v) for a, v in values.items() if a.kind == "lra")
-        hit = memo.get(key)
-        if hit is None:
-            hit = backend.check_conjunction(key).is_sat
-            memo[key] = hit
-        if hit:
-            count += 1
-    return count
+    oracle = Oracle(backend)  # a fresh theory memo for this call only
+    return sum(1 for values in _models(dag, node, list(alpha), assume, timeout_s)
+               if oracle.consistent(values.items()))

@@ -311,6 +311,67 @@ class TestOracle:
         assert "not in the map" in err
 
 
+VERBS = ("co", "va", "ce", "im", "ct", "me", "eq", "se")
+LITERALS = ("x <= 0", "!x <= 0", "x = 1", "!x = 1", "x <= 0,x = 1",
+            "!x <= 0,!x = 1", "!x <= 0,x = 1")
+
+
+def _commands(capsys, group):
+    """The verb -> help-line listing of `kcmt <group> --help`."""
+    code, out, _ = run(capsys, group, "--help")
+    assert code == 0
+    listing = out.split("Commands:\n", 1)[1].splitlines()
+    return dict(line.strip().split(None, 1) for line in listing if line)
+
+
+class TestVerbTable:
+    def test_groups_list_the_same_verbs_and_help(self, capsys):
+        query = _commands(capsys, "query")
+        assert set(query) == set(VERBS)
+        assert _commands(capsys, "oracle") == query
+
+    @pytest.mark.parametrize("group", ["query", "oracle"])
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_help_exits_zero(self, capsys, group, verb):
+        code, out, _ = run(capsys, group, verb, "--help")
+        assert code == 0
+        assert out.startswith("Usage: ")
+
+    @pytest.mark.parametrize("group", ["query", "oracle"])
+    def test_empty_assume_is_usage_error(self, ws, capsys, group):
+        target = (art(ws, "tred") if group == "query"
+                  else ["--input", str(ws / "phi1.smt2")])
+        code, out, err = run(capsys, group, "ct", "--assume", "", *target)
+        assert (code, out) == (2, "")
+        assert "empty literal in --assume" in err
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_query_matches_oracle(self, ws, capsys, verb):
+        """Every artifact that can answer a verb prints what the oracle
+        prints, with the same exit code."""
+        option = {"ce": "--clause", "im": "--cube", "ct": "--assume"}.get(verb)
+        if verb in ("eq", "se"):
+            cases = [(["--other", *art(ws, stem)],
+                      ["--other", str(ws / ("%s.smt2" % source))])
+                     for stem, source in (("o1", "phi1"), ("o2", "phi2"))]
+        else:
+            cases = [([option, lits],) * 2 for lits in LITERALS if option]
+        if verb in ("co", "va", "ct", "me"):
+            cases.append(([], []))
+        for query_args, oracle_args in cases:
+            code, out, _ = run(capsys, "oracle", verb, *oracle_args,
+                               "--input", str(ws / "phi1.smt2"),
+                               "--alpha-from", str(ws / "tred.map"))
+            assert code in (0, 1)
+            answers = [run(capsys, "query", verb, *query_args,
+                           *art(ws, stem))[:2]
+                       for stem in ("tred", "text", "o1")]
+            # Exit 3: the artifact's mode cannot answer this verb.
+            answers = [a for a in answers if a[0] != 3]
+            assert answers, query_args
+            assert all(a == (code, out) for a in answers), query_args
+
+
 class TestGenBench:
     def test_gen_is_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.smt2", tmp_path / "b.smt2"

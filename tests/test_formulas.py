@@ -307,6 +307,32 @@ class TestNnf:
         assert fdag.is_nnf(build_phi1(fdag))
         assert fdag.is_nnf(fdag.to_nnf(build_phi2(fdag)))
 
+    def test_is_nnf_visits_each_shared_node_once(self, monkeypatch):
+        # Each of 18 levels uses the one below twice, as a shared `let`
+        # binding does: 60 nodes, but 2^18 paths down to the bottom level.
+        dag = Dag()
+        p, not_q = dag.lit("p"), dag.lit("q", False)
+        node = dag.or_([p, dag.lit("q")])
+        for _ in range(18):
+            node = dag.or_([dag.and_([node, p]), dag.and_([node, not_q])])
+        above_iff = node
+        for _ in range(18):
+            above_iff = dag.or_([dag.and_([above_iff, p]),
+                                 dag.and_([above_iff, dag.iff(p, not_q)])])
+        calls = []
+        children = Dag.children
+
+        def counted(self, n):
+            calls.append(n)
+            if len(calls) > len(self):
+                raise AssertionError("a shared node was visited twice")
+            return children(self, n)
+
+        monkeypatch.setattr(Dag, "children", counted)
+        assert dag.is_nnf(node)
+        calls.clear()
+        assert not dag.is_nnf(above_iff)
+
     def test_negate_or_is_and_of_negations(self, fdag):
         phi1 = build_phi1(fdag)
         expected = fdag.and_([fdag.lit(X_LE_0, False), fdag.lit(X_EQ_1, False)])
