@@ -122,18 +122,6 @@ def _materialize(entry: dict):
     return fdag, node, alpha
 
 
-def _reachable(dag: Dag, node: int) -> int:
-    seen = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(dag.children(n))
-    return len(seen)
-
-
 def _sample_clauses(rng: random.Random, alpha, count: int) -> list:
     clauses = []
     for _ in range(count):
@@ -170,7 +158,7 @@ def _run_instance(task) -> list:
     base = {
         "instance": name,
         "atoms": str(len(alpha)),
-        "inputNodes": str(_reachable(fdag, node)),
+        "inputNodes": str(len(fdag.reachable(node))),
         "lemmaCount": "",
         "tEnumMs": "",
         "compileMs": "",
@@ -193,7 +181,7 @@ def _run_instance(task) -> list:
     if t_compile > cfg["compileTimeoutS"]:
         return [dict(base, query="compile", answer="timeout",
                      queryMs="", oracleOk="skip")]
-    base["dagNodes"] = str(_reachable(artifact.dag, artifact.root))
+    base["dagNodes"] = str(len(artifact.dag.reachable(artifact.root)))
 
     oracle = None
     if 0 < len(alpha) <= cfg["oracleBound"]:

@@ -19,9 +19,10 @@ canonicity gives constant-time equivalence checks downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Generator
 
 from .formulas import (AND, FALSE_KIND, LIT, OR, TRUE_KIND, AbstractionMap,
-                       AtomSet, Dag, abstract, atoms_of)
+                       AtomSet, Dag, abstract, atoms_of, fold, gather)
 from .lemmas import (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP, LemmaSet,
                      abstract_clauses, enumerate_lemmas)
 from .obdd import ObddManager, ObddRef, from_formula
@@ -82,26 +83,14 @@ def select_literal(pdag: Dag, node: int) -> int:
     if tag in (TRUE_KIND, FALSE_KIND):
         raise CompileError("a constant mentions no variable")
     counts: dict = {}
-
-    def bump(lit_node: int) -> None:
-        var, _ = pdag.leaf(lit_node)
-        counts[var] = counts.get(var, 0) + 1
-
     if tag == LIT:
-        bump(node)
-    else:
-        seen = set()
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n in seen or pdag.kind(n) == LIT:
-                continue
-            seen.add(n)
+        counts[pdag.leaf(node)[0]] = 1
+    for n in pdag.reachable(node):
+        if pdag.kind(n) != LIT:
             for child in pdag.children(n):
                 if pdag.kind(child) == LIT:
-                    bump(child)
-                else:
-                    stack.append(child)
+                    var = pdag.leaf(child)[0]
+                    counts[var] = counts.get(var, 0) + 1
     best = min(counts, key=lambda v: (-counts[v], v))
     return pdag.lit(best, True)
 
@@ -117,17 +106,8 @@ def compile_ddnnf(pdag: Dag, node: int, use_cache: bool = True) -> int:
     """
     if not pdag.is_nnf(node):
         raise CompileError("compilation input must be in negation normal form")
-    cache: dict[int, int] = {}
 
-    def comp(n: int) -> int:
-        if use_cache and n in cache:
-            return cache[n]
-        out = step(n)
-        if use_cache:
-            cache[n] = out
-        return out
-
-    def step(n: int) -> int:
+    def step(n: int) -> Generator:
         tag = pdag.kind(n)
         if tag in (TRUE_KIND, FALSE_KIND, LIT):
             return n
@@ -135,18 +115,18 @@ def compile_ddnnf(pdag: Dag, node: int, use_cache: bool = True) -> int:
             for child in pdag.children(n):
                 if pdag.kind(child) == LIT:
                     var, pol = pdag.leaf(child)
-                    rest = comp(pdag.residual(n, {var: pol}))
+                    rest = yield pdag.residual(n, {var: pol})
                     return pdag.and_([child, rest])
             parts = partition(pdag, n)
             if len(parts) > 1:
-                return pdag.and_([comp(p) for p in parts])
+                return pdag.and_((yield from gather(parts)))
         var, _ = pdag.leaf(select_literal(pdag, n))
-        hi = comp(pdag.residual(n, {var: True}))
-        lo = comp(pdag.residual(n, {var: False}))
+        hi = yield pdag.residual(n, {var: True})
+        lo = yield pdag.residual(n, {var: False})
         return pdag.or_([pdag.and_([pdag.lit(var, True), hi]),
                          pdag.and_([pdag.lit(var, False), lo])])
 
-    return comp(node)
+    return fold(node, step, {} if use_cache else None)
 
 
 def smooth(pdag: Dag, node: int, scope=None) -> int:
@@ -174,26 +154,20 @@ def smooth(pdag: Dag, node: int, scope=None) -> int:
                    for v in sorted(missing)]
         return pdag.and_([n] + gadgets)
 
-    memo: dict[int, int] = {}
-
-    def rec(n: int) -> int:
-        out = memo.get(n)
-        if out is not None:
-            return out
+    def visit(n: int) -> Generator:
         tag = pdag.kind(n)
         if tag in (TRUE_KIND, FALSE_KIND, LIT):
-            out = n
-        elif tag == AND:
-            out = pdag.and_([rec(c) for c in pdag.children(n)])
-        else:
-            kids = pdag.children(n)
-            union = frozenset().union(*(pdag.keys_of(c) for c in kids))
-            out = pdag.or_([pad(rec(c), union - pdag.keys_of(c))
-                            for c in kids])
-        memo[n] = out
-        return out
+            return n
+        kids = pdag.children(n)
+        if tag == AND:
+            return pdag.and_((yield from gather(kids)))
+        union = frozenset().union(*(pdag.keys_of(c) for c in kids))
+        padded = []
+        for c in kids:
+            padded.append(pad((yield c), union - pdag.keys_of(c)))
+        return pdag.or_(padded)
 
-    body = rec(node)
+    body = fold(node, visit, {})
     return pad(body, target - pdag.keys_of(body))
 
 
@@ -247,18 +221,7 @@ def validate(pdag: Dag, node: int, nvars: int | None = None) -> ValidationReport
     report = ValidationReport(True, True, True)
     violations: list[str] = []
 
-    seen = set()
-    stack = [node]
-    nodes = []
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        nodes.append(n)
-        stack.extend(pdag.children(n))
-    nodes.sort()
-
+    nodes = sorted(pdag.reachable(node))
     for n in nodes:
         tag = pdag.kind(n)
         if tag == AND and report.decomposable:

@@ -13,14 +13,21 @@ Structurally identical subtrees always intern to the same handle. Constructors
 flatten nested same-operator children, fold constants (psi AND top -> psi,
 psi AND bot -> bot, and the duals), drop duplicate children, and push negation
 into literals, so downstream code only ever sees simplified nodes.
+
+Every walker whose depth follows the input's nesting runs on `fold`, one
+explicit-stack, post-order, memoised traversal. A walker supplies a visit
+generator that yields each key whose value it needs and returns its own
+value; `fold` keeps the pending visits on a list instead of the interpreter's
+stack, so the nesting depth of a formula is bounded only by memory.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Generator, Hashable, Iterable, Iterator, Mapping
 
 
 class AtomError(ValueError):
@@ -271,6 +278,61 @@ class Assignment:
     __repr__ = __str__
 
 
+def fold(root: Hashable, visit: Callable[[Hashable], Generator],
+         memo: dict | None) -> object:
+    """Value of `root` under `visit`, computed with an explicit stack.
+
+    `visit(key)` is a generator: it yields each key whose value it needs,
+    is sent that value back, and returns its own value. A yielded key found
+    in `memo` is answered from it without a visit, and every finished
+    visit's value is stored there; with `memo=None` every yielded key is
+    visited. A yielded key is visited at once, so visits run in the order a
+    recursive walker would make its calls, and a visit that returns early
+    skips the keys it has not yet yielded.
+    """
+    if memo is not None and root in memo:
+        return memo[root]
+    # Each pending visit stays alive until its subtree is done. On a deep
+    # formula that many survivors set off repeated full collections, each
+    # scanning them all and freeing none, so the cyclic collector pauses
+    # for the walk; reference counting still frees what a visit drops.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        keys = [root]
+        pending = [visit(root)]
+        value = None
+        while True:
+            try:
+                need = pending[-1].send(value)
+            except StopIteration as done:
+                value = done.value
+                pending.pop()
+                key = keys.pop()
+                if memo is not None:
+                    memo[key] = value
+                if not pending:
+                    return value
+                continue
+            if memo is not None and need in memo:
+                value = memo[need]
+            else:
+                keys.append(need)
+                pending.append(visit(need))
+                value = None
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def gather(keys: Iterable) -> Generator:
+    """Visit helper for `fold`: the values of `keys`, in order."""
+    values = []
+    for key in keys:
+        values.append((yield key))
+    return values
+
+
 # Node kind tags inside a Dag.
 TRUE_KIND = "T"
 FALSE_KIND = "F"
@@ -288,7 +350,7 @@ class Dag:
     def __init__(self):
         self._payload: list[tuple] = []
         self._table: dict[tuple, int] = {}
-        self._keys: list[frozenset | None] = []
+        self._keys: dict[int, frozenset] = {}
         self._nnf_memo: dict[tuple[int, bool], int] = {}
         self.TRUE = self._intern((TRUE_KIND,))
         self.FALSE = self._intern((FALSE_KIND,))
@@ -301,7 +363,6 @@ class Dag:
             node = len(self._payload)
             self._payload.append(payload)
             self._table[payload] = node
-            self._keys.append(None)
         return node
 
     def lit(self, key: Hashable, positive: bool = True) -> int:
@@ -369,6 +430,19 @@ class Dag:
             return self.not_(a)
         return self._intern((IMPLIES, a, b))
 
+    def _rebuild(self, tag: str, kids: list[int]) -> int:
+        """Node of kind `tag` over `kids`, simplified as its constructor
+        does."""
+        if tag == AND:
+            return self.and_(kids)
+        if tag == OR:
+            return self.or_(kids)
+        if tag == NOT:
+            return self.not_(kids[0])
+        if tag == IMPLIES:
+            return self.implies(*kids)
+        return self.iff(*kids)
+
     # -- accessors ---------------------------------------------------------
 
     def kind(self, node: int) -> str:
@@ -390,96 +464,77 @@ class Dag:
             raise ValueError("node %d is not a literal" % node)
         return p[1], p[2]
 
-    def is_nnf(self, node: int) -> bool:
-        """No NOT, IFF or IMPLIES node is reachable: one visit per node."""
+    def reachable(self, node: int) -> set[int]:
+        """Every node reachable from `node`, itself included."""
         seen = {node}
         stack = [node]
         while stack:
-            n = stack.pop()
-            if self._payload[n][0] in (NOT, IFF, IMPLIES):
-                return False
-            for c in self.children(n):
+            for c in self.children(stack.pop()):
                 if c not in seen:
                     seen.add(c)
                     stack.append(c)
-        return True
+        return seen
+
+    def is_nnf(self, node: int) -> bool:
+        """No NOT, IFF or IMPLIES node is reachable."""
+        return not any(self._payload[n][0] in (NOT, IFF, IMPLIES)
+                       for n in self.reachable(node))
 
     def __len__(self) -> int:
         return len(self._payload)
 
     def keys_of(self, node: int) -> frozenset:
         """Set of leaf keys reachable from `node` (cached per node)."""
-        cached = self._keys[node]
-        if cached is not None:
-            return cached
-        stack: list[tuple[int, bool]] = [(node, False)]
-        while stack:
-            n, ready = stack.pop()
-            if self._keys[n] is not None:
-                continue
-            if not ready:
-                stack.append((n, True))
-                stack.extend((c, False) for c in self.children(n))
-                continue
-            p = self._payload[n]
-            if p[0] == LIT:
-                self._keys[n] = frozenset((p[1],))
-            else:
-                kids = self.children(n)
-                self._keys[n] = (
-                    frozenset().union(*(self._keys[c] for c in kids))
-                    if kids else frozenset()
-                )
-        return self._keys[node]
+        out = self._keys.get(node)
+        if out is None:
+            out = fold(node, self._keys_visit, self._keys)
+        return out
+
+    def _keys_visit(self, node: int) -> Generator:
+        p = self._payload[node]
+        if p[0] == LIT:
+            return frozenset((p[1],))
+        kids = yield from gather(self.children(node))
+        return frozenset().union(*kids)
 
     # -- transformations ---------------------------------------------------
 
     def to_nnf(self, node: int) -> int:
         """Push negations to literals, eliminating NOT/IFF/IMPLIES nodes."""
-        return self._nnf(node, True)
+        return fold((node, True), self._nnf_visit, self._nnf_memo)
 
     def negate(self, node: int) -> int:
         """NNF of the negation."""
-        return self._nnf(node, False)
+        return fold((node, False), self._nnf_visit, self._nnf_memo)
 
-    def _nnf(self, node: int, positive: bool) -> int:
-        memo = self._nnf_memo
-        key = (node, positive)
-        out = memo.get(key)
-        if out is not None:
-            return out
+    def _nnf_visit(self, key: tuple[int, bool]) -> Generator:
+        node, positive = key
         p = self._payload[node]
         tag = p[0]
         if tag == TRUE_KIND:
-            out = self.TRUE if positive else self.FALSE
-        elif tag == FALSE_KIND:
-            out = self.FALSE if positive else self.TRUE
-        elif tag == LIT:
-            out = node if positive else self.lit(p[1], not p[2])
-        elif tag == AND:
-            parts = [self._nnf(c, positive) for c in p[1]]
-            out = self.and_(parts) if positive else self.or_(parts)
-        elif tag == OR:
-            parts = [self._nnf(c, positive) for c in p[1]]
-            out = self.or_(parts) if positive else self.and_(parts)
-        elif tag == NOT:
-            out = self._nnf(p[1], not positive)
-        elif tag == IMPLIES:
+            return self.TRUE if positive else self.FALSE
+        if tag == FALSE_KIND:
+            return self.FALSE if positive else self.TRUE
+        if tag == LIT:
+            return node if positive else self.lit(p[1], not p[2])
+        if tag in (AND, OR):
+            parts = yield from gather([(c, positive) for c in p[1]])
+            if (tag == AND) == positive:
+                return self.and_(parts)
+            return self.or_(parts)
+        if tag == NOT:
+            return (yield (p[1], not positive))
+        if tag == IMPLIES:
+            a = yield (p[1], not positive)
+            b = yield (p[2], positive)
+            return self.or_([a, b]) if positive else self.and_([a, b])
+        if tag == IFF:
+            at, bt, af, bf = yield from gather(
+                [(p[1], True), (p[2], True), (p[1], False), (p[2], False)])
             if positive:
-                out = self.or_([self._nnf(p[1], False), self._nnf(p[2], True)])
-            else:
-                out = self.and_([self._nnf(p[1], True), self._nnf(p[2], False)])
-        elif tag == IFF:
-            at, bt = self._nnf(p[1], True), self._nnf(p[2], True)
-            af, bf = self._nnf(p[1], False), self._nnf(p[2], False)
-            if positive:
-                out = self.or_([self.and_([at, bt]), self.and_([af, bf])])
-            else:
-                out = self.or_([self.and_([at, bf]), self.and_([af, bt])])
-        else:
-            raise ValueError("unknown node tag %r" % tag)
-        memo[key] = out
-        return out
+                return self.or_([self.and_([at, bt]), self.and_([af, bf])])
+            return self.or_([self.and_([at, bf]), self.and_([af, bt])])
+        raise ValueError("unknown node tag %r" % tag)
 
     def residual(self, node: int, values: Mapping[Hashable, bool]) -> int:
         """Substitute assigned leaves by constants and propagate.
@@ -487,66 +542,51 @@ class Dag:
         The result never mentions an assigned key, and
         residual(phi, mu + l) == residual(residual(phi, mu), l).
         """
-        memo: dict[int, int] = {}
+        payload, keys_of = self._payload, self.keys_of
 
-        def rec(n: int) -> int:
-            out = memo.get(n)
-            if out is not None:
-                return out
-            p = self._payload[n]
-            tag = p[0]
-            if tag in (TRUE_KIND, FALSE_KIND):
-                out = n
-            elif tag == LIT:
-                v = values.get(p[1])
-                if v is None:
-                    out = n
-                else:
-                    out = self.TRUE if v == p[2] else self.FALSE
-            elif tag == AND:
-                out = self.and_([rec(c) for c in p[1]])
-            elif tag == OR:
-                out = self.or_([rec(c) for c in p[1]])
-            elif tag == NOT:
-                out = self.not_(rec(p[1]))
-            elif tag == IMPLIES:
-                out = self.implies(rec(p[1]), rec(p[2]))
-            else:
-                out = self.iff(rec(p[1]), rec(p[2]))
-            memo[n] = out
-            return out
+        def visit(n: int) -> Generator:
+            p = payload[n]
+            if p[0] == LIT:
+                return self.TRUE if values[p[1]] == p[2] else self.FALSE
+            kids = []
+            for c in self.children(n):
+                kids.append(c if keys_of(c).isdisjoint(values)
+                            else (yield c))
+            return self._rebuild(p[0], kids)
 
-        return rec(node)
+        # Under hash-consing, rebuilding a node that mentions no assigned
+        # key gives the node itself, so such a node is kept as it is.
+        if keys_of(node).isdisjoint(values):
+            return node
+        return fold(node, visit, {})
 
     def evaluate(self, node: int, values: Mapping[Hashable, bool]) -> bool:
-        memo: dict[int, bool] = {}
+        payload = self._payload
 
-        def rec(n: int) -> bool:
-            out = memo.get(n)
-            if out is not None:
-                return out
-            p = self._payload[n]
+        def visit(n: int) -> Generator:
+            p = payload[n]
             tag = p[0]
-            if tag == TRUE_KIND:
-                out = True
-            elif tag == FALSE_KIND:
-                out = False
-            elif tag == LIT:
-                out = values[p[1]] == p[2]
-            elif tag == AND:
-                out = all(rec(c) for c in p[1])
-            elif tag == OR:
-                out = any(rec(c) for c in p[1])
-            elif tag == NOT:
-                out = not rec(p[1])
-            elif tag == IMPLIES:
-                out = (not rec(p[1])) or rec(p[2])
-            else:
-                out = rec(p[1]) == rec(p[2])
-            memo[n] = out
-            return out
+            if tag == LIT:
+                return values[p[1]] == p[2]
+            if tag == AND:
+                for c in p[1]:
+                    if not (yield c):
+                        return False
+                return True
+            if tag == OR:
+                for c in p[1]:
+                    if (yield c):
+                        return True
+                return False
+            if tag == NOT:
+                return not (yield p[1])
+            if tag == IMPLIES:
+                return (not (yield p[1])) or (yield p[2])
+            if tag == IFF:
+                return (yield p[1]) == (yield p[2])
+            return tag == TRUE_KIND
 
-        return rec(node)
+        return fold(node, visit, {})
 
     def truth_bits(self, node: int, order: list) -> int:
         """Truth table as a bitmask over all 2^len(order) assignments.
@@ -566,60 +606,54 @@ class Dag:
                 m |= m << span
                 span *= 2
             cols[key] = m
-        memo: dict[int, int] = {}
+        payload = self._payload
 
-        def rec(nd: int) -> int:
-            out = memo.get(nd)
-            if out is not None:
-                return out
-            p = self._payload[nd]
+        def visit(nd: int) -> Generator:
+            p = payload[nd]
             tag = p[0]
             if tag == TRUE_KIND:
-                out = full
-            elif tag == FALSE_KIND:
-                out = 0
-            elif tag == LIT:
-                out = cols[p[1]] if p[2] else (full & ~cols[p[1]])
-            elif tag == AND:
+                return full
+            if tag == FALSE_KIND:
+                return 0
+            if tag == LIT:
+                return cols[p[1]] if p[2] else (full & ~cols[p[1]])
+            if tag == AND:
                 out = full
                 for c in p[1]:
-                    out &= rec(c)
-            elif tag == OR:
+                    out &= yield c
+                return out
+            if tag == OR:
                 out = 0
                 for c in p[1]:
-                    out |= rec(c)
-            elif tag == NOT:
-                out = full & ~rec(p[1])
-            elif tag == IMPLIES:
-                out = (full & ~rec(p[1])) | rec(p[2])
-            else:
-                out = full & ~(rec(p[1]) ^ rec(p[2]))
-            memo[nd] = out
-            return out
+                    out |= yield c
+                return out
+            if tag == NOT:
+                return full & ~(yield p[1])
+            if tag == IMPLIES:
+                return (full & ~(yield p[1])) | (yield p[2])
+            return full & ~((yield p[1]) ^ (yield p[2]))
 
-        return rec(node)
+        return fold(node, visit, {})
 
     def structurally_equal(self, node: int, other: "Dag", other_node: int) -> bool:
         """Positional structural equality across arenas."""
-        memo: dict[tuple[int, int], bool] = {}
 
-        def rec(a: int, b: int) -> bool:
-            key = (a, b)
-            out = memo.get(key)
-            if out is not None:
-                return out
+        def visit(key: tuple[int, int]) -> Generator:
+            a, b = key
             pa, pb = self._payload[a], other._payload[b]
             if pa[0] != pb[0]:
-                out = False
-            elif pa[0] == LIT:
-                out = pa[1] == pb[1] and pa[2] == pb[2]
-            else:
-                ca, cb = self.children(a), other.children(b)
-                out = len(ca) == len(cb) and all(rec(x, y) for x, y in zip(ca, cb))
-            memo[key] = out
-            return out
+                return False
+            if pa[0] == LIT:
+                return pa[1] == pb[1] and pa[2] == pb[2]
+            ca, cb = self.children(a), other.children(b)
+            if len(ca) != len(cb):
+                return False
+            for pair in zip(ca, cb):
+                if not (yield pair):
+                    return False
+            return True
 
-        return rec(node, other_node)
+        return fold((node, other_node), visit, {})
 
 
 # -- T-formula layer -------------------------------------------------------
@@ -628,19 +662,15 @@ class Dag:
 def atoms_of(dag: Dag, node: int) -> AtomSet:
     """Atoms reachable from `node`, in first-occurrence DFS order."""
     out = AtomSet()
-    seen: set[int] = set()
 
-    def rec(n: int) -> None:
-        if n in seen:
-            return
-        seen.add(n)
+    def visit(n: int) -> Generator:
         if dag.kind(n) == LIT:
             out.add(dag.leaf(n)[0])
-            return
-        for c in dag.children(n):
-            rec(c)
+        else:
+            for c in dag.children(n):
+                yield c
 
-    rec(node)
+    fold(node, visit, {})
     return out
 
 
@@ -660,33 +690,17 @@ def refine(pdag: Dag, node: int, amap: AbstractionMap, fdag: Dag) -> int:
 
 def _translate(src: Dag, node: int, dst: Dag, leaf) -> int:
     """Copy `node` into `dst`, mapping each leaf key through `leaf`."""
-    memo: dict[int, int] = {}
 
-    def rec(n: int) -> int:
-        out = memo.get(n)
-        if out is not None:
-            return out
+    def visit(n: int) -> Generator:
         tag = src.kind(n)
         if tag == TRUE_KIND:
-            out = dst.TRUE
-        elif tag == FALSE_KIND:
-            out = dst.FALSE
-        elif tag == LIT:
+            return dst.TRUE
+        if tag == FALSE_KIND:
+            return dst.FALSE
+        if tag == LIT:
             key, pol = src.leaf(n)
-            out = dst.lit(leaf(key), pol)
-        elif tag == AND:
-            out = dst.and_([rec(c) for c in src.children(n)])
-        elif tag == OR:
-            out = dst.or_([rec(c) for c in src.children(n)])
-        elif tag == NOT:
-            out = dst.not_(rec(src.children(n)[0]))
-        elif tag == IMPLIES:
-            a, b = src.children(n)
-            out = dst.implies(rec(a), rec(b))
-        else:
-            a, b = src.children(n)
-            out = dst.iff(rec(a), rec(b))
-        memo[n] = out
-        return out
+            return dst.lit(leaf(key), pol)
+        kids = yield from gather(src.children(n))
+        return dst._rebuild(tag, kids)
 
-    return rec(node)
+    return fold(node, visit, {})

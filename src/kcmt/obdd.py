@@ -13,9 +13,10 @@ cross-manager mixups fail loudly instead of comparing unrelated integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
-from .formulas import AND, FALSE_KIND, IFF, IMPLIES, LIT, NOT, OR, TRUE_KIND, Dag
+from .formulas import (AND, FALSE_KIND, IFF, IMPLIES, LIT, NOT, OR, TRUE_KIND,
+                       Dag, fold, gather)
 
 
 class ObddError(ValueError):
@@ -291,42 +292,37 @@ def entails(a: ObddRef, b: ObddRef) -> bool:
 
 def from_formula(pdag: Dag, node: int, manager: ObddManager) -> ObddRef:
     """Canonical OBDD of a propositional formula (any connectives)."""
-    memo: dict[int, int] = {}
 
-    def rec(n: int) -> int:
-        out = memo.get(n)
-        if out is not None:
-            return out
+    def visit(n: int) -> Generator:
         tag = pdag.kind(n)
         if tag == TRUE_KIND:
-            out = ObddManager.TRUE
-        elif tag == FALSE_KIND:
-            out = ObddManager.FALSE
-        elif tag == LIT:
+            return ObddManager.TRUE
+        if tag == FALSE_KIND:
+            return ObddManager.FALSE
+        if tag == LIT:
             var, pol = pdag.leaf(n)
-            out = manager.literal(var, pol)
-        elif tag == AND:
+            return manager.literal(var, pol)
+        if tag == AND:
             out = ObddManager.TRUE
             for c in pdag.children(n):
-                out = manager.and_(out, rec(c))
-        elif tag == OR:
+                out = manager.and_(out, (yield c))
+            return out
+        if tag == OR:
             out = ObddManager.FALSE
             for c in pdag.children(n):
-                out = manager.or_(out, rec(c))
-        elif tag == NOT:
-            out = manager.neg(rec(pdag.children(n)[0]))
-        elif tag == IMPLIES:
-            a, b = pdag.children(n)
-            out = manager.implies(rec(a), rec(b))
-        elif tag == IFF:
-            a, b = pdag.children(n)
-            out = manager.neg(manager.xor(rec(a), rec(b)))
-        else:
-            raise ObddError("unknown node tag %r" % tag)
-        memo[n] = out
-        return out
+                out = manager.or_(out, (yield c))
+            return out
+        if tag == NOT:
+            return manager.neg((yield pdag.children(n)[0]))
+        if tag == IMPLIES:
+            a, b = yield from gather(pdag.children(n))
+            return manager.implies(a, b)
+        if tag == IFF:
+            a, b = yield from gather(pdag.children(n))
+            return manager.neg(manager.xor(a, b))
+        raise ObddError("unknown node tag %r" % tag)
 
-    return manager.ref(rec(node))
+    return manager.ref(fold(node, visit, {}))
 
 
 def copy_into(a: ObddRef, target: ObddManager) -> ObddRef:

@@ -93,6 +93,10 @@ def _count(artifact: CompiledArtifact, fixed: dict[int, bool],
     top = 1 << free
     memo: dict[int, int] = {}
 
+    # Plain recursion rather than `formulas.fold`: a decision circuit is at
+    # most 2·|alpha|+1 deep, and on the query_warm benchmark the fold's
+    # generator per node cost about 50% in wall time and 55% in median
+    # query latency.
     def rec(n: int) -> int:
         out = memo.get(n)
         if out is not None:

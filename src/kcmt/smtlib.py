@@ -6,8 +6,9 @@ Real and Bool, and `assert` commands whose terms use and/or/not/=>/xor/iff
 accepted too) over atoms built from {<=, <, >=, >, =} on linear terms.
 Linear terms may use +, -, unary -, rational and integer literals,
 division by a nonzero constant, and multiplication with at most one
-non-constant factor. Simple `let` bindings are inlined. Everything else
-is rejected with a line/column diagnostic.
+non-constant factor. Simple `let` bindings are inlined; the names in one
+binding list must be pairwise distinct. Everything else is rejected with
+a line/column diagnostic.
 
 Parsing returns the conjunction of all asserts plus the atom set in first
 occurrence order (after normalization, so `(>= x 1)` and `(< x 1)` are
@@ -19,7 +20,7 @@ structurally equal DAG.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Generator, Mapping
 
 from .formulas import (
     AND,
@@ -35,6 +36,8 @@ from .formulas import (
     AtomSet,
     Dag,
     atoms_of,
+    fold,
+    gather,
 )
 
 
@@ -63,6 +66,7 @@ _IGNORED = frozenset((
 _CONNECTIVES = frozenset(("and", "or", "not", "=>", "xor", "iff"))
 _RELS = frozenset(("<=", "<", ">=", ">", "="))
 _ARITH = frozenset(("+", "-", "*", "/"))
+_OPS = {NOT: "not", AND: "and", OR: "or", IFF: "=", IMPLIES: "=>"}
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -195,7 +199,7 @@ class _Parser:
         if head == "assert":
             if len(items) != 2:
                 raise _err("assert expects exactly one term", items[0])
-            term = self._term(items[1], {})
+            term = fold((items[1], {}), self._term, None)
             if term[0] != "bool":
                 raise _err("assert needs a Bool term", items[1])
             self.asserts.append(term[1])
@@ -206,7 +210,7 @@ class _Parser:
         if not isinstance(sort_sx, _Tok) or sort_sx.text not in ("Real", "Bool"):
             raise _err("only Real and Bool sorts are supported", sort_sx)
         name = name_tok.text
-        if _is_numeral(name):
+        if not name or _is_numeral(name):
             raise _err("invalid symbol %r" % name, name_tok)
         if name in self.sorts:
             raise _err("duplicate declaration of %r" % name, name_tok)
@@ -214,7 +218,10 @@ class _Parser:
 
     # -- terms -------------------------------------------------------------
 
-    def _term(self, sx, env: Mapping[str, tuple]):
+    def _term(self, key) -> Generator:
+        """Visit for `fold`: elaborate `key`, an (s-expression, let
+        environment) pair, yielding the keys of its subterms."""
+        sx, env = key
         if isinstance(sx, _Tok):
             return self._leaf(sx, env)
         items, paren = sx
@@ -225,13 +232,13 @@ class _Parser:
         op = items[0].text
         args = items[1:]
         if op == "let":
-            return self._let(items, env)
+            return (yield from self._let(items, env))
         if op in _CONNECTIVES:
-            return self._connective(op, items[0], args, env)
+            return (yield from self._connective(op, items[0], args, env))
         if op in _RELS:
-            return self._relation(op, items[0], args, env)
+            return (yield from self._relation(op, items[0], args, env))
         if op in _ARITH:
-            return self._arith(op, items[0], args, env)
+            return (yield from self._arith(op, items[0], args, env))
         raise _err("unsupported construct %r" % op, items[0])
 
     def _leaf(self, tok: _Tok, env: Mapping[str, tuple]):
@@ -260,39 +267,44 @@ class _Parser:
             self.alpha.add(atom)
         return self.fdag.lit(atom, True)
 
-    def _let(self, items, env):
+    def _let(self, items, env) -> Generator:
         if len(items) != 3 or isinstance(items[1], _Tok):
             raise _err("let expects a binding list and a body", items[0])
         bindings, _ = items[1]
         inner = dict(env)
+        bound: set[str] = set()
         for b in bindings:
             if isinstance(b, _Tok):
                 raise _err("malformed let binding", b)
             pair, bparen = b
             if len(pair) != 2 or not isinstance(pair[0], _Tok):
                 raise _err("malformed let binding", bparen)
+            name = pair[0].text
+            if name in bound:
+                raise _err("%r is bound twice in one let" % name, pair[0])
+            bound.add(name)
             # parallel let: bindings are elaborated in the outer scope
-            inner[pair[0].text] = self._term(pair[1], env)
-        return self._term(items[2], inner)
+            inner[name] = yield (pair[1], env)
+        return (yield (items[2], inner))
 
-    def _bool_args(self, op_tok: _Tok, args, env) -> list[int]:
+    def _bool_args(self, op_tok: _Tok, args, env) -> Generator:
         if not args:
             raise _err("%r needs at least one argument" % op_tok.text, op_tok)
         out = []
         for a in args:
-            t = self._term(a, env)
+            t = yield (a, env)
             if t[0] != "bool":
                 raise _err("%r needs Bool arguments" % op_tok.text, a)
             out.append(t[1])
         return out
 
-    def _connective(self, op: str, op_tok: _Tok, args, env):
+    def _connective(self, op: str, op_tok: _Tok, args, env) -> Generator:
         f = self.fdag
+        if op == "not" and len(args) != 1:
+            raise _err("not is unary", op_tok)
+        kids = yield from self._bool_args(op_tok, args, env)
         if op == "not":
-            if len(args) != 1:
-                raise _err("not is unary", op_tok)
-            return ("bool", f.not_(self._bool_args(op_tok, args, env)[0]))
-        kids = self._bool_args(op_tok, args, env)
+            return ("bool", f.not_(kids[0]))
         if op == "and":
             return ("bool", f.and_(kids))
         if op == "or":
@@ -317,10 +329,10 @@ class _Parser:
         parts = [f.iff(a, b) for a, b in zip(kids, kids[1:])]
         return ("bool", f.and_(parts))
 
-    def _relation(self, op: str, op_tok: _Tok, args, env):
+    def _relation(self, op: str, op_tok: _Tok, args, env) -> Generator:
         if len(args) < 2:
             raise _err("%r needs at least two arguments" % op, op_tok)
-        terms = [self._term(a, env) for a in args]
+        terms = yield from gather([(a, env) for a in args])
         if op == "=" and terms[0][0] == "bool":
             kids = []
             for t, a in zip(terms, args):
@@ -351,10 +363,10 @@ class _Parser:
             return self.fdag.TRUE if ok else self.fdag.FALSE
         return self._atom_lit(atom)
 
-    def _arith(self, op: str, op_tok: _Tok, args, env):
+    def _arith(self, op: str, op_tok: _Tok, args, env) -> Generator:
         terms = []
         for a in args:
-            t = self._term(a, env)
+            t = yield (a, env)
             if t[0] != "arith":
                 raise _err("%r needs Real arguments" % op, a)
             terms.append((t[1], t[2]))
@@ -427,11 +439,10 @@ def parse_smt2(text: str, fdag: Dag | None = None) -> tuple[Dag, int, AtomSet]:
 
 
 def _num_sexpr(k: Fraction) -> str:
-    if k < 0:
-        return "(- %s)" % _num_sexpr(-k)
-    if k.denominator == 1:
-        return str(k.numerator)
-    return "(/ %d %d)" % (k.numerator, k.denominator)
+    m = abs(k)
+    text = (str(m.numerator) if m.denominator == 1
+            else "(/ %d %d)" % (m.numerator, m.denominator))
+    return "(- %s)" % text if k < 0 else text
 
 
 def _atom_sexpr(atom: Atom) -> str:
@@ -449,28 +460,31 @@ def _atom_sexpr(atom: Atom) -> str:
     return "(%s %s %s)" % (atom.rel, lhs, _num_sexpr(atom.const))
 
 
-def _term_sexpr(fdag: Dag, node: int, memo: dict) -> str:
-    out = memo.get(node)
-    if out is not None:
-        return out
-    tag = fdag.kind(node)
-    if tag == TRUE_KIND:
-        out = "true"
-    elif tag == FALSE_KIND:
-        out = "false"
-    elif tag == LIT:
-        atom, pol = fdag.leaf(node)
-        out = _atom_sexpr(atom)
-        if not pol:
-            out = "(not %s)" % out
-    elif tag == NOT:
-        out = "(not %s)" % _term_sexpr(fdag, fdag.children(node)[0], memo)
-    else:
-        kids = [_term_sexpr(fdag, c, memo) for c in fdag.children(node)]
-        op = {AND: "and", OR: "or", IFF: "=", IMPLIES: "=>"}[tag]
-        out = "(%s %s)" % (op, " ".join(kids))
-    memo[node] = out
-    return out
+def _term_sexpr(fdag: Dag, node: int) -> str:
+    """The term as text; a shared subterm is written out at each use."""
+    out: list[str] = []
+
+    def visit(n: int) -> Generator:
+        tag = fdag.kind(n)
+        if tag == TRUE_KIND:
+            out.append("true")
+        elif tag == FALSE_KIND:
+            out.append("false")
+        elif tag == LIT:
+            atom, pol = fdag.leaf(n)
+            text = _atom_sexpr(atom)
+            out.append(text if pol else "(not %s)" % text)
+        else:
+            # parts go to `out` as the walk reaches them, so the text is
+            # built once instead of copied into every enclosing term
+            out.append("(" + _OPS[tag])
+            for c in fdag.children(n):
+                out.append(" ")
+                yield c
+            out.append(")")
+
+    fold(node, visit, None)
+    return "".join(out)
 
 
 def write_smt2(fdag: Dag, node: int, alpha: AtomSet | None = None) -> str:
@@ -493,6 +507,6 @@ def write_smt2(fdag: Dag, node: int, alpha: AtomSet | None = None) -> str:
     lines = ["(set-logic QF_LRA)"]
     lines.extend("(declare-const %s Real)" % v for v in reals)
     lines.extend("(declare-const %s Bool)" % b for b in bools)
-    lines.append("(assert %s)" % _term_sexpr(fdag, node, {}))
+    lines.append("(assert %s)" % _term_sexpr(fdag, node))
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

@@ -57,6 +57,46 @@ def alpha_two_clause() -> AtomSet:
     return AtomSet([X1_LE_0, X2_LE_0, X1_GE_1, X2_GE_1])
 
 
+# Nesting depth of the deep-formula tests, far past the interpreter's
+# recursion limit.
+DEEP = 100_000
+
+
+def implies_chain(dag: Dag, depth: int, lits: list) -> int:
+    """`lits[0] => (lits[1] => (... => not lits[0]))`, `depth` implications
+    whose antecedents cycle through the three literals. From depth 3 on,
+    every such chain is equivalent to not lits[0] | not lits[1] | not
+    lits[2]."""
+    node = dag.not_(lits[0])
+    for i in reversed(range(depth)):
+        node = dag.implies(lits[i % 3], node)
+    return node
+
+
+def alternating_chain(dag: Dag, depth: int, lits: list) -> int:
+    """`depth` nested connectives around lits[2]: from the inside out,
+    and(lits[0], .), or(lits[1], .), not(.), repeated.
+
+    Three levels map f to T(f) = not lits[1] & (not lits[0] | not f), and
+    T(T(T(f))) == T(f), so from depth 3 on the chains of depths d and d + 6
+    are equivalent."""
+    node = lits[2]
+    for i in range(depth):
+        if i % 3 == 0:
+            node = dag.and_([lits[0], node])
+        elif i % 3 == 1:
+            node = dag.or_([lits[1], node])
+        else:
+            node = dag.not_(node)
+    return node
+
+
+def shallow_depth(depth: int) -> int:
+    """A depth from 3 to 8 whose chains are equivalent to those of
+    `depth`, for either chain builder."""
+    return 3 + (depth - 3) % 6
+
+
 def random_prop(dag: Dag, rng: random.Random, nvars: int, depth: int = 3) -> int:
     """Random propositional formula over integer variables 1..nvars."""
     if depth == 0 or rng.random() < 0.25:

@@ -144,6 +144,27 @@ class TestCompile:
         assert code == 2
         assert "absent.smt2" in err
 
+    def test_deep_formula_compiles_and_counts_as_the_oracle(self, tmp_path,
+                                                           capsys):
+        atoms = ("p", "q", "(< x 1)", "(< x 2)")
+        depth = 100_000
+        chain = "".join("(=> %s " % atoms[i % 4] for i in range(depth))
+        src = tmp_path / "deep.smt2"
+        src.write_text(
+            "(declare-const x Real)(declare-const p Bool)"
+            "(declare-const q Bool)(assert %s(not p)%s)" % (chain, ")" * depth))
+        nnf, mp = str(tmp_path / "deep.nnf"), str(tmp_path / "deep.map")
+        code, out, _ = run(capsys, "compile", "--input", str(src),
+                           "--mode", "tred", "--target", "ddnnf",
+                           "--out", nnf, "--map", mp)
+        assert code == 0
+        assert "4 atoms" in out
+        code, counted, _ = run(capsys, "query", "ct", nnf, mp)
+        assert code == 0
+        code, expected, _ = run(capsys, "oracle", "ct", "--input", str(src),
+                                "--alpha-from", mp)
+        assert (code, counted) == (0, expected)
+
 
 class TestQuery:
     def test_co_true(self, ws, capsys):

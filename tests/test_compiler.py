@@ -26,6 +26,7 @@ from kcmt.oracle import Oracle
 from kcmt.theory import LraBackend
 
 from conftest import (
+    DEEP,
     X1_GE_1,
     X1_LE_0,
     X2_GE_1,
@@ -35,12 +36,15 @@ from conftest import (
     X_LE_0,
     alpha_phi1,
     alpha_two_clause,
+    alternating_chain,
     build_phi1,
     build_phi2,
     build_two_clause,
+    implies_chain,
     random_atoms,
     random_formula,
     random_prop,
+    shallow_depth,
 )
 
 
@@ -226,6 +230,36 @@ class TestSmooth:
                 and report.smooth, report.first_violation
             order = list(range(1, nvars + 1))
             assert p.truth_bits(sm, order) == p.truth_bits(node, order)
+
+
+@pytest.mark.parametrize("chain", [implies_chain, alternating_chain])
+class TestDeepInput:
+    """Compiling and smoothing an NNF nested DEEP levels gives the answers
+    of a shallow equivalent NNF."""
+
+    ORDER = [1, 2, 3]
+
+    def nnf_pair(self, chain):
+        p = Dag()
+        lits = [p.lit(v) for v in self.ORDER]
+        return (p, p.to_nnf(chain(p, DEEP, lits)),
+                p.to_nnf(chain(p, shallow_depth(DEEP), lits)))
+
+    def test_compile_with_and_without_cache(self, chain):
+        p, deep, shallow = self.nnf_pair(chain)
+        want = p.truth_bits(compile_ddnnf(p, shallow), self.ORDER)
+        for use_cache in (True, False):
+            out = compile_ddnnf(p, deep, use_cache=use_cache)
+            report = validate(p, out)
+            assert report.decomposable and report.deterministic
+            assert p.truth_bits(out, self.ORDER) == want
+
+    def test_smooth(self, chain):
+        p, deep, shallow = self.nnf_pair(chain)
+        out = smooth(p, deep, 3)
+        assert validate(p, out, 3).smooth
+        assert p.truth_bits(out, self.ORDER) == \
+            p.truth_bits(smooth(p, shallow, 3), self.ORDER)
 
 
 class TestValidate:

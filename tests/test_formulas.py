@@ -33,14 +33,18 @@ from kcmt.formulas import (
 from kcmt.nnf_io import _atom_from_string
 
 from conftest import (
+    DEEP,
     X_EQ_1,
     X_GE_2,
     X_LE_0,
     alpha_phi1,
+    alternating_chain,
     build_phi1,
     build_phi2,
+    implies_chain,
     random_atoms,
     random_formula,
+    shallow_depth,
 )
 
 
@@ -457,3 +461,61 @@ class TestAbstraction:
         flipped = d2.and_([d2.lit(1), d2.or_([d2.lit(2, True), d2.lit(3)])])
         assert not d1.structurally_equal(n1, d2, flipped)
         assert not d1.structurally_equal(n1, d2, d2.TRUE)
+
+
+# -- formulas nested past the recursion limit ---------------------------------
+
+DEEP_ATOMS = [Atom.boolean(name) for name in "pqr"]
+
+
+@pytest.fixture(scope="module", params=[implies_chain, alternating_chain])
+def deep_pair(request):
+    """A chain DEEP levels deep and a shallow equivalent, in one arena."""
+    dag = Dag()
+    lits = [dag.lit(a) for a in DEEP_ATOMS]
+    build = request.param
+    return dag, build(dag, DEEP, lits), build(dag, shallow_depth(DEEP), lits)
+
+
+class TestDeepFormulas:
+    """Each walker answers on the deep chain as it does on the shallow one."""
+
+    def test_truth_bits_and_nnf(self, deep_pair):
+        dag, deep, shallow = deep_pair
+        assert dag.truth_bits(deep, DEEP_ATOMS) == \
+            dag.truth_bits(shallow, DEEP_ATOMS)
+        for convert in (dag.to_nnf, dag.negate):
+            out = convert(deep)
+            assert dag.is_nnf(out)
+            assert dag.truth_bits(out, DEEP_ATOMS) == \
+                dag.truth_bits(convert(shallow), DEEP_ATOMS)
+
+    def test_evaluate(self, deep_pair):
+        dag, deep, shallow = deep_pair
+        for vals in _all_assignments(DEEP_ATOMS):
+            assert dag.evaluate(deep, vals) == dag.evaluate(shallow, vals)
+
+    def test_residual(self, deep_pair):
+        dag, deep, shallow = deep_pair
+        for atom, value in zip(DEEP_ATOMS, (True, False, True)):
+            got = dag.residual(deep, {atom: value})
+            want = dag.residual(shallow, {atom: value})
+            assert atom not in dag.keys_of(got)
+            assert dag.truth_bits(got, DEEP_ATOMS) == \
+                dag.truth_bits(want, DEEP_ATOMS)
+
+    def test_leaf_sets(self, deep_pair):
+        dag, deep, shallow = deep_pair
+        assert dag.keys_of(deep) == dag.keys_of(shallow)
+        assert list(atoms_of(dag, deep)) == list(atoms_of(dag, shallow))
+
+    def test_abstract_refine_and_structural_equality(self, deep_pair):
+        dag, deep, shallow = deep_pair
+        pdag = Dag()
+        pid, amap = abstract(dag, deep, AtomSet(DEEP_ATOMS), pdag)
+        assert pdag.truth_bits(pid, [1, 2, 3]) == \
+            dag.truth_bits(shallow, DEEP_ATOMS)
+        copy = Dag()
+        back = refine(pdag, pid, amap, copy)
+        assert dag.structurally_equal(deep, copy, back)
+        assert not dag.structurally_equal(deep, copy, copy.not_(back))

@@ -15,7 +15,8 @@ from kcmt.obdd import (
     from_formula,
 )
 
-from conftest import random_prop
+from conftest import (DEEP, alternating_chain, implies_chain, random_prop,
+                      shallow_depth)
 
 
 def eval_bdd(manager: ObddManager, node: int, values: dict) -> bool:
@@ -161,6 +162,15 @@ class TestFromFormula:
             m = ObddManager(tuple(range(1, nvars + 1)))
             assert equal(from_formula(p, node, m),
                          from_formula(p, p.to_nnf(node), m))
+
+    @pytest.mark.parametrize("chain", [implies_chain, alternating_chain])
+    def test_deep_chain_gives_the_shallow_handle(self, chain):
+        p = Dag()
+        lits = [p.lit(v) for v in (1, 2, 3)]
+        m = ObddManager((1, 2, 3))
+        deep = from_formula(p, chain(p, DEEP, lits), m)
+        assert equal(deep, from_formula(p, chain(p, shallow_depth(DEEP), lits),
+                                        m))
 
 
 class TestCountingAndModels:

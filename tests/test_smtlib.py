@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcmt.formulas import Atom, Dag, atoms_of
 from kcmt.smtlib import SmtParseError, parse_smt2, write_smt2
 
-from conftest import (X_LE_0, X_EQ_1, alpha_phi1, build_phi1,
-                      random_atoms, random_formula)
+from conftest import (DEEP, X_LE_0, X_EQ_1, alpha_phi1, alternating_chain,
+                      build_phi1, implies_chain, random_atoms, random_formula,
+                      shallow_depth)
 
 
 def parse(text):
@@ -157,6 +160,9 @@ class TestParseErrors:
         ("(assert (or))", None),
         ("(assert", "unclosed"),
         ("(assert true))", "unbalanced"),
+        ("(declare-const p Bool)(assert (let ((a p) (a (not p))) a))",
+         "bound twice"),
+        ("(declare-const || Bool)", "invalid symbol"),
     ])
     def test_rejects_with_position(self, text, fragment):
         with pytest.raises(SmtParseError) as e:
@@ -171,6 +177,12 @@ class TestParseErrors:
             parse("(declare-const x Real)\n(assert\n  (ite true true false))")
         assert e.value.line == 3
         assert e.value.col == 4
+
+    def test_repeated_let_name_is_reported_at_its_second_binding(self):
+        line = "(assert (let ((a p) (a (not p))) a))"
+        with pytest.raises(SmtParseError) as e:
+            parse("(declare-const p Bool)\n" + line)
+        assert (e.value.line, e.value.col) == (2, line.index("a (not") + 1)
 
 
 class TestWriter:
@@ -216,3 +228,101 @@ class TestWriter:
             text = write_smt2(fdag, node)
             d, n, _ = parse(text)
             assert d.structurally_equal(n, fdag, node)
+
+
+class TestDeepTerms:
+    """Terms nested past the recursion limit parse, and write back."""
+
+    ATOMS = [Atom.boolean(name) for name in "pqr"]
+    DECLARE = "(declare-const p Bool)(declare-const q Bool)" \
+        "(declare-const r Bool)(declare-const x Real)"
+
+    @pytest.mark.parametrize("chain", [implies_chain, alternating_chain])
+    def test_written_chain_parses_back(self, chain):
+        fdag = Dag()
+        lits = [fdag.lit(a) for a in self.ATOMS]
+        deep = chain(fdag, DEEP, lits)
+        d, n, alpha = parse(write_smt2(fdag, deep))
+        assert d.structurally_equal(n, fdag, deep)
+        shallow = chain(fdag, shallow_depth(DEEP), lits)
+        assert d.truth_bits(n, self.ATOMS) == \
+            fdag.truth_bits(shallow, self.ATOMS)
+
+    def test_bool_equality_chain(self):
+        def text(depth):
+            names = [("p", "q", "r")[i % 3] for i in range(depth + 1)]
+            return "%s(assert %s%s%s)" % (
+                self.DECLARE, "".join("(= %s " % v for v in names[:-1]),
+                names[-1], ")" * depth)
+
+        d, n, _ = parse(text(DEEP))
+        ds, ns, _ = parse(text(shallow_depth(DEEP)))
+        assert d.truth_bits(n, self.ATOMS) == ds.truth_bits(ns, self.ATOMS)
+
+    def test_arithmetic_chain(self):
+        term = "(+ 1 " * DEEP + "(* 2 x)" + ")" * DEEP
+        _, _, alpha = parse("%s(assert (<= (- %s) 0))" % (self.DECLARE, term))
+        assert list(alpha) == [Atom.linear({"x": -2}, "<=", DEEP)]
+
+    def test_let_chain(self):
+        depth = 3000
+        text = "(let ((a0 p)) " + "".join(
+            "(let ((a%d (not a%d))) " % (i, i - 1) for i in range(1, depth)) \
+            + "a%d" % (depth - 1) + ")" * depth
+        d, n, _ = parse("%s(assert %s)" % (self.DECLARE, text))
+        assert n == d.lit(Atom.boolean("p"), False)
+
+
+# Symbols, numerals and quoted symbols, well-formed or not, from which the
+# property test below builds s-expressions.
+_WORDS = (
+    "p", "q", "x", "y", "true", "false", "undeclared", "and", "or", "not",
+    "=>", "xor", "iff", "ite", "let", "+", "-", "*", "/", "<=", "<", ">=",
+    ">", "=", "assert", "declare-const", "declare-fun", "set-logic",
+    "QF_LRA", "Real", "Bool", "Int", "check-sat", "0", "1", "-2", "3/4",
+    "1.5", ".5", "1.2.3", "-", "00", "1e5", "\u00b2", "||", "|a b|", "|1|",
+)
+_DECLARED = "(declare-const x Real)(declare-const y Real)" \
+    "(declare-const p Bool)(declare-const q Bool)"
+
+
+def _render(tree) -> str:
+    if isinstance(tree, str):
+        return tree
+    return "(%s)" % " ".join(_render(t) for t in tree)
+
+
+def _let_forms(kids):
+    binding = st.lists(kids, max_size=3)
+    return st.tuples(st.just("let"), st.lists(binding, max_size=3), kids) \
+        .map(list)
+
+
+_TREES = st.recursive(
+    st.sampled_from(_WORDS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), _let_forms(kids)),
+    max_leaves=30)
+
+
+@st.composite
+def _scripts(draw):
+    text = draw(st.sampled_from(
+        ["%s", _DECLARED + "%s", _DECLARED + "(assert %s)"])) \
+        % _render(draw(_TREES))
+    # unbalanced text: drop one character or add a parenthesis
+    where = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["keep", "drop", "(", ")"]))
+    if edit == "drop":
+        return text[:where] + text[where + 1:]
+    if edit != "keep":
+        return text[:where] + edit + text[where:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_scripts())
+def test_parse_returns_or_raises_only_smt_parse_error(text):
+    try:
+        parse_smt2(text)
+    except SmtParseError:
+        pass
