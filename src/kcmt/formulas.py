@@ -676,11 +676,14 @@ def atoms_of(dag: Dag, node: int) -> AtomSet:
 
 def abstract(fdag: Dag, node: int, alpha: AtomSet, pdag: Dag) -> tuple[int, AbstractionMap]:
     """Boolean abstraction: same DAG shape, atoms replaced by their index."""
-    for a in atoms_of(fdag, node):
+    amap = AbstractionMap(alpha)
+
+    def index(a: Atom) -> int:
         if a not in alpha:
             raise AbstractionError("formula atom missing from the atom set: %s" % a)
-    amap = AbstractionMap(alpha)
-    return _translate(fdag, node, pdag, amap.index), amap
+        return amap.index(a)
+
+    return _translate(fdag, node, pdag, index), amap
 
 
 def refine(pdag: Dag, node: int, amap: AbstractionMap, fdag: Dag) -> int:

@@ -161,6 +161,9 @@ class _Parser:
         self.sorts: dict[str, str] = {}
         self.alpha = AtomSet()
         self.asserts: list[int] = []
+        # (coeffs, rel, const) -> the node of that comparison, so a
+        # repeated comparison is normalised once.
+        self.comparisons: dict[tuple, int] = {}
 
     # -- commands ----------------------------------------------------------
 
@@ -353,15 +356,21 @@ class _Parser:
         return ("bool", self.fdag.and_(parts))
 
     def _atom_or_constant(self, coeffs, rel, const, sx) -> int:
-        try:
-            atom = Atom.linear(coeffs, rel, const)
-        except AtomError:
-            # ground comparison folds to a constant
-            lhs, rhs = Fraction(0), const
-            ok = {"<=": lhs <= rhs, "<": lhs < rhs, ">=": lhs >= rhs,
-                  ">": lhs > rhs, "=": lhs == rhs}[rel]
-            return self.fdag.TRUE if ok else self.fdag.FALSE
-        return self._atom_lit(atom)
+        key = (frozenset(coeffs.items()), rel, const)
+        node = self.comparisons.get(key)
+        if node is None:
+            try:
+                atom = Atom.linear(coeffs, rel, const)
+            except AtomError:
+                # ground comparison folds to a constant
+                lhs, rhs = Fraction(0), const
+                ok = {"<=": lhs <= rhs, "<": lhs < rhs, ">=": lhs >= rhs,
+                      ">": lhs > rhs, "=": lhs == rhs}[rel]
+                node = self.fdag.TRUE if ok else self.fdag.FALSE
+            else:
+                node = self._atom_lit(atom)
+            self.comparisons[key] = node
+        return node
 
     def _arith(self, op: str, op_tok: _Tok, args, env) -> Generator:
         terms = []

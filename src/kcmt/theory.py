@@ -6,9 +6,9 @@ inequalities, all over `Fraction`. Strictness is tracked symbolically in the
 derived relations, so no epsilon guessing happens anywhere; satisfiable
 systems get a concrete rational witness via interval back-substitution.
 
-Negated equalities are disequalities and are decided by case-splitting into
-the two strict half-spaces. The conflict of a failed split mentions the
-disequality only when both half-space branches actually used it.
+Negated equalities are disequalities. They are independent of each other,
+so each one is decided against the other literals alone, and a check with
+k of them costs at most 1 + 2k eliminations (see `LraBackend`).
 
 Every constraint derived during elimination carries the set of input literals
 it descends from, so an unsatisfiable system yields a conflict that is a
@@ -223,18 +223,75 @@ def _negated(coeffs: dict, const: Fraction) -> tuple[dict, Fraction]:
     return {v: -a for v, a in coeffs.items()}, -const
 
 
+def _gap(con: _Constraint, point: dict) -> Fraction:
+    """coeffs . point - const; variables the point omits read as 0."""
+    return sum((a * point.get(v, 0) for v, a in con.coeffs.items()), -con.const)
+
+
+def _walk(point: dict, target: dict, held: list[_Constraint]) -> dict:
+    """A point on the segment from `point` (exclusive) to `target` where no
+    `held` row has gap 0.
+
+    Every held row has a nonzero gap at `point`, and its gap is affine along
+    the segment, so it vanishes at one step at most: one of the first
+    len(held) + 1 steps 1, 1/2, 1/3, ... is clear of all of them.
+    """
+    names = point.keys() | target.keys()
+    for k in range(1, len(held) + 2):
+        step = Fraction(1, k)
+        trial = {v: point.get(v, 0) + step * (target.get(v, 0) - point.get(v, 0))
+                 for v in names}
+        if all(_gap(h, trial) != 0 for h in held):
+            return trial
+    raise TheoryInternalError("no step of the walk keeps every disequality")
+
+
 class LraBackend:
     """Sound and complete consistency oracle for LRA atom-literals.
 
     Boolean atoms are theory-free: they only matter through the
     complementary-pair check shared by every backend. Every sat verdict
     carries a witness that assigns each variable of the queried literals
-    and satisfies all of them (see `TheoryVerdict`). Each distinct atom is
-    checked for normal form once per backend instance.
+    and satisfies all of them (see `TheoryVerdict`).
+
+    Disequalities are independent (Lassez & McAloon, "A Canonical Form for
+    Generalized Linear Constraints", JSC 1992): over the rationals,
+    C and t1 != c1 and ... and tk != ck is sat iff C is sat and each
+    C and ti != ci is, that is C and ti < ci or C and ti > ci. A check
+    therefore runs Fourier-Motzkin once on the other literals C, and once
+    or twice more for each disequality that the current witness violates:
+    at most 1 + 2k runs. The witness then walks toward the sat side of
+    that disequality (see `_walk`); the segment stays in the convex C.
+    When both sides fail, the conflict is the union of the two runs'
+    conflicts, which both contain the disequality.
+
+    Each literal's row is built, and its atom checked for normal form, once
+    per backend instance.
     """
 
     def __init__(self) -> None:
-        self._normalized: set[Atom] = set()
+        # literal -> None (Boolean), a _Constraint, or a disequality's two
+        # strict sides (below, above). `_solve_core` never mutates its input
+        # constraints, so one row is shared by every check that uses it.
+        self._rows: dict[Literal, object] = {}
+
+    def _new_row(self, lit: Literal):
+        atom, pol = lit
+        if (atom, not pol) not in self._rows:
+            _check_normalized(atom)
+        if atom.kind == "bool":
+            return None
+        origin = frozenset((lit,))
+        coeffs = {v: Fraction(a) for v, a in atom.coeffs}
+        nc, nk = _negated(coeffs, atom.const)
+        if pol:
+            return _Constraint(coeffs, atom.rel, atom.const, origin)
+        if atom.rel == REL_LE:
+            return _Constraint(nc, REL_LT, nk, origin)
+        if atom.rel == REL_LT:
+            return _Constraint(nc, REL_LE, nk, origin)
+        return (_Constraint(coeffs, REL_LT, atom.const, origin),
+                _Constraint(nc, REL_LT, nk, origin))
 
     def check_conjunction(self, literals: Iterable[Literal]) -> TheoryVerdict:
         lits = sorted(set(literals), key=lambda lp: (lp[0].sort_key(), lp[1]))
@@ -242,58 +299,37 @@ class LraBackend:
         if pair is not None:
             return TheoryVerdict("unsat", conflict=pair)
         base: list[_Constraint] = []
-        diseqs: list[tuple[dict, Fraction, Literal]] = []
-        for atom, pol in lits:
-            if atom not in self._normalized:
-                _check_normalized(atom)
-                self._normalized.add(atom)
-            if atom.kind == "bool":
-                continue
-            origin = frozenset(((atom, pol),))
-            coeffs = {v: Fraction(a) for v, a in atom.coeffs}
-            if pol:
-                base.append(_Constraint(coeffs, atom.rel, atom.const, origin))
-            elif atom.rel == REL_LE:
-                nc, nk = _negated(coeffs, atom.const)
-                base.append(_Constraint(nc, REL_LT, nk, origin))
-            elif atom.rel == REL_LT:
-                nc, nk = _negated(coeffs, atom.const)
-                base.append(_Constraint(nc, REL_LE, nk, origin))
-            else:
-                diseqs.append((coeffs, atom.const, (atom, pol)))
-        outcome = self._solve(base, diseqs)
-        if isinstance(outcome, dict):
-            for atom, _ in lits:
-                for v, _a in atom.coeffs:
-                    outcome.setdefault(v, Fraction(0))
-            return TheoryVerdict("sat", witness=outcome)
-        return TheoryVerdict("unsat", conflict=outcome)
-
-    def _solve(self, base: list[_Constraint], diseqs: list):
-        """Witness dict on success, frozenset of conflicting literals on failure."""
-        if not diseqs:
+        diseqs: list[tuple[_Constraint, _Constraint]] = []
+        rows = self._rows
+        for lit in lits:
             try:
-                return _solve_core(base)
-            except _Infeasible as exc:
-                return exc.origins
-        (coeffs, const, lit), rest = diseqs[0], diseqs[1:]
-        origin = frozenset((lit,))
-        below = self._solve(
-            base + [_Constraint(coeffs, REL_LT, const, origin)], rest)
-        if isinstance(below, dict):
-            return below
-        nc, nk = _negated(coeffs, const)
-        above = self._solve(
-            base + [_Constraint(nc, REL_LT, nk, origin)], rest)
-        if isinstance(above, dict):
-            return above
-        # Both strict half-spaces failed: the disequality is only to blame
-        # in the branches that actually used it.
-        if lit not in below:
-            return below
-        if lit not in above:
-            return above
-        return below | above
+                row = rows[lit]
+            except KeyError:
+                row = rows[lit] = self._new_row(lit)
+            if isinstance(row, _Constraint):
+                base.append(row)
+            elif row is not None:
+                diseqs.append(row)
+        try:
+            point = _solve_core(base)
+            for below, above in diseqs:
+                if _gap(below, point) != 0:
+                    continue
+                try:
+                    side = _solve_core(base + [below])
+                except _Infeasible as lo:
+                    try:
+                        side = _solve_core(base + [above])
+                    except _Infeasible as hi:
+                        raise _Infeasible(lo.origins | hi.origins)
+                held = [b for b, _ in diseqs if _gap(b, point) != 0]
+                point = _walk(point, side, held)
+        except _Infeasible as exc:
+            return TheoryVerdict("unsat", conflict=exc.origins)
+        for atom, _ in lits:
+            for v, _a in atom.coeffs:
+                point.setdefault(v, Fraction(0))
+        return TheoryVerdict("sat", witness=point)
 
 
 class BooleanBackend:

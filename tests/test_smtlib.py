@@ -121,6 +121,33 @@ class TestParsing:
         d2, n2, _ = parse("(declare-const x Real)(assert (and (<= x 0) (< 2 1)))")
         assert n2 == d2.FALSE
 
+    def test_repeated_comparison_is_normalised_once(self, monkeypatch):
+        calls = []
+        linear = Atom.linear
+
+        def counted(coeffs, rel, const):
+            calls.append((rel, const))
+            return linear(coeffs, rel, const)
+
+        monkeypatch.setattr(Atom, "linear", staticmethod(counted))
+        n_b = 50
+        text = "(declare-const x Real)%s(assert (or %s))" % (
+            "".join("(declare-const b%d Bool)" % i for i in range(n_b)),
+            " ".join("(and (< x 1) b%d (> 1 x) (<= 1 2))" % i
+                     for i in range(n_b)))
+        d, n, alpha = parse(text)
+        # (< x 1) and (> 1 x) are two spellings of one atom; the ground
+        # (<= 1 2) goes through Atom.linear too before it folds to true.
+        assert len(calls) == 3
+        monkeypatch.undo()
+        x_lt_1 = Atom.linear({"x": 1}, "<", 1)
+        bs = [Atom.boolean("b%d" % i) for i in range(n_b)]
+        ref = Dag()
+        want = ref.or_([ref.and_([ref.lit(x_lt_1, True), ref.lit(b, True)])
+                        for b in bs])
+        assert d.structurally_equal(n, ref, want)
+        assert list(alpha) == [x_lt_1] + bs
+
     def test_numeric_literals(self):
         d, n, alpha = parse(
             "(declare-const x Real)(declare-const y Real)"

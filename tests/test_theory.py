@@ -16,6 +16,7 @@ from itertools import combinations, product
 
 import pytest
 
+from kcmt import theory
 from kcmt.formulas import Atom
 from kcmt.theory import (
     BooleanBackend,
@@ -261,6 +262,54 @@ class TestLraVerdicts:
                 self.check([(raw, True), (X_LE_0, True)])
 
 
+@pytest.fixture
+def fm_runs(monkeypatch):
+    """Counts Fourier-Motzkin runs: calls of `theory._solve_core`."""
+    runs = [0]
+    solve = theory._solve_core
+
+    def counted(constraints):
+        runs[0] += 1
+        return solve(constraints)
+
+    monkeypatch.setattr(theory, "_solve_core", counted)
+    return runs
+
+
+# 16 disequalities x != i/8 and y != i/8 in the unit box. Splitting each one
+# into its two strict sides up front would try up to 2^16 sign patterns. The
+# box's witness (1/2, 1/2) violates two of them, and steps 1 and 1/2 of each
+# walk toward a side's witness land on others.
+BOX = [(lin({"x": 1}, ">=", 0), True), (lin({"x": 1}, "<=", 1), True),
+       (lin({"y": 1}, ">=", 0), True), (lin({"y": 1}, "<=", 1), True)]
+EIGHTHS = [(lin({v: 1}, "=", Fraction(i, 8)), False)
+           for v in "xy" for i in range(8)]
+
+
+class TestDisequalities:
+    def test_sixteen_disequalities_decide_in_at_most_33_runs(self, fm_runs):
+        assert len(EIGHTHS) == 16
+        lits = BOX + EIGHTHS
+        v = LraBackend().check_conjunction(lits)
+        assert v.is_sat
+        assert_witness_satisfies(lits, v.witness)
+        assert fm_runs[0] <= 1 + 2 * 16, fm_runs[0]
+
+    def test_culprit_disequality_and_its_two_bounds_are_the_conflict(
+            self, fm_runs):
+        # x = 0 is forced, so x != 0 is the only disequality that fails.
+        bounds = [(X_LE_0, True), (X_GE_0, True)]
+        culprit = (X_EQ_0, False)
+        others = [(lin({"x": 1, "y": k}, "=", Fraction(k, 2)), False)
+                  for k in range(1, 16)]
+        lits = [(lin({"y": 1}, ">=", 0), True),
+                (lin({"y": 1}, "<=", 1), True)] + bounds + others + [culprit]
+        v = LraBackend().check_conjunction(lits)
+        assert not v.is_sat
+        assert v.conflict == frozenset(bounds + [culprit])
+        assert fm_runs[0] <= 1 + 2 * 16, fm_runs[0]
+
+
 class TestMinimizeConflict:
     def setup_method(self):
         self.backend = LraBackend()
@@ -347,3 +396,56 @@ class TestRandomizedAgainstSweep:
                 assert backend.check_conjunction(core - {lp}).is_sat, (
                     "core keeps removable literal %s: %s" % (lp, core))
         assert checked >= 20, checked
+
+
+def _literal_sets_with_disequalities(seed, count):
+    """Bounds and equalities through a random integer point, a few random
+    literals, and 3-6 disequalities, most of them through the point or next
+    to it, so that some decide the verdict."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = ["x%d" % i for i in range(1, rng.randint(2, 3) + 1)]
+        point = {v: rng.randint(-2, 2) for v in names}
+
+        def through(rel, shift=0):
+            vs = rng.sample(names, rng.choice([1, 1, 2]))
+            coeffs = {v: rng.choice([-2, -1, 1, 2]) for v in vs}
+            return lin(coeffs, rel,
+                       sum(a * point[v] for v, a in coeffs.items()) + shift)
+
+        lits = {}
+        for _ in range(rng.randint(1, len(names) + 1)):
+            lits[through(rng.choice(["=", "<=", ">="]))] = True
+        for a in random_atoms(rng, 0, rng.randint(0, 2), len(names)):
+            lits.setdefault(a, rng.random() < 0.5)
+        diseqs = rng.randint(3, 6)
+        while diseqs:
+            a = through("=", rng.choice([0, 0, -1, 1]))
+            if a not in lits:
+                lits[a] = False
+                diseqs -= 1
+        yield list(lits.items())
+
+
+class TestDisequalitiesAgainstSweep:
+    def test_verdicts_agree_with_grid_vertex_sweep(self, fm_runs):
+        backend = LraBackend()
+        sat = unsat = blamed = 0
+        for lits in _literal_sets_with_disequalities(20261018, 120):
+            k = sum(1 for a, p in lits if a.rel == "=" and not p)
+            fm_runs[0] = 0
+            v = backend.check_conjunction(lits)
+            assert fm_runs[0] <= 1 + 2 * k, (fm_runs[0], k)
+            if v.is_sat:
+                sat += 1
+                assert_witness_satisfies(lits, v.witness)
+                continue
+            unsat += 1
+            blamed += any(a.rel == "=" and not p for a, p in v.conflict)
+            assert v.conflict <= frozenset(lits)
+            assert not backend.check_conjunction(v.conflict).is_sat
+            assert not sweep_finds_model(lits), (
+                "sweep found a model for a conjunction judged unsat: %s"
+                % sorted("%s%s" % ("" if p else "!", a) for a, p in lits))
+        # Both outcomes occur, and some conflicts hinge on a disequality.
+        assert sat >= 20 and unsat >= 20 and blamed >= 5, (sat, unsat, blamed)
