@@ -61,8 +61,9 @@ class Atom:
     with no variables (trivially true or false) is rejected: the framework
     assumes no atom is by itself T-valid or T-inconsistent.
 
-    The hash is computed once, at construction, since atoms key the sets
-    and dicts of lemma enumeration and loading.
+    The hash and the sort key are computed once, at construction, since
+    atoms key the sets and dicts of lemma enumeration and loading, and
+    every theory check sorts its literals.
     """
 
     kind: str  # "bool" | "lra"
@@ -71,10 +72,14 @@ class Atom:
     rel: str = ""
     const: Fraction = Fraction(0)
     _hash: int = field(init=False, repr=False, compare=False)
+    _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(
             (self.kind, self.name, self.coeffs, self.rel, self.const)))
+        object.__setattr__(self, "_sort_key", (
+            (0, self.name, "", ()) if self.kind == "bool"
+            else (1, self.rel, str(self.const), self.coeffs)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -127,9 +132,7 @@ class Atom:
         )
 
     def sort_key(self):
-        if self.kind == "bool":
-            return (0, self.name, "", ())
-        return (1, self.rel, str(self.const), self.coeffs)
+        return self._sort_key
 
     def variables(self) -> tuple:
         return tuple(v for v, _ in self.coeffs)

@@ -94,7 +94,10 @@ def _atom_from_string(s: str) -> Atom:
     if len(rels) != 1 or rels[0] == 0 or rels[0] != len(toks) - 2:
         raise AtomError("malformed atom string %r" % s)
     rel = toks[rels[0]]
-    const = Fraction(toks[-1])
+    try:
+        const = Fraction(toks[-1])
+    except ZeroDivisionError:
+        raise AtomError("zero denominator in atom string %r" % s)
     left = toks[:rels[0]]
 
     def term(tok: str) -> tuple[int, str]:

@@ -2,9 +2,12 @@
 
 The LRA backend decides conjunctions of linear-rational constraints exactly:
 Gaussian elimination for asserted equalities, Fourier-Motzkin elimination for
-inequalities, all over `Fraction`. Strictness is tracked symbolically in the
-derived relations, so no epsilon guessing happens anywhere; satisfiable
-systems get a concrete rational witness via interval back-substitution.
+inequalities. Both run on integer rows: a literal's row is its atom's
+coefficients times the constant's denominator, and every derived row is an
+integer combination of two rows divided by the gcd of its entries, so no
+step divides. Strictness is tracked symbolically in the derived relations,
+so no epsilon guessing happens anywhere; satisfiable systems get a concrete
+rational witness via interval back-substitution on exact (num, den) pairs.
 
 Negated equalities are disequalities. They are independent of each other,
 so each one is decided against the other literals alone, and a check with
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .formulas import REL_EQ, REL_LE, REL_LT, Atom
@@ -80,12 +84,13 @@ def _complementary_pair(literals: Iterable[Literal]) -> Optional[frozenset]:
 
 
 class _Constraint:
-    """coeffs . x rel const, with the input literals it descends from."""
+    """coeffs . x rel const over the integers, with the input literals it
+    descends from. Coefficients are nonzero; rows are never mutated."""
 
     __slots__ = ("coeffs", "rel", "const", "origins")
 
-    def __init__(self, coeffs: dict, rel: str, const: Fraction, origins: frozenset):
-        self.coeffs = {v: a for v, a in coeffs.items() if a != 0}
+    def __init__(self, coeffs: dict, rel: str, const: int, origins: frozenset):
+        self.coeffs = coeffs
         self.rel = rel
         self.const = const
         self.origins = origins
@@ -96,135 +101,151 @@ class _Infeasible(Exception):
         self.origins = origins
 
 
-def _substitute(con: _Constraint, var: str, expr: dict, expr_const: Fraction,
-                origins: frozenset) -> _Constraint:
-    # var = expr . x + expr_const, substituted into con
-    b = con.coeffs.get(var)
-    if b is None or b == 0:
-        return con
-    coeffs = dict(con.coeffs)
-    del coeffs[var]
-    for w, a in expr.items():
-        coeffs[w] = coeffs.get(w, Fraction(0)) + b * a
-    return _Constraint(coeffs, con.rel, con.const - b * expr_const,
-                       con.origins | origins)
+def _combine(r: _Constraint, p: int, s: _Constraint, q: int, rel: str,
+             origins: frozenset) -> _Constraint:
+    """p*r + q*s (p > 0), divided by the gcd of its entries."""
+    sc = s.coeffs
+    coeffs = {w: p * a + q * sc.get(w, 0) for w, a in r.coeffs.items()}
+    for w, a in sc.items():
+        if w not in coeffs:
+            coeffs[w] = q * a
+    coeffs = {w: a for w, a in coeffs.items() if a}
+    const = p * r.const + q * s.const
+    g = gcd(const, *coeffs.values())
+    if g > 1:
+        coeffs = {w: a // g for w, a in coeffs.items()}
+        const //= g
+    return _Constraint(coeffs, rel, const, origins)
 
 
 def _check_ground(con: _Constraint) -> bool:
     """True when a variable-free constraint holds; raises _Infeasible otherwise."""
     if con.coeffs:
         return False
-    zero = Fraction(0)
-    ok = (zero <= con.const if con.rel == REL_LE
-          else zero < con.const if con.rel == REL_LT
-          else zero == con.const)
+    ok = (0 <= con.const if con.rel == REL_LE
+          else 0 < con.const if con.rel == REL_LT
+          else 0 == con.const)
     if not ok:
         raise _Infeasible(con.origins)
     return True
 
 
+def _solved(con: _Constraint, var: str, values: dict) -> tuple[int, int]:
+    """The value (num, den), den > 0 and reduced, that makes `con` tight
+    when solved for `var`; other variables take `values`, absent ones 0.
+    `var` itself has no value yet."""
+    num, den = con.const, 1
+    for w, c in con.coeffs.items():
+        x = values.get(w)
+        if x is not None:
+            n, d = x
+            num, den = num * d - c * n * den, den * d
+    a = con.coeffs[var]
+    if a < 0:
+        num, a = -num, -a
+    den *= a
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def _solve_core(constraints: list[_Constraint]) -> dict:
     """Decide a conjunction of <=, <, = constraints; returns a witness.
 
-    Raises _Infeasible with conflict origins when unsatisfiable.
+    Raises _Infeasible with conflict origins when unsatisfiable. Every
+    derived row is a positive multiple of the one exact rational
+    elimination would derive, so it passes the same ground tests.
     """
     work = list(constraints)
-    substitutions: list[tuple[str, dict, Fraction, frozenset]] = []
+    pivots: list[tuple[str, _Constraint]] = []
 
-    # Gaussian elimination of equalities, one pivot at a time.
+    # Gaussian elimination of equalities, one pivot at a time:
+    # |a|*c - sign(a)*b*eq cancels var's coefficient b in c.
     while True:
         work = [c for c in work if not _check_ground(c)]
         eq = next((c for c in work if c.rel == REL_EQ), None)
         if eq is None:
             break
-        var = sorted(eq.coeffs)[0]
+        var = min(eq.coeffs)
         a = eq.coeffs[var]
-        expr = {w: -b / a for w, b in eq.coeffs.items() if w != var}
-        expr_const = eq.const / a
-        substitutions.append((var, expr, expr_const, eq.origins))
-        work = [_substitute(c, var, expr, expr_const, eq.origins)
-                for c in work if c is not eq]
+        pivots.append((var, eq))
+        rest = []
+        for c in work:
+            if c is eq:
+                continue
+            b = c.coeffs.get(var)
+            if b is None:
+                rest.append(c)
+            else:
+                rest.append(_combine(c, abs(a), eq, -b if a > 0 else b,
+                                     c.rel, c.origins | eq.origins))
+        work = rest
 
-    # Fourier-Motzkin elimination of the remaining inequality variables.
+    # Fourier-Motzkin elimination of the remaining inequality variables:
+    # a_u*lower + (-a_l)*upper cancels var between each bound pair.
     eliminations: list[tuple[str, list, list]] = []
-    while True:
-        work = [c for c in work if not _check_ground(c)]
-        variables = sorted({v for c in work for v in c.coeffs})
-        if not variables:
-            break
-        var = variables[0]
-        lowers: list[tuple[dict, Fraction, str, frozenset]] = []
-        uppers: list[tuple[dict, Fraction, str, frozenset]] = []
-        rest: list[_Constraint] = []
+    while work:
+        var = min(v for c in work for v in c.coeffs)
+        lowers: list[_Constraint] = []
+        uppers: list[_Constraint] = []
+        rest = []
         for c in work:
             a = c.coeffs.get(var)
             if a is None:
                 rest.append(c)
-                continue
-            # var rel' (const - others)/a ; dividing by a<0 flips the side
-            bound = {w: -b / a for w, b in c.coeffs.items() if w != var}
-            bconst = c.const / a
-            if a > 0:
-                uppers.append((bound, bconst, c.rel, c.origins))
+            elif a > 0:
+                uppers.append(c)
             else:
-                lowers.append((bound, bconst, c.rel, c.origins))
-        for lexpr, lconst, lrel, lorig in lowers:
-            for uexpr, uconst, urel, uorig in uppers:
-                coeffs = dict(lexpr)
-                for w, a in uexpr.items():
-                    coeffs[w] = coeffs.get(w, Fraction(0)) - a
-                rel = REL_LT if REL_LT in (lrel, urel) else REL_LE
-                rest.append(_Constraint(coeffs, rel, uconst - lconst,
-                                        lorig | uorig))
+                lowers.append(c)
+        for lo in lowers:
+            al = -lo.coeffs[var]
+            for up in uppers:
+                rel = REL_LT if REL_LT in (lo.rel, up.rel) else REL_LE
+                rest.append(_combine(lo, up.coeffs[var], up, al, rel,
+                                     lo.origins | up.origins))
         eliminations.append((var, lowers, uppers))
-        work = rest
+        work = [c for c in rest if not _check_ground(c)]
 
-    # Feasible: reconstruct a witness in reverse elimination order.
-    values: dict[str, Fraction] = {}
-
-    def ev(expr: dict, const: Fraction) -> Fraction:
-        # Variables never bounded anywhere default to 0.
-        return sum((a * values.get(w, Fraction(0)) for w, a in expr.items()), const)
-
+    # Feasible: reconstruct a witness in reverse elimination order, on
+    # exact (num, den) pairs. Variables never bounded anywhere default to 0.
+    values: dict[str, tuple[int, int]] = {}
     for var, lowers, uppers in reversed(eliminations):
         lo = hi = None
         lo_strict = hi_strict = False
-        for expr, const, rel, _ in lowers:
-            v = ev(expr, const)
-            if lo is None or v > lo:
-                lo, lo_strict = v, rel == REL_LT
-            elif v == lo and rel == REL_LT:
+        for c in lowers:
+            v = _solved(c, var, values)
+            if lo is None or v[0] * lo[1] > lo[0] * v[1]:
+                lo, lo_strict = v, c.rel == REL_LT
+            elif v == lo and c.rel == REL_LT:
                 lo_strict = True
-        for expr, const, rel, _ in uppers:
-            v = ev(expr, const)
-            if hi is None or v < hi:
-                hi, hi_strict = v, rel == REL_LT
-            elif v == hi and rel == REL_LT:
+        for c in uppers:
+            v = _solved(c, var, values)
+            if hi is None or v[0] * hi[1] < hi[0] * v[1]:
+                hi, hi_strict = v, c.rel == REL_LT
+            elif v == hi and c.rel == REL_LT:
                 hi_strict = True
         if lo is None and hi is None:
-            values[var] = Fraction(0)
+            values[var] = (0, 1)
         elif lo is None:
-            values[var] = hi - 1
+            values[var] = (hi[0] - hi[1], hi[1])
         elif hi is None:
-            values[var] = lo + 1
-        elif lo < hi:
-            values[var] = (lo + hi) / 2
+            values[var] = (lo[0] + lo[1], lo[1])
+        elif lo[0] * hi[1] < hi[0] * lo[1]:
+            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+            g = gcd(num, den)
+            values[var] = (num // g, den // g)
         else:
             if lo != hi or lo_strict or hi_strict:
                 raise TheoryInternalError(
                     "empty interval for %s survived elimination" % var)
             values[var] = lo
-    for var, expr, expr_const, _ in reversed(substitutions):
-        values[var] = ev(expr, expr_const)
-    return values
-
-
-def _negated(coeffs: dict, const: Fraction) -> tuple[dict, Fraction]:
-    return {v: -a for v, a in coeffs.items()}, -const
+    for var, eq in reversed(pivots):
+        values[var] = _solved(eq, var, values)
+    return {v: Fraction(n, d) for v, (n, d) in values.items()}
 
 
 def _gap(con: _Constraint, point: dict) -> Fraction:
-    """coeffs . point - const; variables the point omits read as 0."""
+    """coeffs . point - const; variables the point omits read as 0. Only its
+    sign is meaningful, since a row is known up to a positive factor."""
     return sum((a * point.get(v, 0) for v, a in con.coeffs.items()), -con.const)
 
 
@@ -266,7 +287,9 @@ class LraBackend:
     conflicts, which both contain the disequality.
 
     Each literal's row is built, and its atom checked for normal form, once
-    per backend instance.
+    per backend instance. A row is a positive integer multiple of the
+    literal's constraint (see `_solve_core`); the sign of a gap, which is
+    all `_walk` reads, does not depend on that scale.
     """
 
     def __init__(self) -> None:
@@ -281,17 +304,19 @@ class LraBackend:
             _check_normalized(atom)
         if atom.kind == "bool":
             return None
+        # coeffs . x rel p/q, scaled by q > 0 to integers.
         origin = frozenset((lit,))
-        coeffs = {v: Fraction(a) for v, a in atom.coeffs}
-        nc, nk = _negated(coeffs, atom.const)
+        p, q = atom.const.numerator, atom.const.denominator
+        coeffs = {v: a * q for v, a in atom.coeffs}
+        neg = {v: -a for v, a in coeffs.items()}
         if pol:
-            return _Constraint(coeffs, atom.rel, atom.const, origin)
+            return _Constraint(coeffs, atom.rel, p, origin)
         if atom.rel == REL_LE:
-            return _Constraint(nc, REL_LT, nk, origin)
+            return _Constraint(neg, REL_LT, -p, origin)
         if atom.rel == REL_LT:
-            return _Constraint(nc, REL_LE, nk, origin)
-        return (_Constraint(coeffs, REL_LT, atom.const, origin),
-                _Constraint(nc, REL_LT, nk, origin))
+            return _Constraint(neg, REL_LE, -p, origin)
+        return (_Constraint(coeffs, REL_LT, p, origin),
+                _Constraint(neg, REL_LT, -p, origin))
 
     def check_conjunction(self, literals: Iterable[Literal]) -> TheoryVerdict:
         lits = sorted(set(literals), key=lambda lp: (lp[0].sort_key(), lp[1]))

@@ -237,6 +237,16 @@ class TestQuery:
         assert (code, out) == (2, "")
         assert "not a binary decision" in err
 
+    def test_zero_denominator_in_map_exits_two(self, tmp_path, capsys):
+        (tmp_path / "z.nnf").write_text("nnf 1 0 2\nL 1\n")
+        (tmp_path / "z.map").write_text(
+            "kcmt-map 1\nkind ddnnf\nmode tReduced\ntarget forFormula\n"
+            "atoms 2\nx <= 1/0\nx = 1\nlemmas 0\n")
+        code, out, err = run(capsys, "query", "ct", str(tmp_path / "z.nnf"),
+                             str(tmp_path / "z.map"))
+        assert (code, out) == (2, "")
+        assert "bad atom string" in err
+
     def test_internal_error_exits_five(self, ws, capsys, monkeypatch):
         def broken(artifact):
             raise RuntimeError("broken\ncounter")

@@ -204,6 +204,14 @@ class TestAtomHash:
         assert hash(b) == hash(Atom.linear({"x": 1}, "<", 0))
         assert dataclasses.replace(b, rel="<=") in {a}
 
+    def test_sort_key_is_cached_and_follows_replace(self):
+        a = Atom.linear({"x": 2, "y": -1}, "<", Fraction(-1, 3))
+        assert a.sort_key() == (1, "<", "-1/3", (("x", 2), ("y", -1)))
+        assert a.sort_key() is a.sort_key()
+        assert Atom.boolean("p").sort_key() == (0, "p", "", ())
+        b = dataclasses.replace(a, rel="=")
+        assert b.sort_key() == (1, "=", "-1/3", (("x", 2), ("y", -1)))
+
     def test_unpickled_atom_hashes_as_built_here(self):
         # String hashes differ between processes, so an atom pickled
         # elsewhere must not bring its hash along.

@@ -1,9 +1,12 @@
 """Artifact serialization round-trip and format-validation tests."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kcmt.compiler import (
     MODE_T_EXTENDED,
@@ -17,6 +20,7 @@ from kcmt.obdd import ObddManager, copy_into, from_formula
 from kcmt.nnf_io import (
     NnfIoError,
     _atom_from_string,
+    read_map,
     read_nnf,
     write_lemmas,
     write_nnf,
@@ -425,6 +429,8 @@ class TestFormatErrors:
         pytest.param(lambda t: t.replace("-1 -2 0", "-1 x 0"),
                      "signed integers", id="non-integer lemma token"),
         (lambda t: t + "extra\n", "trailing content"),
+        pytest.param(lambda t: t.replace("x <= 0", "x <= 1/0"),
+                     "bad atom string", id="zero denominator"),
     ])
     def test_malformed_maps(self, tmp_path, mutate, err):
         art, nnf, mp = self._written(tmp_path)
@@ -442,3 +448,97 @@ class TestFormatErrors:
         open(mp, "w").write(text)
         with pytest.raises(NnfIoError, match="permutation"):
             read_nnf(nnf, mp)
+
+
+# -- fuzzing the readers -----------------------------------------------------
+
+
+_SNIPPETS = ["0", "1", "-1", "/", "-", "+", "*", " ", "\n", "x", "c", "L",
+             "A", "O", "<=", "<", "=", "!", "b"]
+_NUMBERS = ["0", "-1", "2", "1/3", "-0", "1/0", "0/0", "99999999999999999999"]
+
+
+def _mutated(text, rng):
+    """One to three character, token or line edits at random places."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(["drop", "insert", "token", "number", "drop line",
+                         "copy line", "swap lines"])
+        if op == "drop":
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + text[i + 1:]
+            continue
+        if op == "insert":
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(_SNIPPETS) + text[i:]
+            continue
+        lines = text.split("\n")
+        k = rng.randrange(len(lines))
+        toks = lines[k].split(" ")
+        if op == "token":
+            toks[rng.randrange(len(toks))] = rng.choice(_SNIPPETS)
+            lines[k] = " ".join(toks)
+        elif op == "number":
+            # The last token of a line: a count, a constant or an id.
+            toks[-1] = rng.choice(_NUMBERS)
+            lines[k] = " ".join(toks)
+        elif op == "drop line":
+            del lines[k]
+        elif op == "copy line":
+            lines.insert(rng.randrange(len(lines) + 1), lines[k])
+        else:
+            j = rng.randrange(len(lines))
+            lines[k], lines[j] = lines[j], lines[k]
+        text = "\n".join(lines)
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_pairs(tmp_path_factory):
+    """Circuit and map texts of a tred, a text and an OBDD artifact over
+    Boolean, one- and two-variable atoms with rational constants."""
+    root = tmp_path_factory.mktemp("fuzz")
+    fdag = Dag()
+    half = Atom.linear({"x": 1}, "<=", Fraction(1, 2))
+    line = Atom.linear({"x": 1, "y": 1}, "=", 3)
+    slope = Atom.linear({"x": 2, "y": -1}, "<", Fraction(-1, 3))
+    node = fdag.or_([
+        fdag.and_([fdag.lit(half), fdag.lit(line)]),
+        fdag.and_([fdag.lit(Atom.boolean("b")), fdag.lit(slope, False)]),
+        fdag.and_([fdag.lit(half, False), fdag.lit(slope)]),
+    ])
+    pairs = []
+    for art in (build_tred(fdag, node), build_text(fdag, node),
+                build_obdd_artifact(fdag, node)):
+        nnf, mp = paths(root)
+        write_nnf(art, nnf, mp)
+        pairs.append((open(nnf).read(), open(mp).read()))
+    return root, pairs
+
+
+@seed(20261018)
+@settings(max_examples=600, deadline=None, database=None)
+@given(which=st.integers(0, 2), in_map=st.booleans(), rehash=st.booleans(),
+       rng=st.randoms(use_true_random=False))
+def test_mutated_pairs_raise_only_nnf_io_error(fuzz_pairs, which, in_map,
+                                               rehash, rng):
+    """Mutated circuit/map pairs load or raise NnfIoError, nothing else.
+    A mutated map gets its new hash in the circuit half the time, so the
+    circuit is read against it."""
+    root, pairs = fuzz_pairs
+    circuit, map_text = pairs[which]
+    if in_map:
+        old = hashlib.sha256(map_text.encode()).hexdigest()
+        map_text = _mutated(map_text, rng)
+        if rehash:
+            circuit = circuit.replace(
+                old, hashlib.sha256(map_text.encode()).hexdigest())
+    else:
+        circuit = _mutated(circuit, rng)
+    nnf, mp = paths(root, "mutant")
+    open(nnf, "w").write(circuit)
+    open(mp, "w").write(map_text)
+    for read in (lambda: read_map(mp), lambda: read_nnf(nnf, mp)):
+        try:
+            read()
+        except NnfIoError:
+            pass

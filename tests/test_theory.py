@@ -10,25 +10,36 @@ plain grid. The sweep cannot prove infeasibility, but any point it finds
 inside the region disproves an unsat verdict.
 """
 
+from __future__ import annotations
+
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from typing import Iterable
 
 import pytest
 
 from kcmt import theory
-from kcmt.formulas import Atom
+from kcmt.formulas import REL_EQ, REL_LE, REL_LT, Atom
+from kcmt.lemmas import enumerate_lemmas
 from kcmt.theory import (
     BooleanBackend,
     ConflictCore,
+    Literal,
     LraBackend,
     TheoryError,
+    TheoryInternalError,
+    TheoryVerdict,
+    _check_normalized,
+    _complementary_pair,
     evaluate_literal,
     holds_at,
     minimize_conflict,
 )
 
 from conftest import X_EQ_1, X_GE_2, X_LE_0, random_atoms
+from test_lemmas import _corpus
 
 
 def lin(coeffs, rel, const):
@@ -125,6 +136,246 @@ def assert_witness_satisfies(literals, witness):
         if a.kind == "lra":
             assert evaluate_literal(a, p, witness), (
                 "witness %s violates %s%s" % (witness, "" if p else "!", a))
+
+
+# -- reference: Fourier-Motzkin over Fraction ---------------------------------
+#
+# The rational kernel the integer rows replaced, kept verbatim. The integer
+# kernel derives positive multiples of these rows in the same order, so both
+# must return equal verdicts: the same status, witness and conflict.
+
+class _Constraint:
+    """coeffs . x rel const, with the input literals it descends from."""
+
+    __slots__ = ("coeffs", "rel", "const", "origins")
+
+    def __init__(self, coeffs: dict, rel: str, const: Fraction, origins: frozenset):
+        self.coeffs = {v: a for v, a in coeffs.items() if a != 0}
+        self.rel = rel
+        self.const = const
+        self.origins = origins
+
+
+class _Infeasible(Exception):
+    def __init__(self, origins: frozenset):
+        self.origins = origins
+
+
+def _substitute(con: _Constraint, var: str, expr: dict, expr_const: Fraction,
+                origins: frozenset) -> _Constraint:
+    # var = expr . x + expr_const, substituted into con
+    b = con.coeffs.get(var)
+    if b is None or b == 0:
+        return con
+    coeffs = dict(con.coeffs)
+    del coeffs[var]
+    for w, a in expr.items():
+        coeffs[w] = coeffs.get(w, Fraction(0)) + b * a
+    return _Constraint(coeffs, con.rel, con.const - b * expr_const,
+                       con.origins | origins)
+
+
+def _check_ground(con: _Constraint) -> bool:
+    """True when a variable-free constraint holds; raises _Infeasible otherwise."""
+    if con.coeffs:
+        return False
+    zero = Fraction(0)
+    ok = (zero <= con.const if con.rel == REL_LE
+          else zero < con.const if con.rel == REL_LT
+          else zero == con.const)
+    if not ok:
+        raise _Infeasible(con.origins)
+    return True
+
+
+def _solve_core(constraints: list[_Constraint]) -> dict:
+    """Decide a conjunction of <=, <, = constraints; returns a witness.
+
+    Raises _Infeasible with conflict origins when unsatisfiable.
+    """
+    work = list(constraints)
+    substitutions: list[tuple[str, dict, Fraction, frozenset]] = []
+
+    # Gaussian elimination of equalities, one pivot at a time.
+    while True:
+        work = [c for c in work if not _check_ground(c)]
+        eq = next((c for c in work if c.rel == REL_EQ), None)
+        if eq is None:
+            break
+        var = sorted(eq.coeffs)[0]
+        a = eq.coeffs[var]
+        expr = {w: -b / a for w, b in eq.coeffs.items() if w != var}
+        expr_const = eq.const / a
+        substitutions.append((var, expr, expr_const, eq.origins))
+        work = [_substitute(c, var, expr, expr_const, eq.origins)
+                for c in work if c is not eq]
+
+    # Fourier-Motzkin elimination of the remaining inequality variables.
+    eliminations: list[tuple[str, list, list]] = []
+    while True:
+        work = [c for c in work if not _check_ground(c)]
+        variables = sorted({v for c in work for v in c.coeffs})
+        if not variables:
+            break
+        var = variables[0]
+        lowers: list[tuple[dict, Fraction, str, frozenset]] = []
+        uppers: list[tuple[dict, Fraction, str, frozenset]] = []
+        rest: list[_Constraint] = []
+        for c in work:
+            a = c.coeffs.get(var)
+            if a is None:
+                rest.append(c)
+                continue
+            # var rel' (const - others)/a ; dividing by a<0 flips the side
+            bound = {w: -b / a for w, b in c.coeffs.items() if w != var}
+            bconst = c.const / a
+            if a > 0:
+                uppers.append((bound, bconst, c.rel, c.origins))
+            else:
+                lowers.append((bound, bconst, c.rel, c.origins))
+        for lexpr, lconst, lrel, lorig in lowers:
+            for uexpr, uconst, urel, uorig in uppers:
+                coeffs = dict(lexpr)
+                for w, a in uexpr.items():
+                    coeffs[w] = coeffs.get(w, Fraction(0)) - a
+                rel = REL_LT if REL_LT in (lrel, urel) else REL_LE
+                rest.append(_Constraint(coeffs, rel, uconst - lconst,
+                                        lorig | uorig))
+        eliminations.append((var, lowers, uppers))
+        work = rest
+
+    # Feasible: reconstruct a witness in reverse elimination order.
+    values: dict[str, Fraction] = {}
+
+    def ev(expr: dict, const: Fraction) -> Fraction:
+        # Variables never bounded anywhere default to 0.
+        return sum((a * values.get(w, Fraction(0)) for w, a in expr.items()), const)
+
+    for var, lowers, uppers in reversed(eliminations):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for expr, const, rel, _ in lowers:
+            v = ev(expr, const)
+            if lo is None or v > lo:
+                lo, lo_strict = v, rel == REL_LT
+            elif v == lo and rel == REL_LT:
+                lo_strict = True
+        for expr, const, rel, _ in uppers:
+            v = ev(expr, const)
+            if hi is None or v < hi:
+                hi, hi_strict = v, rel == REL_LT
+            elif v == hi and rel == REL_LT:
+                hi_strict = True
+        if lo is None and hi is None:
+            values[var] = Fraction(0)
+        elif lo is None:
+            values[var] = hi - 1
+        elif hi is None:
+            values[var] = lo + 1
+        elif lo < hi:
+            values[var] = (lo + hi) / 2
+        else:
+            if lo != hi or lo_strict or hi_strict:
+                raise TheoryInternalError(
+                    "empty interval for %s survived elimination" % var)
+            values[var] = lo
+    for var, expr, expr_const, _ in reversed(substitutions):
+        values[var] = ev(expr, expr_const)
+    return values
+
+
+def _negated(coeffs: dict, const: Fraction) -> tuple[dict, Fraction]:
+    return {v: -a for v, a in coeffs.items()}, -const
+
+
+def _gap(con: _Constraint, point: dict) -> Fraction:
+    """coeffs . point - const; variables the point omits read as 0."""
+    return sum((a * point.get(v, 0) for v, a in con.coeffs.items()), -con.const)
+
+
+def _walk(point: dict, target: dict, held: list[_Constraint]) -> dict:
+    """A point on the segment from `point` (exclusive) to `target` where no
+    `held` row has gap 0.
+
+    Every held row has a nonzero gap at `point`, and its gap is affine along
+    the segment, so it vanishes at one step at most: one of the first
+    len(held) + 1 steps 1, 1/2, 1/3, ... is clear of all of them.
+    """
+    names = point.keys() | target.keys()
+    for k in range(1, len(held) + 2):
+        step = Fraction(1, k)
+        trial = {v: point.get(v, 0) + step * (target.get(v, 0) - point.get(v, 0))
+                 for v in names}
+        if all(_gap(h, trial) != 0 for h in held):
+            return trial
+    raise TheoryInternalError("no step of the walk keeps every disequality")
+
+
+class FractionLraBackend:
+    """`LraBackend` as it was over `Fraction`: each row holds the atom's
+    rational coefficients, and every elimination step divides."""
+
+    def __init__(self) -> None:
+        # literal -> None (Boolean), a _Constraint, or a disequality's two
+        # strict sides (below, above). `_solve_core` never mutates its input
+        # constraints, so one row is shared by every check that uses it.
+        self._rows: dict[Literal, object] = {}
+
+    def _new_row(self, lit: Literal):
+        atom, pol = lit
+        if (atom, not pol) not in self._rows:
+            _check_normalized(atom)
+        if atom.kind == "bool":
+            return None
+        origin = frozenset((lit,))
+        coeffs = {v: Fraction(a) for v, a in atom.coeffs}
+        nc, nk = _negated(coeffs, atom.const)
+        if pol:
+            return _Constraint(coeffs, atom.rel, atom.const, origin)
+        if atom.rel == REL_LE:
+            return _Constraint(nc, REL_LT, nk, origin)
+        if atom.rel == REL_LT:
+            return _Constraint(nc, REL_LE, nk, origin)
+        return (_Constraint(coeffs, REL_LT, atom.const, origin),
+                _Constraint(nc, REL_LT, nk, origin))
+
+    def check_conjunction(self, literals: Iterable[Literal]) -> TheoryVerdict:
+        lits = sorted(set(literals), key=lambda lp: (lp[0].sort_key(), lp[1]))
+        pair = _complementary_pair(lits)
+        if pair is not None:
+            return TheoryVerdict("unsat", conflict=pair)
+        base: list[_Constraint] = []
+        diseqs: list[tuple[_Constraint, _Constraint]] = []
+        rows = self._rows
+        for lit in lits:
+            try:
+                row = rows[lit]
+            except KeyError:
+                row = rows[lit] = self._new_row(lit)
+            if isinstance(row, _Constraint):
+                base.append(row)
+            elif row is not None:
+                diseqs.append(row)
+        try:
+            point = _solve_core(base)
+            for below, above in diseqs:
+                if _gap(below, point) != 0:
+                    continue
+                try:
+                    side = _solve_core(base + [below])
+                except _Infeasible as lo:
+                    try:
+                        side = _solve_core(base + [above])
+                    except _Infeasible as hi:
+                        raise _Infeasible(lo.origins | hi.origins)
+                held = [b for b, _ in diseqs if _gap(b, point) != 0]
+                point = _walk(point, side, held)
+        except _Infeasible as exc:
+            return TheoryVerdict("unsat", conflict=exc.origins)
+        for atom, _ in lits:
+            for v, _a in atom.coeffs:
+                point.setdefault(v, Fraction(0))
+        return TheoryVerdict("sat", witness=point)
 
 
 # -- fixed cases -------------------------------------------------------------
@@ -449,3 +700,100 @@ class TestDisequalitiesAgainstSweep:
                 % sorted("%s%s" % ("" if p else "!", a) for a, p in lits))
         # Both outcomes occur, and some conflicts hinge on a disequality.
         assert sat >= 20 and unsat >= 20 and blamed >= 5, (sat, unsat, blamed)
+
+
+# -- differential check against the Fraction reference ----------------------
+
+
+class _Differential:
+    """LraBackend that checks every verdict against the Fraction reference."""
+
+    def __init__(self):
+        self.backend = LraBackend()
+        self.reference = FractionLraBackend()
+        self.checks = 0
+
+    def check_conjunction(self, literals):
+        literals = list(literals)
+        verdict = self.backend.check_conjunction(literals)
+        expected = self.reference.check_conjunction(literals)
+        assert verdict == expected, (
+            sorted("%s%s" % ("" if p else "!", a) for a, p in literals))
+        self.checks += 1
+        return verdict
+
+
+# Constants with large, coprime numerators and denominators.
+BIG = [Fraction(10 ** 30 + 1, 7 ** 20), Fraction(-3 ** 40, 10 ** 25 + 7),
+       Fraction(1, 7 ** 20), Fraction(2 ** 70 - 1, 3 ** 30), Fraction(0)]
+
+
+def _big_constant_sets(seed, count):
+    """Literals through a point with big rational coordinates, some of them
+    shifted off it by a tiny amount, with every relation and polarity."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = ["x%d" % i for i in range(1, rng.randint(2, 4) + 1)]
+        point = {v: rng.choice(BIG) for v in names}
+        lits = {}
+        while len(lits) < rng.randint(3, 7):
+            vs = rng.sample(names, rng.randint(1, min(3, len(names))))
+            coeffs = {v: rng.choice([-7, -3, -1, 1, 2, 5]) for v in vs}
+            shift = rng.choice([0, 0, Fraction(1, 11 ** 15),
+                                -Fraction(1, 11 ** 15)])
+            const = sum(a * point[v] for v, a in coeffs.items()) + shift
+            atom = lin(coeffs, rng.choice(["<=", "<", "=", ">=", ">"]), const)
+            lits.setdefault(atom, rng.random() < 0.6)
+        yield list(lits.items())
+
+
+@pytest.fixture
+def combined_rows(monkeypatch):
+    """Checks that every derived row is divided by the gcd of its entries,
+    and counts the rows where that division did something."""
+    reduced = [0]
+    combine = theory._combine
+
+    def checked(r, p, s, q, rel, origins):
+        row = combine(r, p, s, q, rel, origins)
+        assert gcd(row.const, *row.coeffs.values()) in (0, 1)
+        raw = [p * r.const + q * s.const] + [
+            p * r.coeffs.get(w, 0) + q * s.coeffs.get(w, 0)
+            for w in r.coeffs.keys() | s.coeffs.keys()]
+        reduced[0] += gcd(*raw) > 1
+        return row
+
+    monkeypatch.setattr(theory, "_combine", checked)
+    return reduced
+
+
+class TestAgainstFractionReference:
+    def test_every_enumeration_check_on_the_lemma_corpus(self):
+        diff = _Differential()
+        for dag, node, alpha in _corpus(52001, 60):
+            for target, scope in ((node, "formula"), (node, "top"),
+                                  (dag.negate(node), "formula")):
+                enumerate_lemmas(dag, target, alpha, scope=scope,
+                                 backend=diff)
+        assert diff.checks >= 1000, diff.checks
+
+    def test_random_literal_sets(self):
+        diff = _Differential()
+        unsat = 0
+        for seed, sets in ((20260819, _random_literal_sets),
+                           (77001, _random_literal_sets),
+                           (20261018, _literal_sets_with_disequalities)):
+            for lits in sets(seed, 120):
+                unsat += not diff.check_conjunction(lits).is_sat
+        assert unsat >= 60, unsat
+
+    def test_big_constants(self, combined_rows):
+        diff = _Differential()
+        sat = unsat = 0
+        for lits in _big_constant_sets(60601, 200):
+            if diff.check_conjunction(lits).is_sat:
+                sat += 1
+            else:
+                unsat += 1
+        assert sat >= 20 and unsat >= 20, (sat, unsat)
+        assert combined_rows[0] >= 100, combined_rows[0]
