@@ -2,43 +2,31 @@
 assignments of a formula.
 
 A lemma is a theory-valid clause over the atom set: its negation is an
-unsatisfiable conjunction of literals. The enumerator walks the propositional
-models of the (abstracted) target formula depth-first and theory-checks the
-partial assignment each time an arithmetic atom gets a value. Every conflict
-is minimized and its negation both recorded as a lemma and used to block the
-rest of that subtree, so one lemma typically kills many assignments. The
-resulting set L satisfies: every theory-inconsistent total model of the
-target falsifies some member of L, while theory-consistent assignments
-satisfy all of L (lemmas are theory-valid, so they cannot cut those).
+unsatisfiable conjunction of literals. The enumerator decides the arithmetic
+atoms depth-first, keeping the residual of the (abstracted) target formula,
+and theory-checks each prefix. Boolean atoms are never decided, since they
+cannot make a conjunction theory-inconsistent. Every conflict is minimized and
+its negation both recorded as a lemma and used to block the rest of that
+subtree, so one lemma typically kills many assignments. The resulting set L
+satisfies: every theory-inconsistent total model of the target falsifies
+some member of L, while theory-consistent assignments satisfy all of L
+(lemmas are theory-valid, so they cannot cut those).
 
 The walk is incremental. Each node carries a witness of its arithmetic
 prefix: the backend contract is that a sat verdict's witness, when present,
 satisfies every queried literal (variables it omits read as 0). An
 extension that already holds at the parent's witness is therefore sat
 without a backend call, and keeps that witness. Every other prefix is
-decided by the backend once, its verdict memoised, so each unsat verdict
-and conflict is exactly what the backend returns for that prefix.
+decided by one backend call; since each node has its own prefix, each unsat
+verdict and conflict is exactly what the backend returns for that prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import (
-    AbstractionMap,
-    Assignment,
-    AtomSet,
-    Dag,
-    abstract,
-    atoms_of,
-)
-from .theory import (
-    Literal,
-    LraBackend,
-    TheoryVerdict,
-    holds_at,
-    minimize_conflict,
-)
+from .formulas import AbstractionMap, Assignment, AtomSet, Dag, abstract
+from .theory import LraBackend, holds_at, minimize_conflict
 
 TARGET_FORMULA = "forFormula"
 TARGET_NEGATION = "forNegation"
@@ -123,30 +111,25 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
     target: the formula itself (scope="formula") or the full assignment
     space (scope="top").
 
-    Deterministic: decisions run in ascending atom index, true branch first,
-    and conflicts are minimized in descending index order, so a fixed formula
-    and atom order always yield the same lemmas.
+    Decisions run over the arithmetic atoms only, in ascending atom index,
+    true branch first; Boolean atoms stay open in the residual. Conflicts are
+    minimized in descending index order, so a fixed formula and atom order
+    always yield the same lemmas.
     """
     if scope == "formula":
-        target_node = node
         target = label or TARGET_FORMULA
     elif scope == "top":
-        target_node = dag.TRUE
         target = label or TARGET_TOP
     else:
         raise LemmaError("unknown enumeration scope %r" % scope)
     backend = backend if backend is not None else LraBackend()
 
+    # Abstracting also checks that the formula's atoms lie in alpha.
     pdag = Dag()
+    pid, amap = abstract(dag, node, alpha, pdag)
     if scope == "top":
-        # The formula is not enumerated, but its atoms must still lie in alpha.
-        abstract(dag, node, alpha, pdag)
-    pid, amap = abstract(dag, target_node, alpha, pdag)
-
-    n = len(alpha)
-    atom_at = {i: amap.atom(i) for i in range(1, n + 1)}
-    last_lra = max(
-        (i for i in range(1, n + 1) if atom_at[i].kind == "lra"), default=0)
+        pid = pdag.TRUE
+    lra = [i for i in range(1, len(alpha) + 1) if amap.atom(i).kind == "lra"]
 
     learned: list[TLemma] = []
     learned_keys: set[tuple] = set()
@@ -156,7 +139,6 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
     # involves atom i, since the prefix without it was sat, so i is the
     # clause's highest index and the clause is stored under it.
     by_last: dict[tuple, list[tuple]] = {}
-    verdicts: dict[frozenset, TheoryVerdict] = {}
 
     def learn(core: frozenset) -> None:
         lemma = canonical_lemma(((a, not p) for a, p in core), alpha)
@@ -170,32 +152,24 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
     def blocked(i: int, val: bool) -> bool:
         # Exact although only the clauses stored under (i, val) are scanned.
         # A clause with highest index j < i that is falsified here was
-        # learned at a depth-j conflict node. That node has no children, so
-        # it is not this path's depth-j node, and it lies outside that
-        # node's subtree: it was learned before this path assigned atom j.
-        # The scan at depth j then saw it falsified and pruned the path.
+        # learned at a conflict node deciding atom j. That node has no
+        # children, so it is not this path's node for atom j, and it lies
+        # outside that node's subtree: it was learned before this path
+        # assigned atom j. The scan at atom j then saw it falsified and
+        # pruned the path.
         for rest in by_last.get((i, val), ()):
             if all(values[j] != p for j, p in rest):
                 return True
         return False
 
-    def verdict_of(lra_lits: tuple) -> TheoryVerdict:
-        key = frozenset(lra_lits)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = backend.check_conjunction(key)
-            verdicts[key] = verdict
-        return verdict
-
     values: dict[int, bool] = {}
 
-    def dfs(i: int, lra_lits: tuple, residual: int,
+    def dfs(k: int, prefix: tuple, residual: int,
             witness: dict | None) -> None:
-        if i > n or i > last_lra:
-            # Only Boolean atoms remain: no extension can become
-            # theory-inconsistent, so there is nothing left to rule out.
+        if k == len(lra):
             return
-        atom = atom_at[i]
+        i = lra[k]
+        atom = amap.atom(i)
         for val in (True, False):
             res = pdag.residual(residual, {i: val})
             if res == pdag.FALSE:
@@ -204,28 +178,26 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
             try:
                 if blocked(i, val):
                     continue
-                lits, point = lra_lits, witness
-                if atom.kind == "lra":
-                    lits = lra_lits + ((atom, val),)
-                    # The witness satisfies the prefix; variables it lacks
-                    # occur in no prefix literal, so reading them as 0 keeps
-                    # it a witness of the extension whenever the new literal
-                    # holds there.
-                    if point is None or not holds_at(atom, val, point):
-                        verdict = verdict_of(lits)
-                        if not verdict.is_sat:
-                            core = minimize_conflict(
-                                backend, lits, verdict.conflict,
-                                index_of=amap.index).literals
-                            learn(core)
-                            continue
-                        point = verdict.witness
-                dfs(i + 1, lits, res, point)
+                lits, point = prefix + ((atom, val),), witness
+                # The witness satisfies the prefix; variables it lacks occur
+                # in no prefix literal, so reading them as 0 keeps it a
+                # witness of the extension whenever the new literal holds
+                # there.
+                if point is None or not holds_at(atom, val, point):
+                    verdict = backend.check_conjunction(frozenset(lits))
+                    if not verdict.is_sat:
+                        core = minimize_conflict(
+                            backend, lits, verdict.conflict,
+                            index_of=amap.index).literals
+                        learn(core)
+                        continue
+                    point = verdict.witness
+                dfs(k + 1, lits, res, point)
             finally:
                 del values[i]
 
     if pid != pdag.FALSE:
-        dfs(1, (), pid, {})
+        dfs(0, (), pid, {})
 
     ordered = sorted(
         learned,

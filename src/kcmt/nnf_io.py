@@ -102,24 +102,27 @@ def _atom_from_string(s: str) -> Atom:
 
     def term(tok: str) -> tuple[int, str]:
         if "*" in tok:
-            k, v = tok.split("*", 1)
-            return int(k), v
-        if tok.startswith("-"):
-            return -1, tok[1:]
-        return 1, tok
+            coef, v = tok.split("*", 1)
+            k = int(coef)
+        elif tok.startswith("-"):
+            k, v = -1, tok[1:]
+        else:
+            k, v = 1, tok
+        if not v:
+            raise AtomError("empty variable name in atom string %r" % s)
+        return k, v
 
     coeffs: dict[str, int] = {}
-    k, v = term(left[0])
-    coeffs[v] = k
-    rest = left[1:]
-    if len(rest) % 2:
-        raise AtomError("malformed atom string %r" % s)
-    for sign, tok in zip(rest[::2], rest[1::2]):
-        if sign not in "+-":
-            raise AtomError("malformed atom string %r" % s)
+    for sign, tok in zip(["+"] + left[1::2], left[::2]):
         k, v = term(tok)
-        coeffs[v] = k if sign == "+" else -k
-    return Atom.linear(coeffs, rel, const)
+        coeffs[v] = -k if sign == "-" else k
+    atom = Atom.linear(coeffs, rel, const)
+    # Only the printed normal form reads back. A stray sign or term, a
+    # repeated variable or an unreduced row would otherwise be renormalised
+    # into some other atom without a word.
+    if str(atom) != s:
+        raise AtomError("atom string %r is not in normal form" % s)
+    return atom
 
 
 # -- map sidecar -------------------------------------------------------------

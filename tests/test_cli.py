@@ -420,6 +420,19 @@ class TestGenBench:
         assert code == 2
         assert "rational variable" in err
 
+    def test_boolean_heavy_instance_compiles_and_counts(self, tmp_path,
+                                                         capsys):
+        smt2 = str(tmp_path / "b.smt2")
+        code, _, _ = run(capsys, "gen", "--bool-atoms", "12",
+                         "--lra-atoms", "14", "--vars", "3", "--depth", "4",
+                         "--seed", "1000", "--out", smt2)
+        assert code == 0
+        nnf, mp = str(tmp_path / "b.nnf"), str(tmp_path / "b.map")
+        code, _, _ = run(capsys, "compile", "--input", smt2, "--mode", "tred",
+                         "--target", "ddnnf", "--out", nnf, "--map", mp)
+        assert code == 0
+        assert run(capsys, "query", "ct", nnf, mp) == (0, "262400\n", "")
+
     def test_bench_writes_report(self, tmp_path, capsys):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(json.dumps({

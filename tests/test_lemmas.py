@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from kcmt.compiler import KIND_OBDD, build_text, build_tred
 from kcmt.formulas import (
     AbstractionError,
     AbstractionMap,
@@ -27,6 +28,7 @@ from kcmt.lemmas import (
     rules_out,
 )
 from kcmt.oracle import Oracle
+from kcmt.queries import count_models, is_valid
 from kcmt.theory import LraBackend, TheoryVerdict
 
 from conftest import (
@@ -285,3 +287,65 @@ class TestIncrementalEnumeration:
         assert fresh >= 10, fresh
         # Reuse really happened: it saved backend calls.
         assert reused.checks < plain.checks, (reused.checks, plain.checks)
+
+
+class TestBooleanAtoms:
+    """Boolean atoms cannot make a conjunction theory-inconsistent, so the
+    enumerator decides the arithmetic atoms only."""
+
+    def test_boolean_atoms_are_never_decided(self, monkeypatch):
+        dag = Dag()
+        node, alpha = generate(dag, InstanceSpec(4, 6, 2, 3, seed=7))
+        assigned = set()
+        residual = Dag.residual
+
+        def recording(self, n, values):
+            assigned.update(values)
+            return residual(self, n, values)
+
+        monkeypatch.setattr(Dag, "residual", recording)
+        for target in (node, dag.negate(node)):
+            enumerate_lemmas(dag, target, alpha)
+        lra = {i for i, a in enumerate(alpha, 1) if a.kind == "lra"}
+        assert len(lra) < len(alpha)
+        assert assigned and assigned <= lra, sorted(assigned - lra)
+
+    @pytest.mark.parametrize("spec", [
+        InstanceSpec(4, 10, 3, 4, seed=11),
+        InstanceSpec(6, 8, 3, 4, seed=12),
+        InstanceSpec(8, 8, 2, 4, seed=13),
+        InstanceSpec(7, 7, 2, 3, seed=15),
+        InstanceSpec(8, 6, 3, 4, seed=16),
+    ], ids=lambda s: "b%d-lra%d-seed%d" % (s.num_bool_atoms, s.num_lra_atoms,
+                                          s.seed))
+    def test_oracle_battery_with_boolean_atoms(self, spec):
+        dag = Dag()
+        node, alpha = generate(dag, spec)
+        oracle = Oracle()
+        backend = LraBackend()
+        for target in (node, dag.negate(node)):
+            lset = enumerate_lemmas(dag, target, alpha)
+            sets = oracle.ctta_itta(dag, target, alpha)
+            for lemma in lset.lemmas:
+                neg = [(a, not p) for a, p in lemma.literals]
+                assert not backend.check_conjunction(neg).is_sat
+            assert rules_out(lset, sets.itta)
+            for eta in sets.ctta:
+                assert all(any(eta.value(a) == p for a, p in lemma.literals)
+                           for lemma in lset.lemmas)
+        assert count_models(build_tred(dag, node, alpha)) == \
+            oracle.query("ct", dag, node, alpha)
+        assert is_valid(build_text(dag, node, alpha)) == \
+            oracle.query("va", dag, node, alpha)
+
+    # Above the oracle bound the d-DNNF and the OBDD must agree on CT. The
+    # counts are pinned too, since a wrong lemma set would mislead both.
+    @pytest.mark.parametrize("bools,ct", [(4, 1701), (8, 55416), (12, 262400)])
+    def test_ddnnf_and_obdd_counts_agree_above_the_oracle_bound(self, bools,
+                                                                ct):
+        dag = Dag()
+        node, alpha = generate(dag, InstanceSpec(bools, 14, 3, 4, seed=1000))
+        lemmas = enumerate_lemmas(dag, node, alpha)
+        assert count_models(build_tred(dag, node, alpha, lemmas=lemmas)) == ct
+        assert count_models(build_tred(dag, node, alpha, lemmas=lemmas,
+                                       kind=KIND_OBDD)) == ct

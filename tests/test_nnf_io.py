@@ -73,6 +73,7 @@ class TestAtomStrings:
 
     @pytest.mark.parametrize("bad", [
         "", "x <=", "<= 0", "x <= 0 extra", "x ? 0", "x + <= 0",
+        "x +- y <= 1", "2* <= 1", "2*x <= 2", "- <= 1", "x + x <= 1",
     ])
     def test_malformed(self, bad):
         with pytest.raises((ValueError, IndexError)):
@@ -431,6 +432,14 @@ class TestFormatErrors:
         (lambda t: t + "extra\n", "trailing content"),
         pytest.param(lambda t: t.replace("x <= 0", "x <= 1/0"),
                      "bad atom string", id="zero denominator"),
+        pytest.param(lambda t: t.replace("x <= 0", "x +- y <= 1"),
+                     "bad atom string", id="x +- y <= 1"),
+        pytest.param(lambda t: t.replace("x <= 0", "2* <= 1"),
+                     "bad atom string", id="2* <= 1"),
+        pytest.param(lambda t: t.replace("x <= 0", "2*x <= 2"),
+                     "bad atom string", id="2*x <= 2"),
+        pytest.param(lambda t: t.replace("x <= 0", "- <= 1"),
+                     "bad atom string", id="- <= 1"),
     ])
     def test_malformed_maps(self, tmp_path, mutate, err):
         art, nnf, mp = self._written(tmp_path)
@@ -521,7 +530,8 @@ def fuzz_pairs(tmp_path_factory):
        rng=st.randoms(use_true_random=False))
 def test_mutated_pairs_raise_only_nnf_io_error(fuzz_pairs, which, in_map,
                                                rehash, rng):
-    """Mutated circuit/map pairs load or raise NnfIoError, nothing else.
+    """Mutated circuit/map pairs load or raise NnfIoError, nothing else,
+    and a map that loads lists its atoms exactly as the writer prints them.
     A mutated map gets its new hash in the circuit half the time, so the
     circuit is read against it."""
     root, pairs = fuzz_pairs
@@ -537,8 +547,36 @@ def test_mutated_pairs_raise_only_nnf_io_error(fuzz_pairs, which, in_map,
     nnf, mp = paths(root, "mutant")
     open(nnf, "w").write(circuit)
     open(mp, "w").write(map_text)
-    for read in (lambda: read_map(mp), lambda: read_nnf(nnf, mp)):
-        try:
-            read()
-        except NnfIoError:
-            pass
+    _check_accepted_map(mp, map_text)
+    try:
+        read_nnf(nnf, mp)
+    except NnfIoError:
+        pass
+
+
+def _check_accepted_map(mp, map_text):
+    """True iff `read_map` accepts the map. An accepted map's atom lines must
+    be exactly the printed forms of the atoms it returns."""
+    try:
+        alpha = read_map(mp)
+    except NnfIoError:
+        return False
+    lines = [line.strip() for line in map_text.splitlines()]
+    first = next(i for i, line in enumerate(lines)
+                 if line.split()[:1] == ["atoms"]) + 1
+    assert lines[first:first + len(alpha)] == [str(a) for a in alpha]
+    return True
+
+
+def test_mutated_maps_read_back_only_printed_atoms(fuzz_pairs):
+    """A seeded sweep of map mutations: some edits of an atom line (a
+    constant -0, a split or renamed term) still parse as an atom, and the
+    reader must refuse them rather than renormalise them."""
+    root, pairs = fuzz_pairs
+    _, mp = paths(root, "sweep")
+    accepted = 0
+    for s in range(1500):
+        map_text = _mutated(pairs[s % 3][1], random.Random(s))
+        open(mp, "w").write(map_text)
+        accepted += _check_accepted_map(mp, map_text)
+    assert 0 < accepted < 1500
