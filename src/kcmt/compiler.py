@@ -4,16 +4,17 @@ theory-aware artifact pipelines built on top of it.
 The propositional core turns an NNF input into a decision-DNNF: a DAG
 whose AND nodes split over disjoint atom sets and whose OR nodes are
 binary decisions on one variable. Smoothing pads decision branches so
-every OR ranges over the same atoms, which lets model enumeration read
-each branch's models as total assignments.
+every OR ranges over the same atoms; its `v or not v` gadgets are
+decisions too, so the result is still a decision-DNNF.
 
-The two pipelines conjoin (`build_tred`) or disjoin (`build_text`) the
-clausal lemmas produced by `enumerate_lemmas` before compiling, so the
-propositional models of the output coincide with the theory-consistent
-models of the input. `build_tred` keeps exactly the consistent models;
-`build_text` adds every inconsistent total assignment instead. The same
-pipelines can also target a reduced ordered BDD backend, whose
-canonicity gives constant-time equivalence checks downstream.
+One pipeline, in two modes over one abstraction of the input, conjoins
+(`build_tred`) or disjoins (`build_text`) the clausal lemmas before
+compiling, so the propositional models of the output coincide with the
+theory-consistent models of the input. `build_tred` keeps exactly the
+consistent models; `build_text` adds every inconsistent total
+assignment instead. The input's arena is read, never written. The
+pipeline can also target a reduced ordered BDD backend, whose canonicity
+gives constant-time equivalence checks downstream.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Generator
 from .formulas import (AND, FALSE_KIND, LIT, OR, TRUE_KIND, AbstractionMap,
                        AtomSet, Dag, abstract, atoms_of, fold, gather)
 from .lemmas import (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP, LemmaSet,
-                     abstract_clauses, enumerate_lemmas)
+                     abstract_clauses, lemmas_of)
 from .obdd import ObddManager, ObddRef, from_formula
 
 MODE_T_REDUCED = "tReduced"
@@ -265,8 +266,7 @@ class CompiledArtifact:
     `kind` picks the backend: "ddnnf" roots live in `dag`, "obdd" roots
     in `manager`. `mode` records which lemma transformation produced the
     circuit and therefore which queries it can answer soundly. Queries
-    read the circuit as it is and never add nodes to `dag`, except
-    model enumeration, which smooths it first.
+    read the circuit as it is and never add nodes to `dag`.
     """
     kind: str
     mode: str
@@ -289,48 +289,58 @@ class CompiledArtifact:
         return smooth(self.dag, self.root, self.nvars)
 
 
-def _check_reusable(lemmas: LemmaSet, alpha, targets) -> None:
-    # a precomputed set must have been enumerated for the same pipeline
-    # and the same atom ordering, or the mode guarantee is lost
-    if lemmas.target not in targets:
-        raise CompileError(
-            "lemma set targets %r, expected one of %s"
-            % (lemmas.target, ", ".join(targets)))
-    if list(lemmas.alpha) != list(alpha):
-        raise CompileError("lemma set was built against a different atom set")
-
-
-def _abstract_with_lemmas(fdag, node, alpha, lemmas):
+def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
+           backend, kind, smooth_output, order, manager,
+           lemmas: LemmaSet | None) -> CompiledArtifact:
+    """Both pipelines: abstract the formula once, into the artifact's arena,
+    find the lemmas of the abstraction (tReduced) or of its negation
+    (tExtended) there unless `lemmas` is given, combine and compile."""
+    if alpha is None:
+        alpha = atoms_of(fdag, node)
+    reduced = mode == MODE_T_REDUCED
+    if kind == KIND_OBDD:
+        identity = tuple(range(1, len(alpha) + 1))
+        if manager is not None and order is not None and \
+                tuple(order) != manager.order:
+            raise CompileError(
+                "order conflicts with the shared manager's order")
+        order = manager.order if manager is not None else \
+            tuple(order if order is not None else identity)
+        if sorted(order) != list(identity):
+            raise CompileError("order must be a permutation of variables 1..%d"
+                               % len(identity))
+        manager = manager if manager is not None else ObddManager(order)
+    elif kind != KIND_DDNNF:
+        raise CompileError("unknown artifact kind %r" % kind)
+    if lemmas is not None:
+        # a precomputed set must have been enumerated for the same pipeline
+        # and the same atom ordering, or the mode guarantee is lost
+        targets = (TARGET_FORMULA if reduced else TARGET_NEGATION, TARGET_TOP)
+        if lemmas.target not in targets:
+            raise CompileError("lemma set targets %r, expected one of %s"
+                               % (lemmas.target, ", ".join(targets)))
+        if list(lemmas.alpha) != list(alpha):
+            raise CompileError(
+                "lemma set was built against a different atom set")
     pdag = Dag()
     prop, amap = abstract(fdag, node, alpha, pdag)
+    if lemmas is None and reduced:
+        lemmas = lemmas_of(pdag, prop, amap, scope, backend)
+    elif lemmas is None:
+        label = TARGET_NEGATION if scope == "formula" else None
+        lemmas = lemmas_of(pdag, pdag.negate(prop), amap, scope, backend,
+                           label)
     clauses = abstract_clauses(lemmas, amap, pdag)
-    return pdag, prop, clauses, amap
-
-
-def _finish(pdag, combined, kind, mode, alpha, amap, lemmas,
-            smooth_output, order, manager):
-    if kind == KIND_DDNNF:
-        root = compile_ddnnf(pdag, pdag.to_nnf(combined))
-        art = CompiledArtifact(kind, mode, alpha, amap, lemmas, root,
-                               dag=pdag)
-        if smooth_output:
-            art.root = art.smooth_root()
-        return art
-    if kind != KIND_OBDD:
-        raise CompileError("unknown artifact kind %r" % kind)
-    n = len(alpha)
-    if manager is None:
-        order = tuple(order) if order is not None else tuple(range(1, n + 1))
-        manager = ObddManager(order)
-    elif order is not None and tuple(order) != manager.order:
-        raise CompileError("order conflicts with the shared manager's order")
-    else:
-        order = manager.order
-    if sorted(order) != list(range(1, n + 1)):
-        raise CompileError("order must be a permutation of variables 1..%d" % n)
-    root = from_formula(pdag, combined, manager)
-    return CompiledArtifact(kind, mode, alpha, amap, lemmas, root,
-                            manager=manager, order=order)
+    combined = pdag.and_([prop, clauses]) if reduced else \
+        pdag.or_([prop, pdag.negate(clauses)])
+    if kind == KIND_OBDD:
+        root = from_formula(pdag, combined, manager)
+        return CompiledArtifact(kind, mode, alpha, amap, lemmas, root,
+                                manager=manager, order=order)
+    root = compile_ddnnf(pdag, pdag.to_nnf(combined))
+    if smooth_output:
+        root = smooth(pdag, root, len(alpha))
+    return CompiledArtifact(kind, mode, alpha, amap, lemmas, root, dag=pdag)
 
 
 def build_tred(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
@@ -347,17 +357,8 @@ def build_tred(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
     A caller that already enumerated (to time or dump the set) can pass
     `lemmas` to skip re-enumeration; target and atom set must match.
     """
-    if alpha is None:
-        alpha = atoms_of(fdag, node)
-    if lemmas is None:
-        lemmas = enumerate_lemmas(fdag, node, alpha, scope=scope,
-                                  backend=backend)
-    else:
-        _check_reusable(lemmas, alpha, (TARGET_FORMULA, TARGET_TOP))
-    pdag, prop, clauses, amap = _abstract_with_lemmas(fdag, node, alpha, lemmas)
-    combined = pdag.and_([prop, clauses])
-    return _finish(pdag, combined, kind, MODE_T_REDUCED, alpha, amap, lemmas,
-                   smooth_output, order, manager)
+    return _build(MODE_T_REDUCED, fdag, node, alpha, scope, backend, kind,
+                  smooth_output, order, manager, lemmas)
 
 
 def build_text(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
@@ -374,19 +375,8 @@ def build_text(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
     A precomputed `lemmas` set must target the negation (or the full
     assignment space) over the same atom set.
     """
-    if alpha is None:
-        alpha = atoms_of(fdag, node)
-    if lemmas is None:
-        negation = fdag.negate(node)
-        label = TARGET_NEGATION if scope == "formula" else None
-        lemmas = enumerate_lemmas(fdag, negation, alpha, scope=scope,
-                                  backend=backend, label=label)
-    else:
-        _check_reusable(lemmas, alpha, (TARGET_NEGATION, TARGET_TOP))
-    pdag, prop, clauses, amap = _abstract_with_lemmas(fdag, node, alpha, lemmas)
-    combined = pdag.or_([prop, pdag.negate(clauses)])
-    return _finish(pdag, combined, kind, MODE_T_EXTENDED, alpha, amap, lemmas,
-                   smooth_output, order, manager)
+    return _build(MODE_T_EXTENDED, fdag, node, alpha, scope, backend, kind,
+                  smooth_output, order, manager, lemmas)
 
 
 def build_obdd_artifact(fdag: Dag, node: int, alpha: AtomSet | None = None,
@@ -398,11 +388,7 @@ def build_obdd_artifact(fdag: Dag, node: int, alpha: AtomSet | None = None,
     Passing a shared `manager` makes artifacts comparable by root handle:
     canonicity then turns equivalence into handle identity.
     """
-    if mode == MODE_T_REDUCED:
-        build = build_tred
-    elif mode == MODE_T_EXTENDED:
-        build = build_text
-    else:
+    if mode not in (MODE_T_REDUCED, MODE_T_EXTENDED):
         raise CompileError("unknown mode %r" % mode)
-    return build(fdag, node, alpha, scope=scope, backend=backend,
-                 kind=KIND_OBDD, order=order, manager=manager)
+    return _build(mode, fdag, node, alpha, scope, backend, KIND_OBDD, False,
+                  order, manager, None)

@@ -111,6 +111,20 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
     target: the formula itself (scope="formula") or the full assignment
     space (scope="top").
 
+    The formula is abstracted into a scratch arena, which checks that its
+    atoms lie in alpha, and `lemmas_of` walks that abstraction.
+    """
+    pdag = Dag()
+    pid, amap = abstract(dag, node, alpha, pdag)
+    return lemmas_of(pdag, pid, amap, scope, backend, label)
+
+
+def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
+              scope: str = "formula", backend=None,
+              label: str | None = None) -> LemmaSet:
+    """`enumerate_lemmas` on an abstraction `pid` already built in `pdag`,
+    which keeps the residuals of the walk.
+
     Decisions run over the arithmetic atoms only, in ascending atom index,
     true branch first; Boolean atoms stay open in the residual. Conflicts are
     minimized in descending index order, so a fixed formula and atom order
@@ -124,9 +138,7 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
         raise LemmaError("unknown enumeration scope %r" % scope)
     backend = backend if backend is not None else LraBackend()
 
-    # Abstracting also checks that the formula's atoms lie in alpha.
-    pdag = Dag()
-    pid, amap = abstract(dag, node, alpha, pdag)
+    alpha = amap.alpha
     if scope == "top":
         pid = pdag.TRUE
     lra = [i for i in range(1, len(alpha) + 1) if amap.atom(i).kind == "lra"]

@@ -13,7 +13,7 @@ cross-manager mixups fail loudly instead of comparing unrelated integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Iterator, Sequence
+from typing import Generator, Sequence
 
 from .formulas import (AND, FALSE_KIND, IFF, IMPLIES, LIT, NOT, OR, TRUE_KIND,
                        Dag, fold, gather)
@@ -217,31 +217,6 @@ class ObddManager:
             return out
 
         return rec(a) << self._nodes[a][0]
-
-    def models(self, a: int) -> Iterator[dict[int, bool]]:
-        """Satisfying total assignments, lexicographic in the order with
-        true before false; skipped levels are expanded both ways."""
-        n = len(self.order)
-
-        def rec(node: int, lvl: int):
-            if lvl == n:
-                if node == self.TRUE:
-                    yield {}
-                return
-            var = self.order[lvl]
-            nl, hi, lo = self._nodes[node]
-            if nl > lvl:
-                tails = list(rec(node, lvl + 1))
-                for val in (True, False):
-                    for tail in tails:
-                        yield {var: val, **tail}
-                return
-            for val, child in ((True, hi), (False, lo)):
-                for tail in rec(child, lvl + 1):
-                    yield {var: val, **tail}
-
-        if a != self.FALSE:
-            yield from rec(a, 0)
 
     def export_text(self, a: int) -> str:
         """One node per line: id var hiId loId, terminals as 0/1."""

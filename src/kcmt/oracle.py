@@ -54,6 +54,8 @@ class Oracle:
         self.backend = backend if backend is not None else LraBackend()
         self.bound = bound
         self._theory_memo: dict[frozenset, bool] = {}
+        # Keyed on the Dag itself, which keeps it alive: an id could be
+        # reused by a later Dag once this one is freed.
         self._sets_memo: dict[tuple, AssignmentSets] = {}
 
     # -- theory layer ------------------------------------------------------
@@ -75,7 +77,7 @@ class Oracle:
         for a in atoms_of(dag, node):
             if a not in alpha:
                 raise TheoryError("formula atom missing from alpha: %s" % a)
-        memo_key = (id(dag), node, tuple(alpha))
+        memo_key = (dag, node, tuple(alpha))
         cached = self._sets_memo.get(memo_key)
         if cached is not None:
             return cached

@@ -12,6 +12,12 @@ the models that extend a set of fixed literals (`_count`): a single
 bottom-up pass over the d-DNNF as loaded, which adds no node to it, or
 one restriction per literal and a satcount on an OBDD.
 
+ME expands the partial assignment of every proof tree of the d-DNNF, or
+of every root-to-TRUE path of the OBDD, over the variables it leaves
+free. Every OR is a decision and every AND is decomposable, so two proof
+trees disagree on a decided variable: the expansions are disjoint and
+list each model once, with no smoothing and no node added.
+
 Wrong-mode calls always raise, never return a wrong answer. Queries
 mentioning atoms outside the artifact's atom set are rejected: the atom
 set is fixed at compilation time.
@@ -19,13 +25,15 @@ set is fixed at compilation time.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from . import obdd as _obdd
 from .compiler import (KIND_OBDD, MODE_T_EXTENDED, MODE_T_REDUCED,
                        CompiledArtifact)
-from .formulas import (AND, FALSE_KIND, LIT, OR, TRUE_KIND,
-                       AbstractionError, Assignment, Atom)
+from .formulas import (AND, LIT, OR, TRUE_KIND, AbstractionError, Assignment,
+                       Atom)
 
 
 class QueryError(ValueError):
@@ -181,42 +189,49 @@ def enumerate_models(artifact: CompiledArtifact) -> Iterator[Assignment]:
     """ME: all theory-consistent total assignments, lexicographic in atom
     index with true before false."""
     _require(artifact, MODE_T_REDUCED, "enumerateModels")
-    n = artifact.nvars
     if artifact.kind == KIND_OBDD:
-        found = list(artifact.manager.models(artifact.root.node))
+        manager = artifact.manager
+        root = artifact.root.node
+
+        def partials(node: int) -> list[dict]:
+            if manager.is_terminal(node):
+                return [{}] if node == manager.TRUE else []
+            var = manager.var_at(node)
+            return [{var: value, **p} for value, child in
+                    zip((True, False), manager.branches(node))
+                    for p in rec(child)]
     else:
         pdag = artifact.dag
-        smoothed = artifact.smooth_root()
-        memo: dict[int, list[dict]] = {}
+        root = artifact.root
 
-        def rec(node: int) -> list[dict]:
-            got = memo.get(node)
-            if got is not None:
-                return got
+        def partials(node: int) -> list[dict]:
             tag = pdag.kind(node)
-            if tag == FALSE_KIND:
-                out = []
-            elif tag == TRUE_KIND:
-                out = [{}]
-            elif tag == LIT:
+            if tag == LIT:
                 var, pol = pdag.leaf(node)
-                out = [{var: pol}]
-            elif tag == AND:
+                return [{var: pol}]
+            if tag == AND:
                 out = [{}]
                 for child in pdag.children(node):
                     out = [{**m, **tail} for m in out for tail in rec(child)]
-            else:
-                out = [m for child in pdag.children(node)
-                       for m in rec(child)]
-            memo[node] = out
-            return out
+                return out
+            if tag == OR:
+                return [m for child in pdag.children(node)
+                        for m in rec(child)]
+            return [{}] if tag == TRUE_KIND else []
 
-        found = rec(smoothed)
-    key_order = list(range(1, n + 1))
-    found.sort(key=lambda m: tuple(not m[i] for i in key_order))
-    for model in found:
-        yield Assignment([(artifact.amap.atom(i), model[i])
-                          for i in key_order])
+    rec = cache(partials)
+    indices = range(1, artifact.nvars + 1)
+    found = []
+    for partial in rec(root):
+        free = [i for i in indices if i not in partial]
+        for values in product((True, False), repeat=len(free)):
+            model = {**partial, **dict(zip(free, values))}
+            found.append(tuple(model[i] for i in indices))
+    # Descending order of the value tuples is lexicographic, true first.
+    found.sort(reverse=True)
+    atoms = [artifact.amap.atom(i) for i in indices]
+    for values in found:
+        yield Assignment(list(zip(atoms, values)))
 
 
 def _matching_obdds(a: CompiledArtifact, b: CompiledArtifact,

@@ -66,6 +66,7 @@ _IGNORED = frozenset((
 _CONNECTIVES = frozenset(("and", "or", "not", "=>", "xor", "iff"))
 _RELS = frozenset(("<=", "<", ">=", ">", "="))
 _ARITH = frozenset(("+", "-", "*", "/"))
+_RESERVED = frozenset(("<=", "<", "=", "true", "false"))
 _OPS = {NOT: "not", AND: "and", OR: "or", IFF: "=", IMPLIES: "=>"}
 
 
@@ -215,6 +216,12 @@ class _Parser:
         name = name_tok.text
         if not name or _is_numeral(name):
             raise _err("invalid symbol %r" % name, name_tok)
+        # A map line or a CLI literal must read the name back as itself,
+        # and true and false name the constants.
+        if name in _RESERVED or name[0] in "-!" or \
+                any(ch.isspace() or ch in "*," for ch in name):
+            raise _err("symbol %r is reserved or would not read back from a"
+                       " map or a CLI literal" % name, name_tok)
         if name in self.sorts:
             raise _err("duplicate declaration of %r" % name, name_tok)
         self.sorts[name] = sort_sx.text

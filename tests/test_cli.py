@@ -108,6 +108,29 @@ class TestCompile:
         assert code == 0
         assert "order 2 1" in (tmp_path / "f.map").read_text()
 
+    @pytest.mark.parametrize("order", ["1 1", "1 2 2"])
+    def test_repeated_order_index_exits_two(self, ws, tmp_path, capsys,
+                                            order):
+        (tmp_path / "ord.txt").write_text(order + "\n")
+        code, _, err = run(
+            capsys, "compile", "--input", str(ws / "phi1.smt2"),
+            "--mode", "tred", "--target", "obdd",
+            "--order", str(tmp_path / "ord.txt"),
+            "--out", str(tmp_path / "x.nnf"), "--map", str(tmp_path / "x.map"))
+        assert code == 2
+        assert "order must be a permutation" in err
+
+    def test_name_a_map_cannot_carry_exits_two(self, tmp_path, capsys):
+        src = tmp_path / "f.smt2"
+        src.write_text("(declare-const -x Real)\n(assert (<= -x 0))\n")
+        code, _, err = run(
+            capsys, "compile", "--input", str(src), "--mode", "tred",
+            "--target", "ddnnf", "--out", str(tmp_path / "x.nnf"),
+            "--map", str(tmp_path / "x.map"))
+        assert code == 2
+        assert "line 1, column 16" in err
+        assert not (tmp_path / "x.map").exists()
+
     def test_order_rejected_for_ddnnf(self, ws, tmp_path, capsys):
         (tmp_path / "ord.txt").write_text("1 2\n")
         code, _, err = run(

@@ -20,6 +20,7 @@ from kcmt.compiler import (
     validate,
 )
 from kcmt.formulas import AtomSet, Dag, abstract, atoms_of, refine
+from kcmt.generate import InstanceSpec, generate
 from kcmt.lemmas import TARGET_FORMULA, TARGET_NEGATION, enumerate_lemmas
 from kcmt.obdd import ObddManager
 from kcmt.oracle import Oracle
@@ -440,6 +441,43 @@ class TestObddArtifacts:
                                 manager=ObddManager((1, 2)))
         with pytest.raises(CompileError):
             build_obdd_artifact(fdag, node, mode="reduced")
+
+    @pytest.mark.parametrize("order", [(1, 1), (1, 2, 2)],
+                             ids=["1-1", "1-2-2"])
+    def test_repeated_order_index_is_a_compile_error(self, fdag, order):
+        with pytest.raises(CompileError, match="permutation"):
+            build_obdd_artifact(fdag, build_phi1(fdag), order=order)
+
+
+class TestInputUnwritten:
+    """The pipelines read the caller's formula arena and add no node to it."""
+
+    SPEC = InstanceSpec(num_lra_atoms=6, num_rational_vars=2, dag_depth=3,
+                        seed=5)
+
+    @pytest.mark.parametrize("build", [
+        build_tred, build_text,
+        lambda *a: build_obdd_artifact(*a, mode=MODE_T_REDUCED),
+        lambda *a: build_obdd_artifact(*a, mode=MODE_T_EXTENDED),
+    ], ids=["tred", "text", "obdd-tred", "obdd-text"])
+    def test_formula_arena_is_unchanged(self, fdag, build):
+        node, alpha = generate(fdag, self.SPEC)
+        size = len(fdag)
+        build(fdag, node, alpha)
+        assert len(fdag) == size
+
+    def test_lemmas_are_those_of_the_formula_and_its_negation(self):
+        for seed in range(20):
+            fdag = Dag()
+            node, alpha = generate(fdag, InstanceSpec(
+                num_bool_atoms=seed % 3, num_lra_atoms=3 + seed % 6,
+                num_rational_vars=1 + seed % 3, dag_depth=2 + seed % 3,
+                seed=seed))
+            tred = build_tred(fdag, node, alpha)
+            text = build_text(fdag, node, alpha)
+            assert tred.lemmas == enumerate_lemmas(fdag, node, alpha)
+            assert text.lemmas == enumerate_lemmas(
+                fdag, fdag.negate(node), alpha, label=TARGET_NEGATION)
 
 
 class TestTheoremSuite:

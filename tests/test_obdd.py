@@ -189,21 +189,6 @@ class TestCountingAndModels:
         assert m.satcount(ObddManager.TRUE) == 8
         assert m.satcount(ObddManager.FALSE) == 0
 
-    def test_models_complete_total_and_ordered(self):
-        rng = random.Random(90105)
-        for _ in range(30):
-            nvars = rng.randint(1, 4)
-            p = Dag()
-            node = random_prop(p, rng, nvars, depth=3)
-            m = ObddManager(tuple(range(1, nvars + 1)))
-            r = from_formula(p, node, m)
-            got = list(m.models(r.node))
-            want = [v for v in sorted(
-                assignments(nvars),
-                key=lambda v: tuple(not v[i] for i in m.order))
-                if eval_bdd(m, r.node, v)]
-            assert got == want
-
     def test_restrict_fixes_one_variable(self):
         rng = random.Random(90106)
         for _ in range(30):

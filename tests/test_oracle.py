@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from kcmt.formulas import Assignment, AtomSet, Dag, atoms_of
+from kcmt.formulas import Assignment, Atom, AtomSet, Dag, atoms_of
 from kcmt.oracle import (
     AssignmentSets,
     Oracle,
@@ -180,6 +180,22 @@ class TestGuards:
     def test_formula_atoms_must_lie_in_alpha(self, fdag):
         with pytest.raises(TheoryError):
             Oracle().ctta_itta(fdag, fdag.lit(X_GE_2), alpha_phi1())
+
+    def test_fresh_dags_are_not_confused_with_freed_ones(self):
+        # Each Dag is dropped after its query, so a memo keyed on id(dag)
+        # could hand a later Dag the sets of a freed one.
+        x_le_0 = Atom.linear({"x": 1}, "<=", 0)
+        y_le_0 = Atom.linear({"y": 1}, "<=", 0)
+        alpha = AtomSet([x_le_0, y_le_0])
+        oracle = Oracle()
+        for i in range(200):
+            dag = Dag()
+            lits = [dag.lit(x_le_0), dag.lit(y_le_0)]
+            node = dag.and_(lits) if i % 2 == 0 else dag.or_(lits)
+            got = oracle.query("ct", dag, node, alpha)
+            assert got == Oracle().query("ct", dag, node, alpha) == \
+                (1 if i % 2 == 0 else 3)
+            del dag
 
 
 def _corpus(seed, count, max_atoms=5):

@@ -15,7 +15,9 @@ from kcmt.compiler import (
     build_tred,
     validate,
 )
-from kcmt.formulas import Assignment, Atom, AtomSet, Dag, atoms_of
+from kcmt.formulas import (AbstractionMap, Assignment, Atom, AtomSet, Dag,
+                           atoms_of, refine)
+from kcmt.generate import InstanceSpec, generate
 from kcmt.obdd import ObddManager
 from kcmt.oracle import Oracle
 from kcmt.queries import (
@@ -45,6 +47,7 @@ from conftest import (
     build_two_clause,
     random_atoms,
     random_formula,
+    random_prop,
 )
 
 
@@ -215,6 +218,23 @@ class TestEnumeration:
         obdd = build_obdd_artifact(fdag, build_two_clause(fdag),
                                    alpha_two_clause())
         assert list(enumerate_models(ddnnf)) == list(enumerate_models(obdd))
+
+    def test_obdd_models_complete_total_and_in_atom_order(self):
+        # Models come in atom-index order whatever the manager's order.
+        rng = random.Random(90105)
+        oracle = Oracle()
+        for _ in range(30):
+            nvars = rng.randint(1, 4)
+            n_bool = rng.randint(0, nvars)
+            alpha = AtomSet(random_atoms(rng, n_bool, nvars - n_bool, 2))
+            pdag, fdag = Dag(), Dag()
+            node = refine(pdag, random_prop(pdag, rng, nvars, depth=3),
+                          AbstractionMap(alpha), fdag)
+            want = oracle.query("me", fdag, node, alpha)
+            for order in (range(1, nvars + 1), range(nvars, 0, -1)):
+                art = build_obdd_artifact(fdag, node, alpha,
+                                          order=tuple(order))
+                assert list(enumerate_models(art)) == want
 
 
 class TestEquivalenceAndEntailment:
@@ -492,3 +512,12 @@ class TestFrozenCircuit:
                 is_valid(text)
                 is_implicant(text, cube)
             assert (len(tred.dag), len(text.dag)) == sizes
+
+    def test_enumeration_adds_no_nodes(self):
+        fdag = Dag()
+        node, alpha = generate(fdag, InstanceSpec(
+            num_lra_atoms=6, num_rational_vars=2, dag_depth=3, seed=5))
+        tred = build_tred(fdag, node, alpha)
+        size = len(tred.dag)
+        assert len(list(enumerate_models(tred))) == count_models(tred)
+        assert len(tred.dag) == size

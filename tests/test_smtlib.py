@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcmt.cli import _parse_literals
 from kcmt.formulas import Atom, Dag, atoms_of
+from kcmt.nnf_io import _atom_from_string
 from kcmt.smtlib import SmtParseError, parse_smt2, write_smt2
 
 from conftest import (DEEP, X_LE_0, X_EQ_1, alpha_phi1, alternating_chain,
@@ -199,6 +201,27 @@ class TestParseErrors:
         if fragment:
             assert fragment in msg
 
+    @pytest.mark.parametrize("decl", [
+        "(declare-const -x Real)",
+        "(declare-const |x <= 1| Bool)",
+        "(declare-const |a b| Real)",
+        "(declare-const |a\tb| Bool)",
+        "(declare-const |2*x| Real)",
+        "(declare-const |a,b| Bool)",
+        "(declare-const !p Bool)",
+        "(declare-fun <= () Real)",
+        "(declare-const < Bool)",
+        "(declare-const = Real)",
+        "(declare-const true Bool)",
+        "(declare-const false Real)",
+    ], ids=["leading-minus", "relation-inside", "space", "tab", "star",
+            "comma", "leading-bang", "le", "lt", "eq", "true", "false"])
+    def test_rejects_names_a_map_or_cli_cannot_carry(self, decl):
+        with pytest.raises(SmtParseError) as e:
+            parse("(set-logic QF_LRA)\n" + decl)
+        assert "would not read back" in str(e.value)
+        assert (e.value.line, e.value.col) == (2, decl.index(" ") + 2)
+
     def test_position_is_exact(self):
         with pytest.raises(SmtParseError) as e:
             parse("(declare-const x Real)\n(assert\n  (ite true true false))")
@@ -346,10 +369,32 @@ def _scripts(draw):
     return text
 
 
+# Quoted names: plain ones, and ones over the characters that the map and
+# the CLI give a meaning.
+_NAMES = st.one_of(
+    st.sampled_from(("x", "y", "p", "+", "/", ">=", "a.b", "x-1")),
+    st.text(st.sampled_from("xy1.+-*/!,<=> \t"), min_size=1, max_size=4))
+
+
+@st.composite
+def _named_scripts(draw):
+    x, y, b = draw(st.lists(_NAMES, min_size=3, max_size=3, unique=True))
+    return ("(declare-const |%s| Real)(declare-const |%s| Real)"
+            "(declare-const |%s| Bool)"
+            "(assert (or |%s| (<= (- |%s| (* 2 |%s|)) 1) (= |%s| 3)))"
+            % (x, y, b, b, x, y, y))
+
+
 @settings(max_examples=400, deadline=None, database=None)
-@given(_scripts())
+@given(st.one_of(_scripts(), _named_scripts()))
 def test_parse_returns_or_raises_only_smt_parse_error(text):
     try:
-        parse_smt2(text)
+        _, _, alpha = parse_smt2(text)
     except SmtParseError:
-        pass
+        return
+    # Every atom of a parsed script reads back from its map line, and
+    # from a CLI literal of either polarity.
+    for a in alpha:
+        assert _atom_from_string(str(a)) == a
+        assert _parse_literals("!%s,%s" % (a, a), alpha, "test") == \
+            [(a, False), (a, True)]
