@@ -355,6 +355,9 @@ class Dag:
         self._table: dict[tuple, int] = {}
         self._keys: dict[int, frozenset] = {}
         self._nnf_memo: dict[tuple[int, bool], int] = {}
+        # assignment items -> node -> residual. The arena is append-only,
+        # so a residual depends on the node and the assignment alone.
+        self._residual_memo: dict[frozenset, dict[int, int]] = {}
         self.TRUE = self._intern((TRUE_KIND,))
         self.FALSE = self._intern((FALSE_KIND,))
 
@@ -543,7 +546,9 @@ class Dag:
         """Substitute assigned leaves by constants and propagate.
 
         The result never mentions an assigned key, and
-        residual(phi, mu + l) == residual(residual(phi, mu), l).
+        residual(phi, mu + l) == residual(residual(phi, mu), l). Results
+        are memoised per assignment for the life of the arena, so the
+        sub-DAGs that many residuals share are walked once per assignment.
         """
         payload, keys_of = self._payload, self.keys_of
 
@@ -561,7 +566,8 @@ class Dag:
         # key gives the node itself, so such a node is kept as it is.
         if keys_of(node).isdisjoint(values):
             return node
-        return fold(node, visit, {})
+        memo = self._residual_memo.setdefault(frozenset(values.items()), {})
+        return fold(node, visit, memo)
 
     def evaluate(self, node: int, values: Mapping[Hashable, bool]) -> bool:
         payload = self._payload

@@ -19,6 +19,14 @@ extension that already holds at the parent's witness is therefore sat
 without a backend call, and keeps that witness. Every other prefix is
 decided by one backend call; since each node has its own prefix, each unsat
 verdict and conflict is exactly what the backend returns for that prefix.
+
+A witness is kept in `scaled_point` form, converted once per sat verdict:
+one common denominator and an integer numerator per variable. Testing an
+extension is then an integer dot product (`holds_at_scaled`), with no
+`Fraction` arithmetic. A conflict found at atom i contains atom i's literal,
+the highest index, so the first deletion trial of its minimization is the
+parent prefix with the rest of the core, which is sat; `minimize_conflict`
+answers it from `sat_within` without a backend call.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import AbstractionMap, Assignment, AtomSet, Dag, abstract
-from .theory import LraBackend, holds_at, minimize_conflict
+from .theory import (LraBackend, holds_at_scaled, minimize_conflict,
+                     scaled_point)
 
 TARGET_FORMULA = "forFormula"
 TARGET_NEGATION = "forNegation"
@@ -177,7 +186,7 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
     values: dict[int, bool] = {}
 
     def dfs(k: int, prefix: tuple, residual: int,
-            witness: dict | None) -> None:
+            witness: tuple | None) -> None:
         if k == len(lra):
             return
         i = lra[k]
@@ -195,21 +204,25 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
                 # in no prefix literal, so reading them as 0 keeps it a
                 # witness of the extension whenever the new literal holds
                 # there.
-                if point is None or not holds_at(atom, val, point):
+                if point is None or not holds_at_scaled(atom, val, point):
                     verdict = backend.check_conjunction(frozenset(lits))
                     if not verdict.is_sat:
+                        # The prefix is sat, so every trial inside it is.
                         core = minimize_conflict(
                             backend, lits, verdict.conflict,
-                            index_of=amap.index).literals
+                            index_of=amap.index,
+                            sat_within=frozenset(prefix)).literals
                         learn(core)
                         continue
                     point = verdict.witness
+                    if point is not None:
+                        point = scaled_point(point)
                 dfs(k + 1, lits, res, point)
             finally:
                 del values[i]
 
     if pid != pdag.FALSE:
-        dfs(0, (), pid, {})
+        dfs(0, (), pid, ({}, 1))
 
     ordered = sorted(
         learned,

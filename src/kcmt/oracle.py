@@ -70,19 +70,23 @@ class Oracle:
 
     # -- assignment sets ---------------------------------------------------
 
-    def ctta_itta(self, dag: Dag, node: int, alpha: AtomSet) -> AssignmentSets:
+    def ctta_itta(self, dag: Dag, node: int, alpha: AtomSet,
+                  positive: bool = True) -> AssignmentSets:
+        """The sets of `node`, or of its negation when not `positive`. The
+        negation is read off the complement of the node's truth table, so
+        nothing is written into `dag`."""
         if len(alpha) > self.bound:
             raise OracleBoundError(
                 "%d atoms exceed the oracle bound of %d" % (len(alpha), self.bound))
         for a in atoms_of(dag, node):
             if a not in alpha:
                 raise TheoryError("formula atom missing from alpha: %s" % a)
-        memo_key = (dag, node, tuple(alpha))
+        memo_key = (dag, node, positive, tuple(alpha))
         cached = self._sets_memo.get(memo_key)
         if cached is not None:
             return cached
         ctta, itta = [], []
-        for values in _models(dag, node, list(alpha)):
+        for values in _models(dag, node, list(alpha), positive=positive):
             eta = Assignment(values)
             if self.consistent(eta.items()):
                 ctta.append(eta)
@@ -96,7 +100,7 @@ class Oracle:
         return not self.ctta_itta(dag, node, alpha).itta
 
     def check_textended(self, dag: Dag, node: int, alpha: AtomSet) -> bool:
-        return not self.ctta_itta(dag, dag.negate(node), alpha).itta
+        return not self.ctta_itta(dag, node, alpha, positive=False).itta
 
     # -- queries -----------------------------------------------------------
 
@@ -110,7 +114,7 @@ class Oracle:
         if kind == "co":
             return bool(sets.ctta)
         if kind == "va":
-            neg = self.ctta_itta(dag, dag.negate(node), alpha)
+            neg = self.ctta_itta(dag, node, alpha, positive=False)
             return not neg.ctta
         if kind == "ce":
             clause = self._check_literals(arg, alpha)
@@ -118,7 +122,7 @@ class Oracle:
                 any(eta.value(a) == p for a, p in clause) for eta in sets.ctta)
         if kind == "im":
             cube = self._check_literals(arg, alpha)
-            neg = self.ctta_itta(dag, dag.negate(node), alpha)
+            neg = self.ctta_itta(dag, node, alpha, positive=False)
             return not any(_extends(eta, cube) for eta in neg.ctta)
         if kind == "ct":
             cube = self._check_literals(arg, alpha)
@@ -148,14 +152,18 @@ def _extends(eta: Assignment, cube: Sequence[Literal]) -> bool:
 
 
 def _models(dag: Dag, node: int, order: list,
-            cube: Sequence[Literal] = (), timeout_s: Optional[float] = None):
-    """Propositional models of `node` over `order` that extend `cube`.
+            cube: Sequence[Literal] = (), timeout_s: Optional[float] = None,
+            positive: bool = True):
+    """Propositional models of `node`, or of its negation when not
+    `positive`, over `order` that extend `cube`.
 
     Yields one value dict per model, in increasing order of the integer
     whose bit j is order[j]'s value. With a time budget the clock is read
     every 256 assignments, and OracleTimeout is raised once it has run out.
     """
     bits = dag.truth_bits(node, order)
+    if not positive:
+        bits = ~bits & ((1 << (1 << len(order))) - 1)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     for b in range(1 << len(order)):
         if deadline is not None and (b & 255) == 0 and time.monotonic() > deadline:

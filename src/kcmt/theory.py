@@ -385,27 +385,49 @@ def evaluate_literal(atom: Atom, pol: bool, witness: dict) -> bool:
     return holds_at(atom, pol, witness)
 
 
+def scaled_point(point: dict) -> tuple[dict, int]:
+    """A point of int or Fraction values as (numerators, d): one common
+    denominator d > 0 and each variable's value times d, an integer."""
+    den = 1
+    for x in point.values():
+        den = den * x.denominator // gcd(den, x.denominator)
+    return {v: x.numerator * (den // x.denominator)
+            for v, x in point.items()}, den
+
+
+def holds_at_scaled(atom: Atom, pol: bool, scaled: tuple[dict, int]) -> bool:
+    """`holds_at` on a point in `scaled_point` form, in integers only:
+    coeffs . (nums / d) rel p/q iff q * (coeffs . nums) rel p * d."""
+    nums, den = scaled
+    total = sum(a * nums.get(v, 0) for v, a in atom.coeffs)
+    total *= atom.const.denominator
+    bound = atom.const.numerator * den
+    if atom.rel == REL_LE:
+        holds = total <= bound
+    elif atom.rel == REL_LT:
+        holds = total < bound
+    else:
+        holds = total == bound
+    return holds == pol
+
+
 def holds_at(atom: Atom, pol: bool, point: dict) -> bool:
     """Exact truth of an LRA literal at a point; absent variables read as 0."""
-    total = sum((a * point.get(v, 0) for v, a in atom.coeffs), Fraction(0))
-    if atom.rel == REL_LE:
-        holds = total <= atom.const
-    elif atom.rel == REL_LT:
-        holds = total < atom.const
-    else:
-        holds = total == atom.const
-    return holds == pol
+    return holds_at_scaled(atom, pol, scaled_point(point))
 
 
 def minimize_conflict(backend, literals: Iterable[Literal],
                       conflict: Iterable[Literal],
-                      index_of: Optional[Callable[[Atom], int]] = None) -> ConflictCore:
+                      index_of: Optional[Callable[[Atom], int]] = None,
+                      sat_within: frozenset = frozenset()) -> ConflictCore:
     """Deletion-based minimization in descending atom-index order.
 
     `index_of` supplies the abstraction index; without one, the atom's
-    structural sort key fixes the order. The input conflict must be
-    unsatisfiable (self-checked), and a 1-literal core is impossible by
-    the no-trivial-atom invariant, so reaching one is an internal error.
+    structural sort key fixes the order. `sat_within` is a set of literals
+    the caller knows to be satisfiable: a trial inside it is sat without a
+    backend call. The input conflict must be unsatisfiable (self-checked),
+    and a 1-literal core is impossible by the no-trivial-atom invariant, so
+    reaching one is an internal error.
     """
     literals = set(literals)
     core = set(conflict)
@@ -424,6 +446,8 @@ def minimize_conflict(backend, literals: Iterable[Literal],
         if len(core) <= 2:
             break
         trial = core - {lit}
+        if trial <= sat_within:
+            continue
         if not backend.check_conjunction(trial).is_sat:
             core = trial
     if len(core) < 2:

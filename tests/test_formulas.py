@@ -403,6 +403,33 @@ class TestResidual:
             assert step == joint
             assert not dag.keys_of(joint) & (set(mu) | set(lone))
 
+    def test_memoised_residuals_match_fresh_ones(self):
+        # Residual calls along random decision paths, as lemma enumeration
+        # and compile_ddnnf make them, plus some multi-key assignments. The
+        # paths share sub-DAGs, so later calls are answered from the memo.
+        rng = random.Random(2718)
+        for _ in range(25):
+            dag = Dag()
+            atoms = random_atoms(rng, 1, 5, 3)
+            node = random_formula(dag, rng, atoms, depth=4)
+            calls = []
+            for _ in range(6):
+                n = node
+                for atom in rng.sample(atoms, len(atoms)):
+                    mu = {atom: rng.random() < 0.5}
+                    calls.append((n, mu))
+                    n = dag.residual(n, mu)
+                calls.append((node, {a: rng.random() < 0.5
+                                     for a in rng.sample(atoms, 2)}))
+            warm = [dag.residual(n, mu) for n, mu in calls]
+            size = len(dag)
+            assert [dag.residual(n, mu) for n, mu in calls] == warm
+            assert len(dag) == size
+            for (n, mu), want in zip(calls, warm):
+                dag._residual_memo.clear()
+                assert dag.residual(n, mu) == want, (n, mu)
+            assert len(dag) == size
+
     def test_evaluate_agrees_with_truth_bits(self):
         rng = random.Random(4242)
         for _ in range(30):

@@ -3,6 +3,7 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from kcmt.formulas import (
     AbstractionError,
     AbstractionMap,
     Assignment,
+    Atom,
     AtomSet,
     Dag,
     atoms_of,
@@ -29,7 +31,14 @@ from kcmt.lemmas import (
 )
 from kcmt.oracle import Oracle
 from kcmt.queries import count_models, is_valid
-from kcmt.theory import LraBackend, TheoryVerdict
+from kcmt.theory import (
+    LraBackend,
+    TheoryVerdict,
+    holds_at,
+    holds_at_scaled,
+    minimize_conflict,
+    scaled_point,
+)
 
 from conftest import (
     X1_GE_1,
@@ -349,3 +358,143 @@ class TestBooleanAtoms:
         assert count_models(build_tred(dag, node, alpha, lemmas=lemmas)) == ct
         assert count_models(build_tred(dag, node, alpha, lemmas=lemmas,
                                        kind=KIND_OBDD)) == ct
+
+
+class _GuardedBackend:
+    """An `LraBackend` that fails any check inside a set known to be sat."""
+
+    def __init__(self, sat_within):
+        self.inner = LraBackend()
+        self.sat_within = sat_within
+        self.checks = 0
+
+    def check_conjunction(self, literals):
+        literals = frozenset(literals)
+        assert not literals <= self.sat_within, sorted(map(str, literals))
+        self.checks += 1
+        return self.inner.check_conjunction(literals)
+
+
+class TestFreeFirstTrial:
+    """The prefix of a conflict node is sat, so the first deletion trial,
+    the conflict without the new literal, needs no backend call."""
+
+    def test_no_check_inside_the_prefix_and_the_same_cores(self, monkeypatch):
+        calls = []
+
+        def recording(backend, literals, conflict, index_of=None,
+                      sat_within=frozenset()):
+            calls.append((tuple(literals), frozenset(conflict), index_of,
+                          sat_within))
+            return minimize_conflict(backend, literals, conflict, index_of,
+                                     sat_within)
+
+        monkeypatch.setattr("kcmt.lemmas.minimize_conflict", recording)
+        for dag, node, alpha in _corpus(52001, 60):
+            for target in (node, dag.negate(node)):
+                enumerate_lemmas(dag, target, alpha)
+        monkeypatch.undo()
+        assert len(calls) >= 100, len(calls)
+        plain = LraBackend()
+        free = paid = 0
+        for lits, conflict, index_of, within in calls:
+            # The enumerator passes the parent prefix, which is sat.
+            assert within == frozenset(lits[:-1])
+            assert plain.check_conjunction(within).is_sat
+            guarded = _GuardedBackend(within)
+            counted = _CountingBackend(keep_witness=True)
+            core = minimize_conflict(guarded, lits, conflict, index_of,
+                                     sat_within=within)
+            assert core == minimize_conflict(counted, lits, conflict,
+                                             index_of)
+            free += guarded.checks
+            paid += counted.checks
+        assert free < paid, (free, paid)
+
+    @pytest.mark.parametrize("seed,checks_without", [(1000, 956),
+                                                     (1004, 1370)])
+    def test_fewer_backend_calls_on_the_criterion_7_family(self, seed,
+                                                            checks_without):
+        # checks_without: formula plus negation, every deletion trial
+        # checked by the backend.
+        dag = Dag()
+        node, alpha = generate(dag, InstanceSpec(
+            num_lra_atoms=14 + seed % 5, num_rational_vars=3 + seed % 2,
+            dag_depth=4, seed=seed))
+        counting = _CountingBackend(keep_witness=True)
+        for target in (node, dag.negate(node)):
+            enumerate_lemmas(dag, target, alpha, backend=counting)
+        assert counting.checks < checks_without, counting.checks
+
+
+def _fraction_holds(atom, pol, point):
+    """Reference: the literal evaluated in `Fraction` arithmetic."""
+    total = sum((a * Fraction(point.get(v, 0)) for v, a in atom.coeffs),
+                Fraction(0))
+    holds = {"<=": total <= atom.const, "<": total < atom.const,
+             "=": total == atom.const}[atom.rel]
+    return holds == pol
+
+
+class _WitnessRecorder:
+    def __init__(self):
+        self.inner = LraBackend()
+        self.witnesses = []
+
+    def check_conjunction(self, literals):
+        verdict = self.inner.check_conjunction(literals)
+        if verdict.is_sat:
+            self.witnesses.append(verdict.witness)
+        return verdict
+
+
+def _derived_points(rng, point, atoms):
+    """Huge and negative rescalings of `point`, the point with one variable
+    dropped, and points moved onto an atom's boundary."""
+    big = Fraction(-(10 ** 30) - 7, 3)
+    out = [{v: x * big + Fraction(1, 10 ** 20 + 1) for v, x in point.items()},
+           {v: -x for v, x in point.items()}]
+    if point:
+        gone = rng.choice(sorted(point))
+        out.append({v: x for v, x in point.items() if v != gone})
+    for atom in atoms:
+        # Shift one variable so the atom's term meets its constant exactly.
+        v, a = atom.coeffs[0]
+        far = dict(out[0])
+        far.setdefault(v, Fraction(0))
+        term = sum(c * far.get(w, 0) for w, c in atom.coeffs)
+        far[v] += (atom.const - term) / a
+        out.append(far)
+    return out
+
+
+class TestIntegerWitnessTest:
+    def test_agrees_with_fraction_evaluation(self):
+        rng = random.Random(52001)
+        points = 0
+        for dag, node, alpha in _corpus(52001, 60):
+            recorder = _WitnessRecorder()
+            for target in (node, dag.negate(node)):
+                enumerate_lemmas(dag, target, alpha, backend=recorder)
+            atoms = [a for a in alpha if a.kind == "lra"]
+            for witness in recorder.witnesses:
+                for point in [witness] + _derived_points(rng, witness, atoms):
+                    scaled = scaled_point(point)
+                    for atom in atoms:
+                        for pol in (True, False):
+                            want = _fraction_holds(atom, pol, point)
+                            assert holds_at_scaled(atom, pol, scaled) == want
+                            assert holds_at(atom, pol, point) == want
+                    points += 1
+        assert points >= 1000, points
+
+    def test_integer_values_and_the_empty_point(self):
+        atom = Atom.linear({"x": 3, "y": -2}, "<=", Fraction(5, 7))
+        assert scaled_point({}) == ({}, 1)
+        assert scaled_point({"x": 2, "y": Fraction(-1, 6)}) == \
+            ({"x": 12, "y": -1}, 6)
+        for point in ({}, {"x": 0, "y": 0}, {"x": 1}, {"y": -1},
+                      {"x": Fraction(5, 21)}, {"x": Fraction(5, 21) + 1}):
+            for pol in (True, False):
+                assert holds_at(atom, pol, point) == \
+                    _fraction_holds(atom, pol, point)

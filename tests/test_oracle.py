@@ -11,6 +11,7 @@ import random
 import pytest
 
 from kcmt.formulas import Assignment, Atom, AtomSet, Dag, atoms_of
+from kcmt.generate import InstanceSpec, generate
 from kcmt.oracle import (
     AssignmentSets,
     Oracle,
@@ -295,6 +296,42 @@ class TestPropositionSuite:
             assert b_entails == (s1.ctta <= s2.ctta and s1.itta <= s2.itta)
             assert (b1 == b2) == (
                 s1.ctta == s2.ctta and s1.itta == s2.itta)
+
+
+def _negation_battery():
+    dag = Dag()
+    node, alpha = generate(dag, InstanceSpec(
+        num_lra_atoms=6, num_rational_vars=2, dag_depth=3, seed=5))
+    yield dag, node, alpha
+    for dag, node, _, alpha in _corpus(608, 30):
+        yield dag, node, alpha
+
+
+class TestNegationLeavesTheArenaAlone:
+    def test_va_im_textended_write_nothing_into_the_dag(self):
+        rng = random.Random(608)
+        grown = 0
+        for dag, node, alpha in _negation_battery():
+            oracle = Oracle()
+            size = len(dag)
+            cubes = [[(a, rng.random() < 0.5)
+                      for a in rng.sample(list(alpha),
+                                          min(len(alpha), rng.randint(1, 3)))]
+                     for _ in range(4)]
+            va = oracle.query("va", dag, node, alpha)
+            im = [oracle.query("im", dag, node, alpha, cube) for cube in cubes]
+            extended = oracle.check_textended(dag, node, alpha)
+            assert len(dag) == size
+            # The same answers from the negation built in the arena.
+            neg = Oracle().ctta_itta(dag, dag.negate(node), alpha)
+            grown += len(dag) > size
+            assert va == (not neg.ctta)
+            assert im == [not any(all(eta.value(a) == p for a, p in cube)
+                                  for eta in neg.ctta) for cube in cubes]
+            assert extended == (not neg.itta)
+            assert neg == oracle.ctta_itta(dag, node, alpha, positive=False)
+        # Building the negation would have written into most arenas.
+        assert grown >= 20, grown
 
 
 class TestQuerySurfaceOnCorpus:
