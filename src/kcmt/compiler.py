@@ -192,16 +192,47 @@ def _asserted_literals(pdag: Dag, node: int) -> tuple:
     return ()
 
 
+def _literal_masks(pdag: Dag, node: int) -> tuple[int, int]:
+    """Bit masks of the variables a branch asserts positively and
+    negatively: the branch itself, or its direct AND conjuncts."""
+    p = pdag.payload(node)
+    if p[0] == LIT:
+        return (1 << p[1], 0) if p[2] else (0, 1 << p[1])
+    pos = neg = 0
+    if p[0] == AND:
+        for c in p[1]:
+            q = pdag.payload(c)
+            if q[0] == LIT:
+                if q[2]:
+                    pos |= 1 << q[1]
+                else:
+                    neg |= 1 << q[1]
+    return pos, neg
+
+
 def decision_var(pdag: Dag, node: int):
     """Variable a binary OR decides, or None when it has no such shape.
 
     The OR decides v when one branch asserts v and the other asserts not
     v, which makes the branches mutually exclusive. When several
     variables qualify, the first one the left branch asserts wins.
+
+    The branches are compared as bit masks of variable indices; only
+    when several variables qualify, or a leaf is no variable index, are
+    the literals scanned in order.
     """
     kids = pdag.children(node)
     if len(kids) != 2:
         return None
+    try:
+        pa, na = _literal_masks(pdag, kids[0])
+        pb, nb = _literal_masks(pdag, kids[1])
+    except (TypeError, ValueError):  # a leaf that is not a variable index
+        pass
+    else:
+        both = pa & nb | na & pb
+        if not both & (both - 1):  # no variable, or exactly one, qualifies
+            return both.bit_length() - 1 if both else None
     right = set(_asserted_literals(pdag, kids[1]))
     for v, p in _asserted_literals(pdag, kids[0]):
         if (v, not p) in right:

@@ -107,10 +107,7 @@ class Atom:
         if rel not in _RELATIONS:
             raise AtomError("unknown relation %r" % (rel,))
         if not c:
-            raise AtomError(
-                "degenerate atom (no variables left): 0 %s %s is trivially "
-                "true or false and may not be an atom" % (rel, k)
-            )
+            raise _degenerate(rel, k)
         scale = 1
         for a in c.values():
             scale = scale * a.denominator // gcd(scale, a.denominator)
@@ -130,6 +127,31 @@ class Atom:
             rel=rel,
             const=k,
         )
+
+    @staticmethod
+    def normal(coeffs: Mapping[str, int], rel: str,
+               const: Fraction) -> "Atom | None":
+        """The atom `coeffs rel const` if that row is a normal form as
+        `linear` makes them, else None. Nothing is rescaled or reordered.
+
+        The rules are checked in integers: variable names strictly
+        ascending in the mapping's order, integer coefficients that are
+        non-zero and coprime, and a positive first coefficient on `=`.
+        Raises AtomError, as `linear` does, when every coefficient is zero.
+        """
+        if rel not in _RELATIONS:
+            return None
+        if not any(coeffs.values()):
+            raise _degenerate(rel, const)
+        terms = tuple(coeffs.items())
+        prev, g = None, 0
+        for v, a in terms:
+            if not a or (prev is not None and v <= prev):
+                return None
+            prev, g = v, gcd(g, a)
+        if g != 1 or (rel == REL_EQ and terms[0][1] < 0):
+            return None
+        return Atom(kind="lra", coeffs=terms, rel=rel, const=const)
 
     def sort_key(self):
         return self._sort_key
@@ -156,6 +178,12 @@ class Atom:
         k = self.const
         kstr = str(k.numerator) if k.denominator == 1 else "%d/%d" % (k.numerator, k.denominator)
         return "%s %s %s" % (" ".join(parts), self.rel, kstr)
+
+
+def _degenerate(rel: str, const: Fraction) -> AtomError:
+    return AtomError(
+        "degenerate atom (no variables left): 0 %s %s is trivially true or "
+        "false and may not be an atom" % (rel, const))
 
 
 class AtomSet:
@@ -453,6 +481,12 @@ class Dag:
 
     def kind(self, node: int) -> str:
         return self._payload[node][0]
+
+    def payload(self, node: int) -> tuple:
+        """The node's interned tuple, for walkers that would otherwise read
+        it twice: (TRUE_KIND,), (FALSE_KIND,), (LIT, key, positive),
+        (AND or OR, children), (NOT, child) or (IFF or IMPLIES, a, b)."""
+        return self._payload[node]
 
     def children(self, node: int) -> tuple[int, ...]:
         p = self._payload[node]

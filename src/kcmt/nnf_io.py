@@ -25,9 +25,15 @@ backed artifacts. The circuit file's first comment records the sha-256
 of the map text, so a circuit is never silently re-interpreted against
 a foreign atom map; hand-written files without the comment are accepted
 as-is. An OBDD artifact's circuit is read straight into a fresh
-manager under the stored order, each line applied as a literal,
-conjunction or disjunction, so any NNF over the atoms is accepted and
-the loaded diagram is canonical.
+manager under the stored order. An `O` line over two `A 2` lines that
+guard opposite literals of one variable, above both guarded nodes,
+becomes that decision node directly; every other line is applied as a
+literal, conjunction or disjunction. So any NNF over the atoms is
+accepted, the loaded diagram is canonical, and a file the writer made
+loads into exactly the nodes its root reaches.
+
+The reader does only the work a check needs: a map atom is taken as
+printed and checked to be in normal form, not renormalised.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 from .compiler import (
     KIND_DDNNF,
@@ -81,8 +88,36 @@ def _fail(path: str, lineno: int, msg: str) -> NnfIoError:
 # -- atom strings ------------------------------------------------------------
 
 
+def _constant(tok: str, s: str) -> Fraction:
+    """The rational `Fraction(tok)` reads from an atom string's constant.
+
+    A constant printed as `Atom` prints them, an integer or a reduced
+    `p/q`, is read in integers; anything else goes through `Fraction`'s
+    own parser, with its verdict and message.
+    """
+    num, slash, den = tok.partition("/")
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        pass
+    else:
+        if str(n) == num and (not slash or (
+                d > 1 and str(d) == den and gcd(n, d) == 1)):
+            return Fraction(n, d)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise AtomError("zero denominator in atom string %r" % s)
+
+
 def _atom_from_string(s: str) -> Atom:
-    """Inverse of the atom's printed normal form."""
+    """Inverse of the atom's printed normal form.
+
+    The row is taken as printed: `Atom.normal` builds it only if it is
+    already in normal form, and it must then print back as `s`. A stray
+    sign or term, a repeated variable or an unreduced row would otherwise
+    be read as some other atom without a word.
+    """
     toks = s.split()
     if not toks:
         raise AtomError("empty atom string")
@@ -94,13 +129,10 @@ def _atom_from_string(s: str) -> Atom:
     if len(rels) != 1 or rels[0] == 0 or rels[0] != len(toks) - 2:
         raise AtomError("malformed atom string %r" % s)
     rel = toks[rels[0]]
-    try:
-        const = Fraction(toks[-1])
-    except ZeroDivisionError:
-        raise AtomError("zero denominator in atom string %r" % s)
+    const = _constant(toks[-1], s)
     left = toks[:rels[0]]
-
-    def term(tok: str) -> tuple[int, str]:
+    coeffs: dict[str, int] = {}
+    for sign, tok in zip(["+"] + left[1::2], left[::2]):
         if "*" in tok:
             coef, v = tok.split("*", 1)
             k = int(coef)
@@ -110,17 +142,9 @@ def _atom_from_string(s: str) -> Atom:
             k, v = 1, tok
         if not v:
             raise AtomError("empty variable name in atom string %r" % s)
-        return k, v
-
-    coeffs: dict[str, int] = {}
-    for sign, tok in zip(["+"] + left[1::2], left[::2]):
-        k, v = term(tok)
         coeffs[v] = -k if sign == "-" else k
-    atom = Atom.linear(coeffs, rel, const)
-    # Only the printed normal form reads back. A stray sign or term, a
-    # repeated variable or an unreduced row would otherwise be renormalised
-    # into some other atom without a word.
-    if str(atom) != s:
+    atom = Atom.normal(coeffs, rel, const)
+    if atom is None or str(atom) != s:
         raise AtomError("atom string %r is not in normal form" % s)
     return atom
 
@@ -137,19 +161,20 @@ def _lemma_lines(artifact: CompiledArtifact) -> list[str]:
             for lemma in artifact.lemmas]
 
 
-def _lemma_from_ids(ids: list[int], atoms: list[Atom]) -> TLemma:
+def _lemma_from_ids(ids: list[int], literals: dict) -> TLemma:
     """The canonical lemma of a clause of signed 1-based atom indices.
 
+    `literals` maps each signed index i to its literal, (atom |i|, i > 0).
     Sorting by index gives `canonical_lemma`'s order, since no index may
     repeat.
     """
     ids.sort(key=abs)
     for i in (ids[0], ids[-1]):
-        if not 1 <= abs(i) <= len(atoms):
+        if i not in literals:
             raise LemmaError("no atom with index %d" % abs(i))
     if len(set(map(abs, ids))) != len(ids):
         raise LemmaError("duplicate or complementary literals in a lemma")
-    return TLemma(tuple([(atoms[abs(i) - 1], i > 0) for i in ids]))
+    return TLemma(tuple(map(literals.__getitem__, ids)))
 
 
 def _map_text(artifact: CompiledArtifact) -> str:
@@ -224,7 +249,10 @@ def _parse_map(text: str, path: str):
         nlemmas = int(raw)
     except ValueError:
         raise _fail(path, no, "lemma count must be an integer")
-    atoms = list(alpha)
+    literals = {}
+    for i, atom in enumerate(alpha, 1):
+        literals[i] = (atom, True)
+        literals[-i] = (atom, False)
     lemmas = []
     for _ in range(nlemmas):
         line, no = take("lemma clause")
@@ -232,13 +260,13 @@ def _parse_map(text: str, path: str):
         if not toks or toks[-1] != "0":
             raise _fail(path, no, "lemma clause must end with 0")
         try:
-            ids = [int(t) for t in toks[:-1]]
+            ids = list(map(int, toks[:-1]))
         except ValueError:
             raise _fail(path, no, "lemma clause must be signed integers")
         if not ids:
             raise _fail(path, no, "empty lemma clause")
         try:
-            lemmas.append(_lemma_from_ids(ids, atoms))
+            lemmas.append(_lemma_from_ids(ids, literals))
         except LemmaError as e:
             raise _fail(path, no, "bad lemma clause: %s" % e)
     if pos != len(lines):
@@ -364,30 +392,69 @@ def _bad_child(toks: list[str], count: int, path: str,
     raise AssertionError("every child id is valid")
 
 
-def _ddnnf_mask(pdag: Dag, node: int, masks: dict, path: str,
-                lineno: int) -> int:
-    """Variables under a new node of a d-DNNF file, as a bit mask.
+def _ddnnf_mask(pdag: Dag, node: int, disjunction: bool, masks: dict,
+                path: str, lineno: int) -> int:
+    """Variables under a new AND or OR node of a d-DNNF file, as a bit mask.
 
     Rejects the two shapes that would make counting wrong: a conjunction
     whose conjuncts share a variable, and a disjunction that is not a
     binary decision. `masks` must hold every child of `node`.
     """
-    tag = pdag.kind(node)
-    if tag == LIT:
-        return 1 << pdag.leaf(node)[0]
     mask = 0
     for c in pdag.children(node):
-        shared = mask & masks[c]
-        if tag == AND and shared:
+        below = masks[c]
+        if mask & below and not disjunction:
             raise _fail(path, lineno,
                         "conjuncts share variable %d, so the circuit is not "
-                        "decomposable" % (shared.bit_length() - 1))
-        mask |= masks[c]
-    if tag == OR and decision_var(pdag, node) is None:
+                        "decomposable" % ((mask & below).bit_length() - 1))
+        mask |= below
+    if disjunction and decision_var(pdag, node) is None:
         raise _fail(path, lineno,
                     "O node is not a binary decision on one variable, so "
                     "the circuit is not deterministic")
     return mask
+
+
+# An OBDD file spells each decision node (v, hi, lo) as `A 2 <v> <hi>`,
+# `A 2 <-v> <lo>` and the `O` line over those two arms. The reader keeps a
+# literal, and a conjunction of a literal with a node below it, as a pending
+# (level, polarity, node) arm, and an `O` line over two opposite arms of one
+# level becomes the one node (level, hi, lo): Bryant's ite(v, hi, lo) for a
+# top variable v. An arm is built only where some other line uses it.
+
+
+def _obdd_built(m: ObddManager, x) -> int:
+    """The node of a line: itself, or its pending arm built."""
+    if type(x) is int:
+        return x
+    level, positive, below = x
+    return m.decide(level, below, m.FALSE) if positive else \
+        m.decide(level, m.FALSE, below)
+
+
+def _is_literal(x) -> bool:
+    """A pending literal: an arm that guards the TRUE node."""
+    return type(x) is tuple and x[2] == ObddManager.TRUE
+
+
+def _obdd_line(m: ObddManager, conjunction: bool, kids: list):
+    """The node, or the pending arm, of an `A` or `O` line over `kids`."""
+    if len(kids) == 2:
+        a, b = kids
+        if conjunction and (_is_literal(a) or _is_literal(b)):
+            if not _is_literal(a):
+                a, b = b, a
+            b = _obdd_built(m, b)
+            if m.level_of(b) > a[0]:
+                return (a[0], a[1], b)
+        elif not conjunction and type(a) is tuple and type(b) is tuple \
+                and a[0] == b[0] and a[1] != b[1]:
+            return m.decide(a[0], a[2], b[2]) if a[1] else \
+                m.decide(a[0], b[2], a[2])
+    kids = [_obdd_built(m, x) for x in kids]
+    if conjunction:
+        return reduce(m.and_, kids) if kids else m.TRUE
+    return reduce(m.or_, kids) if kids else m.FALSE
 
 
 # -- public entry points ------------------------------------------------------
@@ -438,7 +505,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
     present, and the header's counts must match the body. A ddnnf
     circuit must be a decision-DNNF. An OBDD circuit may be any NNF: its
     lines are folded into a fresh manager under the stored variable
-    order as they are read.
+    order as they are read, each written decision as one node.
     """
     with open(map_path) as f:
         map_text = f.read()
@@ -480,21 +547,15 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
             "%s: circuit ranges over %d variables but the map lists %d "
             "atoms" % (path, n_vars, len(alpha)))
 
-    if kind == KIND_DDNNF:
+    ddnnf = kind == KIND_DDNNF
+    if ddnnf:
         pdag = Dag()
-        lit, conj, disj = pdag.lit, pdag.and_, pdag.or_
         masks = {pdag.TRUE: 0, pdag.FALSE: 0}
     else:
         manager = ObddManager(order)
-        lit = manager.literal
+        level = {v: i for i, v in enumerate(order)}
 
-        def conj(kids):
-            return reduce(manager.and_, kids) if kids else manager.TRUE
-
-        def disj(kids):
-            return reduce(manager.or_, kids) if kids else manager.FALSE
-
-    nodes: list[int] = []
+    nodes: list = []
     edges = 0
     for i in range(body_start, len(raw)):
         toks = raw[i].split()
@@ -510,43 +571,51 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
             if not 1 <= abs(v) <= n_vars:
                 raise _fail(path, lineno,
                             "literal variable %d outside 1..%d" % (v, n_vars))
-            node = lit(abs(v), v > 0)
-        else:
-            if tag == "A" and ntoks >= 2:
-                try:
-                    k = int(toks[1])
-                except ValueError:
-                    raise _fail(path, lineno, "bad child count %r" % toks[1])
-                start, build = 2, conj
-            elif tag == "O" and ntoks >= 3:
-                try:
-                    v, k = int(toks[1]), int(toks[2])
-                except ValueError:
-                    raise _fail(path, lineno, "bad O node header")
-                if not 0 <= v <= n_vars:
-                    raise _fail(path, lineno,
-                                "decision variable %d outside 0..%d"
-                                % (v, n_vars))
-                start, build = 3, disj
+            if ddnnf:
+                node = pdag.lit(abs(v), v > 0)
+                masks[node] = 1 << abs(v)
             else:
-                raise _fail(path, lineno,
-                            "unrecognized line %r" % raw[i].strip())
-            if ntoks != start + k:
-                raise _fail(path, lineno,
-                            "%s node announces %d children but lists %d"
-                            % (tag, k, ntoks - start))
-            # A negative id is dropped and one past the end raises, so
-            # either leaves fewer than k children.
+                node = (level[abs(v)], v > 0, manager.TRUE)
+            nodes.append(node)
+            continue
+        if tag == "A" and ntoks >= 2:
             try:
-                kids = [nodes[j] for j in map(int, toks[start:]) if j >= 0]
-            except (ValueError, IndexError):
-                kids = ()
-            if len(kids) != k:
-                raise _bad_child(toks[start:], len(nodes), path, lineno)
-            node = build(kids)
-            edges += k
-        if kind == KIND_DDNNF and node not in masks:
-            masks[node] = _ddnnf_mask(pdag, node, masks, path, lineno)
+                k = int(toks[1])
+            except ValueError:
+                raise _fail(path, lineno, "bad child count %r" % toks[1])
+            start = 2
+        elif tag == "O" and ntoks >= 3:
+            try:
+                v, k = int(toks[1]), int(toks[2])
+            except ValueError:
+                raise _fail(path, lineno, "bad O node header")
+            if not 0 <= v <= n_vars:
+                raise _fail(path, lineno,
+                            "decision variable %d outside 0..%d" % (v, n_vars))
+            start = 3
+        else:
+            raise _fail(path, lineno, "unrecognized line %r" % raw[i].strip())
+        if ntoks != start + k:
+            raise _fail(path, lineno,
+                        "%s node announces %d children but lists %d"
+                        % (tag, k, ntoks - start))
+        # A negative id is dropped and one past the end raises, so either
+        # leaves fewer than k children.
+        try:
+            kids = [nodes[j] for j in map(int, toks[start:]) if j >= 0]
+        except (ValueError, IndexError):
+            kids = ()
+        if len(kids) != k:
+            raise _bad_child(toks[start:], len(nodes), path, lineno)
+        edges += k
+        conjunction = tag == "A"
+        if ddnnf:
+            node = pdag.and_(kids) if conjunction else pdag.or_(kids)
+            if node not in masks:
+                masks[node] = _ddnnf_mask(pdag, node, not conjunction, masks,
+                                          path, lineno)
+        else:
+            node = _obdd_line(manager, conjunction, kids)
         nodes.append(node)
     if not nodes:
         raise NnfIoError("%s: circuit has no nodes" % path)
@@ -559,9 +628,9 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
             "%s: header announces %d edges but the body has %d"
             % (path, n_edges, edges))
 
-    if kind == KIND_DDNNF:
+    if ddnnf:
         return CompiledArtifact(kind, mode, alpha, amap, lemma_set, nodes[-1],
                                 dag=pdag)
     return CompiledArtifact(kind, mode, alpha, amap, lemma_set,
-                            manager.ref(nodes[-1]), manager=manager,
-                            order=order)
+                            manager.ref(_obdd_built(manager, nodes[-1])),
+                            manager=manager, order=order)

@@ -97,6 +97,17 @@ class ObddManager:
             self._unique[key] = node
         return node
 
+    def decide(self, level: int, hi: int, lo: int) -> int:
+        """The node that tests the variable at `level`: `hi` where it holds,
+        `lo` where it does not.
+
+        Both branches must lie strictly below `level`. This is Bryant's
+        ite(x, hi, lo) for a top variable x, and it needs no apply.
+        """
+        if min(self._nodes[hi][0], self._nodes[lo][0]) <= level:
+            raise ObddError("branches must lie below level %d" % level)
+        return self._make(level, hi, lo)
+
     def literal(self, var: int, positive: bool = True) -> int:
         lvl = self._level.get(var)
         if lvl is None:

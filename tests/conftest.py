@@ -1,10 +1,14 @@
 """Shared fixtures: the worked formulas and a small random-formula builder."""
 
+import functools
 import random
 
 import pytest
 
 from kcmt.formulas import Atom, AtomSet, Dag
+from kcmt.generate import InstanceSpec, generate
+from kcmt.lemmas import enumerate_lemmas
+from kcmt.smtlib import parse_smt2, write_smt2
 
 # Verdict lines registered by the acceptance gate; printed after the run
 # because pytest's fd-level capture would otherwise swallow them.
@@ -163,3 +167,17 @@ def random_formula(dag: Dag, rng: random.Random, atoms: list, depth: int = 3) ->
         nodes.append(built)
         rng.shuffle(nodes)
     return nodes[0]
+
+
+@functools.lru_cache(maxsize=None)
+def bench_instance(seed: int) -> tuple:
+    """(fdag, node, alpha, formula lemmas) of criterion 7's instance `seed`,
+    as the benchmark's compile op sees it: written as SMT-LIB and parsed
+    back, which fixes the atom order. Cached for the whole test run, since the
+    lemmas of one instance take a fifth of a second or more."""
+    fdag = Dag()
+    node, alpha = generate(fdag, InstanceSpec(
+        num_lra_atoms=14 + seed % 5, num_rational_vars=3 + seed % 2,
+        dag_depth=4, seed=seed))
+    fdag, node, alpha = parse_smt2(write_smt2(fdag, node, alpha))
+    return fdag, node, alpha, enumerate_lemmas(fdag, node, alpha)

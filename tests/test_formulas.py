@@ -183,6 +183,38 @@ class TestAtomContainers:
         assert not total.extends(Assignment({X_EQ_1: True}))
 
 
+class TestNormalRows:
+    """`Atom.normal` takes a row only as `Atom.linear` would leave it."""
+
+    @pytest.mark.parametrize("coeffs,rel,const", [
+        ({"x": 1}, "<=", 0),
+        ({"x": 2, "y": -3}, "<", Fraction(7, 2)),
+        ({"a": 1, "b": -1, "c": 5}, "=", -2),
+        ({"x": -1}, "<=", Fraction(-1, 3)),
+    ])
+    def test_normal_rows_are_taken_as_given(self, coeffs, rel, const):
+        atom = Atom.normal(coeffs, rel, Fraction(const))
+        assert atom == Atom.linear(coeffs, rel, const)
+        assert hash(atom) == hash(Atom.linear(coeffs, rel, const))
+
+    @pytest.mark.parametrize("coeffs,rel", [
+        ({"y": 1, "x": 1}, "<="),   # names out of order
+        ({"x": 2, "y": 4}, "<"),    # not coprime
+        ({"x": 0, "y": 1}, "<="),   # a zero coefficient
+        ({"x": -1, "y": 1}, "="),   # negative lead on =
+        ({"x": 1}, ">="),           # a relation linear rewrites
+    ])
+    def test_other_rows_are_refused(self, coeffs, rel):
+        assert Atom.normal(coeffs, rel, Fraction(1)) is None
+
+    def test_all_zero_row_is_degenerate_as_in_linear(self):
+        with pytest.raises(AtomError) as normal:
+            Atom.normal({"x": 0}, "<=", Fraction(1, 2))
+        with pytest.raises(AtomError) as linear:
+            Atom.linear({"x": 0}, "<=", Fraction(1, 2))
+        assert str(normal.value) == str(linear.value)
+
+
 class TestAtomHash:
     """Atoms cache their hash; it must still follow equality."""
 

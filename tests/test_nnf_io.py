@@ -3,18 +3,22 @@
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from kcmt import nnf_io
 from kcmt.compiler import (
+    KIND_OBDD,
     MODE_T_EXTENDED,
     build_obdd_artifact,
     build_text,
     build_tred,
+    decision_var,
 )
-from kcmt.formulas import Atom, AtomSet, Dag, atoms_of
+from kcmt.formulas import AND, LIT, OR, Atom, AtomError, AtomSet, Dag, atoms_of
 from kcmt.lemmas import canonical_lemma
 from kcmt.obdd import ObddManager, copy_into, from_formula
 from kcmt.nnf_io import (
@@ -38,9 +42,11 @@ from conftest import (
     X_LE_0,
     build_phi1,
     build_phi2,
+    bench_instance,
     build_two_clause,
     random_atoms,
     random_formula,
+    random_prop,
 )
 
 
@@ -580,3 +586,311 @@ def test_mutated_maps_read_back_only_printed_atoms(fuzz_pairs):
         open(mp, "w").write(map_text)
         accepted += _check_accepted_map(mp, map_text)
     assert 0 < accepted < 1500
+
+
+# -- the atom reader against the Atom.linear round trip ----------------------
+
+
+def _reference_atom_from_string(s: str) -> Atom:
+    """Inverse of the atom's printed normal form."""
+    toks = s.split()
+    if not toks:
+        raise AtomError("empty atom string")
+    rels = [i for i, t in enumerate(toks) if t in ("<=", "<", "=")]
+    if not rels:
+        if len(toks) != 1:
+            raise AtomError("malformed atom string %r" % s)
+        return Atom.boolean(toks[0])
+    if len(rels) != 1 or rels[0] == 0 or rels[0] != len(toks) - 2:
+        raise AtomError("malformed atom string %r" % s)
+    rel = toks[rels[0]]
+    try:
+        const = Fraction(toks[-1])
+    except ZeroDivisionError:
+        raise AtomError("zero denominator in atom string %r" % s)
+    left = toks[:rels[0]]
+
+    def term(tok: str) -> tuple[int, str]:
+        if "*" in tok:
+            coef, v = tok.split("*", 1)
+            k = int(coef)
+        elif tok.startswith("-"):
+            k, v = -1, tok[1:]
+        else:
+            k, v = 1, tok
+        if not v:
+            raise AtomError("empty variable name in atom string %r" % s)
+        return k, v
+
+    coeffs: dict[str, int] = {}
+    for sign, tok in zip(["+"] + left[1::2], left[::2]):
+        k, v = term(tok)
+        coeffs[v] = -k if sign == "-" else k
+    atom = Atom.linear(coeffs, rel, const)
+    # Only the printed normal form reads back. A stray sign or term, a
+    # repeated variable or an unreduced row would otherwise be renormalised
+    # into some other atom without a word.
+    if str(atom) != s:
+        raise AtomError("atom string %r is not in normal form" % s)
+    return atom
+
+
+# Names the SMT-LIB parser refuses are kept too. Such a name need not read
+# back as itself, but the reader must treat it as the reference does.
+_NAMES = ["x", "y", "z", "x1", "x10", "a_b", "B", "-w", "p*q", "2*v"]
+
+
+def _row(terms, rel, const) -> str:
+    """`terms rel const` printed the way `Atom` prints, but as given: no
+    term is dropped, reordered or rescaled."""
+    parts = []
+    for i, (v, a) in enumerate(terms):
+        if i == 0:
+            parts.append(v if a == 1 else "-" + v if a == -1
+                         else "%d*%s" % (a, v))
+        else:
+            parts.append("%s %s" % ("+" if a > 0 else "-", v if abs(a) == 1
+                                    else "%d*%s" % (abs(a), v)))
+    return "%s %s %s" % (" ".join(parts), rel, const)
+
+
+_atoms = st.one_of(
+    st.sampled_from(["b", "p1"]).map(Atom.boolean),
+    st.builds(Atom.linear,
+              st.dictionaries(st.sampled_from(_NAMES),
+                              st.integers(-6, 6).filter(bool),
+                              min_size=1, max_size=4),
+              st.sampled_from(["<=", "<", "=", ">=", ">"]),
+              st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))))
+
+_ATOM_MUTATIONS = ["none", "stray sign", "swap", "repeat", "zero", "scale",
+                   "negative lead", "constant 4/2"]
+
+
+def _mutated_atom(atom, mutation, data) -> str:
+    s = str(atom)
+    if atom.kind == "bool" or mutation == "none":
+        return s
+    terms, rel, const = list(atom.coeffs), atom.rel, str(atom.const)
+    if mutation == "stray sign":
+        toks = s.split()
+        i = data.draw(st.integers(0, len(toks)))
+        sign = data.draw(st.sampled_from(["+", "-"]))
+        if data.draw(st.booleans()) and i < len(toks):
+            toks[i] = sign + toks[i]
+        else:
+            toks.insert(i, sign)
+        return " ".join(toks)
+    if mutation == "swap":
+        i = data.draw(st.integers(0, len(terms) - 1))
+        j = data.draw(st.integers(0, len(terms) - 1))
+        terms[i], terms[j] = terms[j], terms[i]
+    elif mutation == "repeat":
+        term = data.draw(st.sampled_from(terms))
+        terms.insert(data.draw(st.integers(0, len(terms))), term)
+    elif mutation == "zero":
+        name = data.draw(st.sampled_from(_NAMES))
+        terms.insert(data.draw(st.integers(0, len(terms))), (name, 0))
+    elif mutation == "scale":
+        f = data.draw(st.sampled_from([2, -1]))
+        terms = [(v, a * f) for v, a in terms]
+        if data.draw(st.booleans()):
+            const = str(atom.const * f)
+    elif mutation == "negative lead":
+        rel = "="
+        if terms[0][1] > 0:
+            terms = [(v, -a) for v, a in terms]
+    else:
+        const = "4/2"
+    return _row(terms, rel, const)
+
+
+def _outcome(read, s):
+    """What `read(s)` gives: the atom, or the exception's type and text."""
+    try:
+        return read(s)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@seed(20261019)
+@settings(max_examples=1500, deadline=None, database=None)
+@given(atom=_atoms, mutation=st.sampled_from(_ATOM_MUTATIONS),
+       data=st.data())
+def test_atom_reader_agrees_with_the_linear_round_trip(atom, mutation,
+                                                        data):
+    """The reader accepts exactly the strings the `Atom.linear` round trip
+    accepts, returns an equal atom, and refuses the rest with the same
+    exception and message."""
+    s = _mutated_atom(atom, mutation, data)
+    got = _outcome(_atom_from_string, s)
+    assert got == _outcome(_reference_atom_from_string, s)
+    if isinstance(got, Atom):
+        assert str(got) == s
+    if mutation == "none" and all(v.isidentifier()
+                                  for v in atom.variables()):
+        assert got == atom
+
+
+@pytest.mark.parametrize("s", [
+    "x <= 4/2", "x <= -0", "x <= +1", "x <= 1/1", "x <= 2/-3", "x <= 1.5",
+    "x <= 1_0", "x <= 1/0", "x <= 0/0", "x <= abc", "0*x <= 1",
+    "x + 0*x <= 1/2", "0*x + y <= 1", "2*x + 4*y <= 1", "-x + y = 1",
+    "y + x <= 1", "x + x <= 1", "x - x <= 1", "*x <= 1", "1*x <= 1",
+    "+x <= 1", "--x <= 1", "-x <= 1", "-2*x < 7/3", "x - 2*y <= 3/2",
+    "2*x*y <= 1", "x + -y <= 1", "x <= 99999999999999999999",
+])
+def test_atom_reader_agrees_on_hand_picked_rows(s):
+    assert _outcome(_atom_from_string, s) == \
+        _outcome(_reference_atom_from_string, s)
+
+
+# -- OBDD loads hold only the nodes their root reaches -------------------------
+
+
+def _reachable(manager, root):
+    """Nodes reachable from `root`, both terminals included."""
+    seen = {manager.FALSE, manager.TRUE, root}
+    stack = [root]
+    while stack:
+        for c in manager.branches(stack.pop()):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return seen
+
+
+def _variant_literals(seed, natoms):
+    """The literal the benchmark conjoins to F for each of its four EQ/SE
+    variants; None is F itself."""
+    rng = random.Random("variants:%d" % seed)
+    picks = rng.sample(range(natoms), 3)
+    return [None] + [(j, rng.random() < 0.5) for j in picks]
+
+
+def test_obdd_load_holds_only_reachable_nodes(tmp_path):
+    """Each written decision loads as one node, so a loaded manager holds
+    the nodes its root reaches and no half-built arms. Checked on the OBDD
+    artifacts of criterion 7's instances 1000-1019 and on the benchmark's
+    EQ/SE variants of each, built in one shared manager."""
+    for seed in range(1000, 1020):
+        fdag, node, alpha, lemmas = bench_instance(seed)
+        arts = [build_tred(fdag, node, alpha, lemmas=lemmas, kind=KIND_OBDD)]
+        shared = ObddManager(arts[0].order)
+        for lit in _variant_literals(seed, len(alpha)):
+            f = node
+            if lit is not None:
+                f = fdag.and_([node, fdag.lit(alpha[lit[0]], lit[1])])
+            arts.append(build_tred(fdag, f, alpha, lemmas=lemmas,
+                                   kind=KIND_OBDD, manager=shared))
+        for v, art in enumerate(arts):
+            nnf, mp = paths(tmp_path, "s%d.%d" % (seed, v))
+            write_nnf(art, nnf, mp)
+            back = read_nnf(nnf, mp)
+            assert len(back.manager) == \
+                len(_reachable(back.manager, back.root.node)), (seed, v)
+            assert copy_into(back.root, art.manager) == art.root
+
+
+# -- decisions judged by masks, on the circuits the fuzz test parses ----------
+
+
+def _reference_asserted_literals(pdag, node):
+    """Literals a branch asserts, in child order: itself, or its direct
+    AND conjuncts."""
+    tag = pdag.kind(node)
+    if tag == LIT:
+        return (pdag.leaf(node),)
+    if tag == AND:
+        return tuple(pdag.leaf(c) for c in pdag.children(node)
+                     if pdag.kind(c) == LIT)
+    return ()
+
+
+def _reference_decision_var(pdag, node):
+    """Variable a binary OR decides, or None when it has no such shape.
+
+    The OR decides v when one branch asserts v and the other asserts not
+    v, which makes the branches mutually exclusive. When several
+    variables qualify, the first one the left branch asserts wins.
+    """
+    kids = pdag.children(node)
+    if len(kids) != 2:
+        return None
+    right = set(_reference_asserted_literals(pdag, kids[1]))
+    for v, p in _reference_asserted_literals(pdag, kids[0]):
+        if (v, not p) in right:
+            return v
+    return None
+
+
+def _checked_decision_var(pdag, node):
+    got = decision_var(pdag, node)
+    assert got == _reference_decision_var(pdag, node)
+    return got
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(which=st.integers(0, 2), rng=st.randoms(use_true_random=False))
+def test_mutated_circuits_decide_as_the_reference(fuzz_pairs, which, rng):
+    """On every OR node the reader judges in a mutated circuit, and on every
+    OR node of a circuit that loads, the mask test names the variable the
+    ordered scan names."""
+    root, pairs = fuzz_pairs
+    circuit, map_text = pairs[which]
+    nnf, mp = paths(root, "decide")
+    open(nnf, "w").write(_mutated(circuit, rng))
+    open(mp, "w").write(map_text)
+    with mock.patch.object(nnf_io, "decision_var", _checked_decision_var):
+        try:
+            back = read_nnf(nnf, mp)
+        except NnfIoError:
+            return
+    if back.dag is not None:
+        for n in back.dag.reachable(back.root):
+            if back.dag.kind(n) == OR:
+                _checked_decision_var(back.dag, n)
+
+
+def _assert_decides_as_the_reference(pdag, root):
+    ors = [n for n in pdag.reachable(root) if pdag.kind(n) == OR]
+    for n in ors:
+        _checked_decision_var(pdag, n)
+    return len(ors)
+
+
+def test_benchmark_family_decides_as_the_reference():
+    """Every OR node of the tred and text circuits of criterion 7's
+    instances 1000-1049, and of their smoothed forms, gets the variable
+    the ordered scan names."""
+    ors = 0
+    for seed in range(1000, 1050):
+        fdag, node, alpha, lemmas = bench_instance(seed)
+        for art in (build_tred(fdag, node, alpha, lemmas=lemmas),
+                    build_text(fdag, node, alpha)):
+            ors += _assert_decides_as_the_reference(art.dag, art.root)
+            ors += _assert_decides_as_the_reference(art.dag,
+                                                    art.smooth_root())
+    assert ors > 1000
+
+
+def test_random_disjunctions_decide_as_the_reference():
+    """OR nodes where several variables, or none, qualify, and OR nodes
+    over atom leaves, which are no variable indices."""
+    rng = random.Random(20261019)
+    for _ in range(300):
+        pdag = Dag()
+        _assert_decides_as_the_reference(
+            pdag, pdag.to_nnf(random_prop(pdag, rng, rng.randint(1, 4))))
+    for _ in range(100):
+        fdag = Dag()
+        atoms = random_atoms(rng, rng.randint(0, 2), rng.randint(1, 3), 2)
+        _assert_decides_as_the_reference(
+            fdag, fdag.to_nnf(random_formula(fdag, rng, atoms)))
+    pdag = Dag()
+    a, b, na, nb = (pdag.lit(2), pdag.lit(1), pdag.lit(2, False),
+                    pdag.lit(1, False))
+    both = pdag.or_([pdag.and_([a, b]), pdag.and_([nb, na])])
+    assert decision_var(pdag, both) == 2
+    assert _reference_decision_var(pdag, both) == 2

@@ -71,6 +71,23 @@ class TestManagerBasics:
         m = ObddManager((1, 2))
         assert m.literal(2) == m.literal(2)
 
+    def test_decide_is_ite_on_a_top_variable(self):
+        m = ObddManager((1, 2, 3))
+        hi = m.or_(m.literal(2), m.literal(3))
+        lo = m.literal(3, False)
+        node = m.decide(0, hi, lo)
+        x = m.literal(1)
+        assert node == m.or_(m.and_(x, hi), m.and_(m.neg(x), lo))
+        assert m.decide(0, hi, hi) == hi
+        assert m.decide(1, m.TRUE, m.FALSE) == m.literal(2)
+
+    def test_decide_needs_branches_below_the_level(self):
+        m = ObddManager((1, 2))
+        with pytest.raises(ObddError, match="below"):
+            m.decide(1, m.literal(2), m.FALSE)
+        with pytest.raises(ObddError, match="below"):
+            m.decide(1, m.TRUE, m.literal(1))
+
 
 class TestApplyOps:
     def test_binary_tables(self):
