@@ -192,24 +192,6 @@ def _asserted_literals(pdag: Dag, node: int) -> tuple:
     return ()
 
 
-def _literal_masks(pdag: Dag, node: int) -> tuple[int, int]:
-    """Bit masks of the variables a branch asserts positively and
-    negatively: the branch itself, or its direct AND conjuncts."""
-    p = pdag.payload(node)
-    if p[0] == LIT:
-        return (1 << p[1], 0) if p[2] else (0, 1 << p[1])
-    pos = neg = 0
-    if p[0] == AND:
-        for c in p[1]:
-            q = pdag.payload(c)
-            if q[0] == LIT:
-                if q[2]:
-                    pos |= 1 << q[1]
-                else:
-                    neg |= 1 << q[1]
-    return pos, neg
-
-
 def decision_var(pdag: Dag, node: int):
     """Variable a binary OR decides, or None when it has no such shape.
 
@@ -225,8 +207,8 @@ def decision_var(pdag: Dag, node: int):
     if len(kids) != 2:
         return None
     try:
-        pa, na = _literal_masks(pdag, kids[0])
-        pb, nb = _literal_masks(pdag, kids[1])
+        pa, na = pdag.literal_masks(kids[0])
+        pb, nb = pdag.literal_masks(kids[1])
     except (TypeError, ValueError):  # a leaf that is not a variable index
         pass
     else:

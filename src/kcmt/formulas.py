@@ -482,11 +482,24 @@ class Dag:
     def kind(self, node: int) -> str:
         return self._payload[node][0]
 
-    def payload(self, node: int) -> tuple:
-        """The node's interned tuple, for walkers that would otherwise read
-        it twice: (TRUE_KIND,), (FALSE_KIND,), (LIT, key, positive),
-        (AND or OR, children), (NOT, child) or (IFF or IMPLIES, a, b)."""
-        return self._payload[node]
+    def literal_masks(self, node: int) -> tuple[int, int]:
+        """Bit masks of the keys a node asserts positively and negatively:
+        itself if it is a literal, or its direct AND conjuncts that are.
+        Keys must be non-negative ints; any other key raises TypeError or
+        ValueError."""
+        p = self._payload[node]
+        if p[0] == LIT:
+            return (1 << p[1], 0) if p[2] else (0, 1 << p[1])
+        pos = neg = 0
+        if p[0] == AND:
+            for c in p[1]:
+                q = self._payload[c]
+                if q[0] == LIT:
+                    if q[2]:
+                        pos |= 1 << q[1]
+                    else:
+                        neg |= 1 << q[1]
+        return pos, neg
 
     def children(self, node: int) -> tuple[int, ...]:
         p = self._payload[node]

@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 from functools import reduce
-from math import gcd
 
 from .compiler import (
     KIND_DDNNF,
@@ -88,28 +87,6 @@ def _fail(path: str, lineno: int, msg: str) -> NnfIoError:
 # -- atom strings ------------------------------------------------------------
 
 
-def _constant(tok: str, s: str) -> Fraction:
-    """The rational `Fraction(tok)` reads from an atom string's constant.
-
-    A constant printed as `Atom` prints them, an integer or a reduced
-    `p/q`, is read in integers; anything else goes through `Fraction`'s
-    own parser, with its verdict and message.
-    """
-    num, slash, den = tok.partition("/")
-    try:
-        n, d = int(num), int(den) if slash else 1
-    except ValueError:
-        pass
-    else:
-        if str(n) == num and (not slash or (
-                d > 1 and str(d) == den and gcd(n, d) == 1)):
-            return Fraction(n, d)
-    try:
-        return Fraction(tok)
-    except ZeroDivisionError:
-        raise AtomError("zero denominator in atom string %r" % s)
-
-
 def _atom_from_string(s: str) -> Atom:
     """Inverse of the atom's printed normal form.
 
@@ -129,7 +106,10 @@ def _atom_from_string(s: str) -> Atom:
     if len(rels) != 1 or rels[0] == 0 or rels[0] != len(toks) - 2:
         raise AtomError("malformed atom string %r" % s)
     rel = toks[rels[0]]
-    const = _constant(toks[-1], s)
+    try:
+        const = Fraction(toks[-1])
+    except ZeroDivisionError:
+        raise AtomError("zero denominator in atom string %r" % s)
     left = toks[:rels[0]]
     coeffs: dict[str, int] = {}
     for sign, tok in zip(["+"] + left[1::2], left[::2]):
@@ -161,20 +141,19 @@ def _lemma_lines(artifact: CompiledArtifact) -> list[str]:
             for lemma in artifact.lemmas]
 
 
-def _lemma_from_ids(ids: list[int], literals: dict) -> TLemma:
+def _lemma_from_ids(ids: list[int], atoms: list[Atom]) -> TLemma:
     """The canonical lemma of a clause of signed 1-based atom indices.
 
-    `literals` maps each signed index i to its literal, (atom |i|, i > 0).
     Sorting by index gives `canonical_lemma`'s order, since no index may
     repeat.
     """
     ids.sort(key=abs)
     for i in (ids[0], ids[-1]):
-        if i not in literals:
+        if not 1 <= abs(i) <= len(atoms):
             raise LemmaError("no atom with index %d" % abs(i))
     if len(set(map(abs, ids))) != len(ids):
         raise LemmaError("duplicate or complementary literals in a lemma")
-    return TLemma(tuple(map(literals.__getitem__, ids)))
+    return TLemma(tuple([(atoms[abs(i) - 1], i > 0) for i in ids]))
 
 
 def _map_text(artifact: CompiledArtifact) -> str:
@@ -249,10 +228,7 @@ def _parse_map(text: str, path: str):
         nlemmas = int(raw)
     except ValueError:
         raise _fail(path, no, "lemma count must be an integer")
-    literals = {}
-    for i, atom in enumerate(alpha, 1):
-        literals[i] = (atom, True)
-        literals[-i] = (atom, False)
+    atoms = list(alpha)
     lemmas = []
     for _ in range(nlemmas):
         line, no = take("lemma clause")
@@ -260,13 +236,13 @@ def _parse_map(text: str, path: str):
         if not toks or toks[-1] != "0":
             raise _fail(path, no, "lemma clause must end with 0")
         try:
-            ids = list(map(int, toks[:-1]))
+            ids = [int(t) for t in toks[:-1]]
         except ValueError:
             raise _fail(path, no, "lemma clause must be signed integers")
         if not ids:
             raise _fail(path, no, "empty lemma clause")
         try:
-            lemmas.append(_lemma_from_ids(ids, literals))
+            lemmas.append(_lemma_from_ids(ids, atoms))
         except LemmaError as e:
             raise _fail(path, no, "bad lemma clause: %s" % e)
     if pos != len(lines):

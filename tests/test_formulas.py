@@ -288,6 +288,21 @@ class TestDagConstruction:
         assert fdag.and_([a, b]) != fdag.and_([b, a])
         assert fdag.children(fdag.and_([b, a])) == (b, a)
 
+    def test_literal_masks(self):
+        pdag = Dag()
+        a, nb, c = pdag.lit(1), pdag.lit(3, False), pdag.lit(4)
+        assert pdag.literal_masks(a) == (0b10, 0)
+        assert pdag.literal_masks(nb) == (0, 0b1000)
+        # Only direct conjuncts that are literals count.
+        deep = pdag.and_([a, nb, pdag.or_([c, pdag.lit(5)])])
+        assert pdag.literal_masks(deep) == (0b10, 0b1000)
+        assert pdag.literal_masks(pdag.or_([a, c])) == (0, 0)
+        assert pdag.literal_masks(pdag.TRUE) == (0, 0)
+
+    def test_literal_masks_need_index_keys(self, fdag):
+        with pytest.raises(TypeError):
+            fdag.literal_masks(fdag.lit(X_LE_0))
+
     def test_constant_folding(self, fdag):
         a = fdag.lit(X_LE_0)
         assert fdag.and_([a, fdag.TRUE]) == a
