@@ -82,12 +82,13 @@ def validate_config(raw) -> dict:
     cfg.setdefault("instances", [])
     if not isinstance(cfg["instances"], list):
         raise BenchError("instances must be a list")
+    # Exact types: JSON true and false load as bool, a subclass of int.
     for key in ("clauses", "clauseSeed", "oracleBound"):
-        if not isinstance(cfg[key], int) or cfg[key] < 0:
+        if type(cfg[key]) is not int or cfg[key] < 0:
             raise BenchError("%s must be a non-negative integer" % key)
     for key in ("enumTimeoutS", "compileTimeoutS", "queryTimeoutS"):
         value = cfg[key]
-        if not isinstance(value, (int, float)) or value <= 0:
+        if type(value) not in (int, float) or value <= 0:
             raise BenchError("%s must be a positive number" % key)
         cfg[key] = float(value)
     for i, entry in enumerate(cfg["instances"]):
@@ -110,6 +111,10 @@ def _check_instance(entry, index: int) -> None:
     if bad:
         raise BenchError(
             "instance %d: unknown fields %s" % (index, ", ".join(sorted(bad))))
+    for key in sorted(keys):
+        if type(entry[key]) is not int:
+            raise BenchError(
+                "instance %d: %s must be an integer" % (index, key))
 
 
 def _materialize(entry: dict):
@@ -228,8 +233,11 @@ def bench_run(config: dict, out_path: str | None, jobs: int = 1,
               timeout_s: float | None = None) -> list:
     """Run the battery over every instance and write the CSV report.
 
-    `timeout_s` overrides all three phase budgets. Returns the rows.
+    `timeout_s` overrides all three phase budgets. At most `jobs` workers
+    run, one per instance at most. Returns the rows.
     """
+    if jobs < 1:
+        raise BenchError("jobs must be at least 1")
     cfg = validate_config(config)
     if timeout_s is not None:
         if timeout_s <= 0:
@@ -237,8 +245,9 @@ def bench_run(config: dict, out_path: str | None, jobs: int = 1,
         for key in ("enumTimeoutS", "compileTimeoutS", "queryTimeoutS"):
             cfg[key] = float(timeout_s)
     tasks = [(i, entry, cfg) for i, entry in enumerate(cfg["instances"])]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with Pool(workers) as pool:
             per_instance = pool.map(_run_instance, tasks, chunksize=1)
     else:
         per_instance = [_run_instance(t) for t in tasks]

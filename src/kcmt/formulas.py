@@ -26,12 +26,13 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Generator, Hashable, Iterable, Iterator, Mapping
 
 
 class AtomError(ValueError):
-    """Raised when an atom cannot be normalized (degenerate constraint)."""
+    """Raised when an atom is not in normal form, or cannot be normalized
+    (a degenerate constraint)."""
 
 
 class AbstractionError(KeyError):
@@ -49,10 +50,12 @@ _RELATIONS = (REL_LE, REL_LT, REL_EQ)
 class Atom:
     """A Boolean proposition or a normalized linear-rational constraint.
 
-    LRA atoms are stored as `coeffs rel const` with:
-      * coeffs: tuple of (variable, integer coefficient), sorted by variable,
-        no zeros, scaled to coprime integers;
-      * rel in {<=, <, =}; inputs with >= or > have the term negated instead;
+    The constructor enforces the normal form and raises AtomError otherwise.
+    A Boolean atom has a non-empty name and no row. LRA atoms are stored as
+    `coeffs rel const` with:
+      * coeffs: non-empty tuple of (variable, integer coefficient), sorted
+        by non-empty variable name, no zeros, coprime;
+      * rel in {<=, <, =}; `linear` negates the term of >= and > instead;
       * for = atoms the lexicographically-first variable's coefficient is
         positive (the only relation where the sign is a free choice);
       * the constant scales along with the coefficients and stays rational.
@@ -75,6 +78,26 @@ class Atom:
     _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.kind == "lra":
+            rel, row = self.rel, self.coeffs
+            if rel not in _RELATIONS:
+                raise AtomError("unknown relation %r" % (rel,))
+            prev, g = "", 0
+            for v, a in row:
+                # Every name sorts after "", so this also refuses an empty one.
+                if (type(v) is not str or type(a) is not int or not a
+                        or v <= prev):
+                    g = 0
+                    break
+                prev, g = v, gcd(g, a)
+            if (g != 1 or self.name or type(self.const) is not Fraction
+                    or (rel == REL_EQ and row[0][1] < 0)):
+                raise _not_normal(row, rel, self.const)
+        elif self.kind != "bool":
+            raise AtomError("unknown atom kind %r" % (self.kind,))
+        elif not self.name or self.coeffs or self.rel or self.const:
+            raise AtomError("a Boolean atom has a non-empty name and no row, "
+                            "not %r" % (self,))
         object.__setattr__(self, "_hash", hash(
             (self.kind, self.name, self.coeffs, self.rel, self.const)))
         object.__setattr__(self, "_sort_key", (
@@ -92,8 +115,6 @@ class Atom:
 
     @staticmethod
     def boolean(name: str) -> "Atom":
-        if not name:
-            raise AtomError("Boolean atom needs a non-empty name")
         return Atom(kind="bool", name=name)
 
     @staticmethod
@@ -104,54 +125,17 @@ class Atom:
             c = {v: -a for v, a in c.items()}
             k = -k
             rel = REL_LE if rel == ">=" else REL_LT
-        if rel not in _RELATIONS:
-            raise AtomError("unknown relation %r" % (rel,))
-        if not c:
-            raise _degenerate(rel, k)
-        scale = 1
-        for a in c.values():
-            scale = scale * a.denominator // gcd(scale, a.denominator)
+        if not c:  # degenerate: the constructor says so
+            return Atom(kind="lra", rel=rel, const=k)
+        scale = lcm(*(a.denominator for a in c.values()))
         ints = {v: int(a * scale) for v, a in c.items()}
-        g = 0
-        for a in ints.values():
-            g = gcd(g, abs(a))
-        ints = {v: a // g for v, a in ints.items()}
+        g = gcd(*ints.values())
         k = k * scale / g
-        names = sorted(ints)
-        if rel == REL_EQ and ints[names[0]] < 0:
-            ints = {v: -a for v, a in ints.items()}
+        row = tuple((v, ints[v] // g) for v in sorted(ints))
+        if rel == REL_EQ and row[0][1] < 0:
+            row = tuple((v, -a) for v, a in row)
             k = -k
-        return Atom(
-            kind="lra",
-            coeffs=tuple((v, ints[v]) for v in names),
-            rel=rel,
-            const=k,
-        )
-
-    @staticmethod
-    def normal(coeffs: Mapping[str, int], rel: str,
-               const: Fraction) -> "Atom | None":
-        """The atom `coeffs rel const` if that row is a normal form as
-        `linear` makes them, else None. Nothing is rescaled or reordered.
-
-        The rules are checked in integers: variable names strictly
-        ascending in the mapping's order, integer coefficients that are
-        non-zero and coprime, and a positive first coefficient on `=`.
-        Raises AtomError, as `linear` does, when every coefficient is zero.
-        """
-        if rel not in _RELATIONS:
-            return None
-        if not any(coeffs.values()):
-            raise _degenerate(rel, const)
-        terms = tuple(coeffs.items())
-        prev, g = None, 0
-        for v, a in terms:
-            if not a or (prev is not None and v <= prev):
-                return None
-            prev, g = v, gcd(g, a)
-        if g != 1 or (rel == REL_EQ and terms[0][1] < 0):
-            return None
-        return Atom(kind="lra", coeffs=terms, rel=rel, const=const)
+        return Atom(kind="lra", coeffs=row, rel=rel, const=k)
 
     def sort_key(self):
         return self._sort_key
@@ -180,10 +164,14 @@ class Atom:
         return "%s %s %s" % (" ".join(parts), self.rel, kstr)
 
 
-def _degenerate(rel: str, const: Fraction) -> AtomError:
-    return AtomError(
-        "degenerate atom (no variables left): 0 %s %s is trivially true or "
-        "false and may not be an atom" % (rel, const))
+def _not_normal(row: tuple, rel: str, const) -> AtomError:
+    """Why a row with a known relation is no LRA atom."""
+    if not any(a for _, a in row):
+        return AtomError(
+            "degenerate atom (no variables left): 0 %s %s is trivially "
+            "true or false and may not be an atom" % (rel, const))
+    return AtomError("linear atom is not in normal form: %r %s %s"
+                     % (row, rel, const))
 
 
 class AtomSet:

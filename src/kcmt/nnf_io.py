@@ -90,8 +90,8 @@ def _fail(path: str, lineno: int, msg: str) -> NnfIoError:
 def _atom_from_string(s: str) -> Atom:
     """Inverse of the atom's printed normal form.
 
-    The row is taken as printed: `Atom.normal` builds it only if it is
-    already in normal form, and it must then print back as `s`. A stray
+    The row is taken as printed: the `Atom` constructor accepts it only if
+    it is already in normal form, and it must then print back as `s`. A stray
     sign or term, a repeated variable or an unreduced row would otherwise
     be read as some other atom without a word.
     """
@@ -123,7 +123,13 @@ def _atom_from_string(s: str) -> Atom:
         if not v:
             raise AtomError("empty variable name in atom string %r" % s)
         coeffs[v] = -k if sign == "-" else k
-    atom = Atom.normal(coeffs, rel, const)
+    try:
+        atom = Atom(kind="lra", coeffs=tuple(coeffs.items()), rel=rel,
+                    const=const)
+    except AtomError:
+        if not any(coeffs.values()):
+            raise  # degenerate, in `Atom.linear`'s words
+        atom = None
     if atom is None or str(atom) != s:
         raise AtomError("atom string %r is not in normal form" % s)
     return atom

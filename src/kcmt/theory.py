@@ -31,7 +31,7 @@ Literal = tuple[Atom, bool]
 
 
 class TheoryError(ValueError):
-    """Unnormalized atom or ill-formed query."""
+    """Ill-formed query, conflict or evaluation point."""
 
 
 class TheoryInternalError(AssertionError):
@@ -63,15 +63,6 @@ class TheoryVerdict:
 class ConflictCore:
     literals: frozenset
     minimal: bool
-
-
-def _check_normalized(atom: Atom) -> None:
-    if atom.kind == "bool":
-        return
-    if atom.kind != "lra":
-        raise TheoryError("unknown atom kind %r" % atom.kind)
-    if Atom.linear(dict(atom.coeffs), atom.rel, atom.const) != atom:
-        raise TheoryError("atom is not in normal form: %s" % (atom,))
 
 
 def _complementary_pair(literals: Iterable[Literal]) -> Optional[frozenset]:
@@ -286,10 +277,10 @@ class LraBackend:
     When both sides fail, the conflict is the union of the two runs'
     conflicts, which both contain the disequality.
 
-    Each literal's row is built, and its atom checked for normal form, once
-    per backend instance. A row is a positive integer multiple of the
-    literal's constraint (see `_solve_core`); the sign of a gap, which is
-    all `_walk` reads, does not depend on that scale.
+    Each literal's row is built once per backend instance. A row is a
+    positive integer multiple of the literal's constraint (see
+    `_solve_core`); the sign of a gap, which is all `_walk` reads, does
+    not depend on that scale.
     """
 
     def __init__(self) -> None:
@@ -300,8 +291,6 @@ class LraBackend:
 
     def _new_row(self, lit: Literal):
         atom, pol = lit
-        if (atom, not pol) not in self._rows:
-            _check_normalized(atom)
         if atom.kind == "bool":
             return None
         # coeffs . x rel p/q, scaled by q > 0 to integers.

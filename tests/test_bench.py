@@ -6,6 +6,7 @@ import json
 import pytest
 
 from kcmt.bench import COLUMNS, BenchError, bench_run, load_config, validate_config
+from kcmt.cli import main
 
 TIMING = ("tEnumMs", "compileMs", "queryMs")
 
@@ -52,6 +53,16 @@ class TestConfig:
             ({"clauses": -1}, "non-negative integer"),
             ({"oracleBound": 1.5}, "non-negative integer"),
             ({"compileTimeoutS": 0}, "positive number"),
+            # JSON booleans are not numbers, though Python's bool is an int.
+            ({"clauses": True}, "non-negative integer"),
+            ({"clauseSeed": False}, "non-negative integer"),
+            ({"enumTimeoutS": True}, "positive number"),
+            ({"instances": [{"lraAtoms": True}]},
+             "instance 0: lraAtoms must be an integer"),
+            ({"instances": [{"seed": 1, "vars": False}]},
+             "instance 0: vars must be an integer"),
+            ({"instances": [{"depth": 2.5}]},
+             "instance 0: depth must be an integer"),
         ],
     )
     def test_invalid_configs_rejected(self, raw, fragment):
@@ -61,6 +72,17 @@ class TestConfig:
     def test_non_positive_override_rejected(self):
         with pytest.raises(BenchError, match="timeout-s"):
             bench_run({"instances": []}, None, timeout_s=0)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(BenchError, match="jobs must be at least 1"):
+            bench_run({"instances": []}, None, jobs=jobs)
+
+    def test_boolean_config_exits_2(self, tmp_path):
+        p = tmp_path / "bench.cfg"
+        p.write_text(json.dumps({"clauses": True, "instances": []}))
+        assert main(["bench", "--spec", str(p),
+                     "--out", str(tmp_path / "r.csv")]) == 2
 
 
 class TestRows:
@@ -154,6 +176,34 @@ class TestRows:
         }
         assert stable(bench_run(cfg, None)) == \
             stable(bench_run(cfg, None, jobs=3))
+
+    def test_pool_is_no_larger_than_the_instance_list(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr("kcmt.bench.Pool", InProcessPool)
+        two = {"instances": [{"smt2": UNSAT_SMT2}, {"smt2": UNSAT_SMT2}],
+               "clauses": 1}
+        serial = stable(bench_run(two, None))
+        assert stable(bench_run(two, None, jobs=8)) == serial
+        assert sizes == [2]
+        bench_run({"instances": [{"smt2": UNSAT_SMT2}]}, None, jobs=8)
+        bench_run(two, None, jobs=1)
+        assert sizes == [2]
 
     def test_repeat_run_is_deterministic(self):
         cfg = {"instances": [{"seed": 9, "lraAtoms": 5, "vars": 3}],

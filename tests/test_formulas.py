@@ -184,7 +184,13 @@ class TestAtomContainers:
 
 
 class TestNormalRows:
-    """`Atom.normal` takes a row only as `Atom.linear` would leave it."""
+    """The `Atom` constructor takes a row only as `Atom.linear` would
+    leave it, so every way of making an atom yields a normal form."""
+
+    @staticmethod
+    def row(coeffs, rel, const):
+        return Atom(kind="lra", coeffs=tuple(coeffs.items()), rel=rel,
+                    const=Fraction(const))
 
     @pytest.mark.parametrize("coeffs,rel,const", [
         ({"x": 1}, "<=", 0),
@@ -193,7 +199,7 @@ class TestNormalRows:
         ({"x": -1}, "<=", Fraction(-1, 3)),
     ])
     def test_normal_rows_are_taken_as_given(self, coeffs, rel, const):
-        atom = Atom.normal(coeffs, rel, Fraction(const))
+        atom = self.row(coeffs, rel, const)
         assert atom == Atom.linear(coeffs, rel, const)
         assert hash(atom) == hash(Atom.linear(coeffs, rel, const))
 
@@ -205,14 +211,55 @@ class TestNormalRows:
         ({"x": 1}, ">="),           # a relation linear rewrites
     ])
     def test_other_rows_are_refused(self, coeffs, rel):
-        assert Atom.normal(coeffs, rel, Fraction(1)) is None
+        with pytest.raises(AtomError):
+            self.row(coeffs, rel, 1)
 
     def test_all_zero_row_is_degenerate_as_in_linear(self):
-        with pytest.raises(AtomError) as normal:
-            Atom.normal({"x": 0}, "<=", Fraction(1, 2))
+        with pytest.raises(AtomError) as built:
+            self.row({"x": 0}, "<=", Fraction(1, 2))
         with pytest.raises(AtomError) as linear:
             Atom.linear({"x": 0}, "<=", Fraction(1, 2))
-        assert str(normal.value) == str(linear.value)
+        assert str(built.value) == str(linear.value)
+        assert str(built.value).startswith("degenerate atom")
+
+    @pytest.mark.parametrize("make", [
+        lambda: Atom.linear({"": 1}, "<=", 0),
+        lambda: Atom.linear({"x": 1, "": 2}, "<", 1),
+        lambda: Atom(kind="real", coeffs=(("x", 1),), rel="<=",
+                     const=Fraction(0)),
+        lambda: Atom(kind="bool", name="p", coeffs=(("x", 1),), rel="<="),
+        lambda: Atom(kind="bool", name="p", rel="<="),
+        lambda: Atom(kind="lra", coeffs=(("x", Fraction(1)),), rel="<=",
+                     const=Fraction(0)),
+        lambda: Atom(kind="lra", coeffs=(("x", 1),), rel="<=", const=0.5),
+        lambda: Atom(kind="lra", name="p", coeffs=(("x", 1),), rel="<=",
+                     const=Fraction(0)),
+    ], ids=["empty name", "empty second name", "unknown kind",
+            "Boolean with a row", "Boolean with a relation",
+            "Fraction coefficient", "float constant", "named row"])
+    def test_constructor_refuses_what_is_not_a_normal_form(self, make):
+        with pytest.raises(AtomError):
+            make()
+
+    def test_names_the_smtlib_parser_refuses_are_legal(self):
+        # Only the SMT-LIB parser restricts names; an atom needs them
+        # non-empty and ascending.
+        atom = Atom.linear({"-w": 1, "p*q": 2, "2*v": -3}, "<", 1)
+        assert atom.variables() == ("-w", "2*v", "p*q")
+        assert self.row(dict(atom.coeffs), "<", 1) == atom
+
+    def test_replace_and_unpickling_are_checked(self):
+        a = Atom.linear({"x": 1}, "<=", 0)
+        with pytest.raises(AtomError):
+            dataclasses.replace(a, coeffs=(("x", 2),))
+        with pytest.raises(AtomError):
+            dataclasses.replace(Atom.boolean("p"), name="")
+        # An atom forced out of normal form behind the constructor's back
+        # cannot be pickled back in.
+        object.__setattr__(a, "coeffs", (("x", 2),))
+        blob = pickle.dumps(a)
+        with pytest.raises(AtomError):
+            pickle.loads(blob)
 
 
 class TestAtomHash:

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -125,7 +126,7 @@ class TestDdnnfRoundTrip:
         art = build_tred(fdag, node)
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
-        assert "O 0 0" in open(nnf).read().splitlines()
+        assert "O 0 0" in Path(nnf).read_text().splitlines()
         back = read_nnf(nnf, mp)
         assert back.root == back.dag.FALSE
         assert not is_consistent(back)
@@ -135,7 +136,7 @@ class TestDdnnfRoundTrip:
         art = build_tred(fdag, fdag.TRUE, AtomSet([X_LE_0]))
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
-        lines = open(nnf).read().splitlines()
+        lines = Path(nnf).read_text().splitlines()
         assert lines[-1] == "A 0"
         assert lines[1].startswith("nnf 1 0 ")
         assert read_nnf(nnf, mp).root == Dag().TRUE
@@ -214,7 +215,7 @@ class TestObddRoundTrip:
 def nnf_dag(nnf_path):
     """A circuit file's NNF as a Dag, read without any checks."""
     pdag, nodes = Dag(), []
-    for line in open(nnf_path).read().splitlines():
+    for line in Path(nnf_path).read_text().splitlines():
         toks = line.split()
         if not toks or toks[0] in ("c", "nnf"):
             continue
@@ -272,7 +273,7 @@ class TestLemmaDump:
         art = build_tred(fdag, build_phi1(fdag))
         path = str(tmp_path / "a.lem")
         write_lemmas(art, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[1] == "p cnf 2 1"
         assert lines[2] == "-1 -2 0"
 
@@ -281,7 +282,7 @@ class TestLemmaDump:
         art = build_tred(fdag, build_two_clause(fdag))
         path = str(tmp_path / "b.lem")
         write_lemmas(art, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[1] == "p cnf 4 2"
         assert set(lines[2:]) == {"-1 -3 0", "-2 -4 0"}
 
@@ -360,18 +361,18 @@ class TestFormatErrors:
 
     def test_map_hash_mismatch(self, tmp_path):
         art, nnf, mp = self._written(tmp_path)
-        text = open(mp).read().replace("x <= 0", "x <= 1")
-        open(mp, "w").write(text)
+        text = Path(mp).read_text().replace("x <= 0", "x <= 1")
+        Path(mp).write_text(text)
         with pytest.raises(NnfIoError, match="hash mismatch"):
             read_nnf(nnf, mp)
 
     def test_var_count_mismatch(self, tmp_path):
         art, nnf, mp = self._written(tmp_path)
-        lines = open(nnf).read().splitlines()
+        lines = Path(nnf).read_text().splitlines()
         # strip the hash comment so the forged header is what fails
         lines[0] = "c edited"
         lines[1] = "nnf 7 6 3"
-        open(nnf, "w").write("\n".join(lines) + "\n")
+        Path(nnf).write_text("\n".join(lines) + "\n")
         with pytest.raises(NnfIoError, match="3 variables"):
             read_nnf(nnf, mp)
 
@@ -449,8 +450,8 @@ class TestFormatErrors:
     ])
     def test_malformed_maps(self, tmp_path, mutate, err):
         art, nnf, mp = self._written(tmp_path)
-        text = mutate(open(mp).read())
-        open(mp, "w").write(text)
+        text = mutate(Path(mp).read_text())
+        Path(mp).write_text(text)
         with pytest.raises(NnfIoError, match=err):
             read_nnf(nnf, mp)
 
@@ -459,8 +460,8 @@ class TestFormatErrors:
         art = build_obdd_artifact(fdag, build_phi1(fdag))
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
-        text = open(mp).read().replace("order 1 2", "order 1 3")
-        open(mp, "w").write(text)
+        text = Path(mp).read_text().replace("order 1 2", "order 1 3")
+        Path(mp).write_text(text)
         with pytest.raises(NnfIoError, match="permutation"):
             read_nnf(nnf, mp)
 
@@ -526,7 +527,7 @@ def fuzz_pairs(tmp_path_factory):
                 build_obdd_artifact(fdag, node)):
         nnf, mp = paths(root)
         write_nnf(art, nnf, mp)
-        pairs.append((open(nnf).read(), open(mp).read()))
+        pairs.append((Path(nnf).read_text(), Path(mp).read_text()))
     return root, pairs
 
 
@@ -551,8 +552,8 @@ def test_mutated_pairs_raise_only_nnf_io_error(fuzz_pairs, which, in_map,
     else:
         circuit = _mutated(circuit, rng)
     nnf, mp = paths(root, "mutant")
-    open(nnf, "w").write(circuit)
-    open(mp, "w").write(map_text)
+    Path(nnf).write_text(circuit)
+    Path(mp).write_text(map_text)
     _check_accepted_map(mp, map_text)
     try:
         read_nnf(nnf, mp)
@@ -583,7 +584,7 @@ def test_mutated_maps_read_back_only_printed_atoms(fuzz_pairs):
     accepted = 0
     for s in range(1500):
         map_text = _mutated(pairs[s % 3][1], random.Random(s))
-        open(mp, "w").write(map_text)
+        Path(mp).write_text(map_text)
         accepted += _check_accepted_map(mp, map_text)
     assert 0 < accepted < 1500
 
@@ -840,8 +841,8 @@ def test_mutated_circuits_decide_as_the_reference(fuzz_pairs, which, rng):
     root, pairs = fuzz_pairs
     circuit, map_text = pairs[which]
     nnf, mp = paths(root, "decide")
-    open(nnf, "w").write(_mutated(circuit, rng))
-    open(mp, "w").write(map_text)
+    Path(nnf).write_text(_mutated(circuit, rng))
+    Path(mp).write_text(map_text)
     with mock.patch.object(nnf_io, "decision_var", _checked_decision_var):
         try:
             back = read_nnf(nnf, mp)

@@ -21,7 +21,7 @@ from typing import Iterable
 import pytest
 
 from kcmt import theory
-from kcmt.formulas import REL_EQ, REL_LE, REL_LT, Atom
+from kcmt.formulas import REL_EQ, REL_LE, REL_LT, Atom, AtomError
 from kcmt.lemmas import enumerate_lemmas
 from kcmt.theory import (
     BooleanBackend,
@@ -31,7 +31,6 @@ from kcmt.theory import (
     TheoryError,
     TheoryInternalError,
     TheoryVerdict,
-    _check_normalized,
     _complementary_pair,
     evaluate_literal,
     holds_at,
@@ -323,8 +322,6 @@ class FractionLraBackend:
 
     def _new_row(self, lit: Literal):
         atom, pol = lit
-        if (atom, not pol) not in self._rows:
-            _check_normalized(atom)
         if atom.kind == "bool":
             return None
         origin = frozenset((lit,))
@@ -485,10 +482,10 @@ class TestLraVerdicts:
     def test_empty_conjunction_is_sat(self):
         assert self.check([]).is_sat
 
-    def test_unnormalized_atom_rejected(self):
-        raw = Atom(kind="lra", coeffs=(("x", 2),), rel="<=", const=Fraction(1))
-        with pytest.raises(TheoryError):
-            self.check([(raw, True)])
+    def test_unnormalized_atom_cannot_be_built(self):
+        # No backend sees an atom outside normal form: building one fails.
+        with pytest.raises(AtomError):
+            Atom(kind="lra", coeffs=(("x", 2),), rel="<=", const=Fraction(1))
 
     def test_evaluate_literal_rejects_boolean(self):
         with pytest.raises(TheoryError):
@@ -505,12 +502,6 @@ class TestLraVerdicts:
         assert holds_at(atom, True, {"x": Fraction(1, 2)})
         assert not holds_at(atom, True, {"x": Fraction(1)})
         assert holds_at(atom, False, {"x": Fraction(1)})
-
-    def test_atom_normal_form_checked_on_every_call_until_it_passes(self):
-        raw = Atom(kind="lra", coeffs=(("x", 2),), rel="<=", const=Fraction(1))
-        for _ in range(2):
-            with pytest.raises(TheoryError):
-                self.check([(raw, True), (X_LE_0, True)])
 
 
 @pytest.fixture
