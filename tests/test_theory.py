@@ -482,10 +482,22 @@ class TestLraVerdicts:
     def test_empty_conjunction_is_sat(self):
         assert self.check([]).is_sat
 
-    def test_unnormalized_atom_cannot_be_built(self):
+    def test_unnormalized_atom_rejected(self):
         # No backend sees an atom outside normal form: building one fails.
         with pytest.raises(AtomError):
             Atom(kind="lra", coeffs=(("x", 2),), rel="<=", const=Fraction(1))
+
+    def test_atom_normal_form_checked_on_every_call_until_it_passes(self):
+        # No verdict on a row is cached: each attempt to build the same
+        # non-normal atom is refused, and its normal form builds and checks.
+        for _ in range(2):
+            with pytest.raises(AtomError):
+                Atom(kind="lra", coeffs=(("x", 2),), rel="<=",
+                     const=Fraction(1))
+        fixed = Atom(kind="lra", coeffs=(("x", 1),), rel="<=",
+                     const=Fraction(1, 2))
+        assert fixed == lin({"x": 2}, "<=", 1)
+        assert self.check([(fixed, True), (X_LE_0, True)]).is_sat
 
     def test_evaluate_literal_rejects_boolean(self):
         with pytest.raises(TheoryError):
