@@ -180,6 +180,8 @@ class AtomSet:
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: list[Atom] = []
         self._index: dict[Atom, int] = {}
+        # backend -> theory outcomes of lemma enumerations; see `outcomes`
+        self._outcomes: dict = {}
         for a in atoms:
             self.add(a)
 
@@ -211,6 +213,12 @@ class AtomSet:
 
     def position(self, atom: Atom) -> int:
         return self._index[atom]
+
+    def outcomes(self, backend) -> dict:
+        """The theory outcomes that every lemma enumeration over this object
+        with `backend` (None: the default one) shares; see `kcmt.lemmas`.
+        A new atom set starts with none, and equality ignores them."""
+        return self._outcomes.setdefault(backend, {})
 
     def __repr__(self) -> str:
         return "AtomSet([%s])" % ", ".join(str(a) for a in self._atoms)
@@ -270,9 +278,6 @@ class Assignment:
 
     def items(self) -> tuple[tuple[Atom, bool], ...]:
         return self._items
-
-    def as_dict(self) -> dict[Atom, bool]:
-        return dict(self._items)
 
     def is_total_over(self, alpha: AtomSet) -> bool:
         assigned = {a for a, _ in self._items}

@@ -20,6 +20,17 @@ without a backend call, and keeps that witness. Every other prefix is
 decided by one backend call; since each node has its own prefix, each unsat
 verdict and conflict is exactly what the backend returns for that prefix.
 
+Every run over one `AtomSet` object with one backend (the formula run and
+the negation run of a compile, say) shares those outcomes: the witness of a
+sat prefix, the minimized core of an unsat one. A prefix is the values of
+the first k arithmetic atoms, so an int code names it: a leading 1 bit, then
+one bit per decision. A node's witness depends on its prefix alone (the
+parent's, or the backend's for the prefix), so every run reaches the same
+checked prefixes with the same witnesses, and a shared outcome is again
+exactly what the backend returns for that prefix. Lemma sets are the same
+as with a fresh atom set for each run. Nothing is shared between backends or
+atom set objects, however equal their atoms.
+
 A witness is kept in `scaled_point` form, converted once per sat verdict:
 one common denominator and an integer numerator per variable. Testing an
 extension is then an integer dot product (`holds_at_scaled`), with no
@@ -145,9 +156,13 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
         target = label or TARGET_TOP
     else:
         raise LemmaError("unknown enumeration scope %r" % scope)
+    alpha = amap.alpha
+    try:
+        outcomes = alpha.outcomes(backend)
+    except TypeError:  # an unhashable backend shares no outcomes
+        outcomes = {}
     backend = backend if backend is not None else LraBackend()
 
-    alpha = amap.alpha
     if scope == "top":
         pid = pdag.TRUE
     lra = [i for i in range(1, len(alpha) + 1) if amap.atom(i).kind == "lra"]
@@ -185,7 +200,19 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
 
     values: dict[int, bool] = {}
 
-    def dfs(k: int, prefix: tuple, residual: int,
+    def outcome(lits: tuple, prefix: tuple):
+        """The witness in `scaled_point` form (or None) of a sat prefix
+        `lits`, or the minimized core of an unsat one."""
+        verdict = backend.check_conjunction(frozenset(lits))
+        if not verdict.is_sat:
+            # The parent prefix is sat, so every trial inside it is.
+            return minimize_conflict(backend, lits, verdict.conflict,
+                                     index_of=amap.index,
+                                     sat_within=frozenset(prefix)).literals
+        point = verdict.witness
+        return scaled_point(point) if point is not None else None
+
+    def dfs(k: int, code: int, prefix: tuple, residual: int,
             witness: tuple | None) -> None:
         if k == len(lra):
             return
@@ -200,29 +227,25 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
                 if blocked(i, val):
                     continue
                 lits, point = prefix + ((atom, val),), witness
+                child = code << 1 | val
                 # The witness satisfies the prefix; variables it lacks occur
                 # in no prefix literal, so reading them as 0 keeps it a
                 # witness of the extension whenever the new literal holds
                 # there.
                 if point is None or not holds_at_scaled(atom, val, point):
-                    verdict = backend.check_conjunction(frozenset(lits))
-                    if not verdict.is_sat:
-                        # The prefix is sat, so every trial inside it is.
-                        core = minimize_conflict(
-                            backend, lits, verdict.conflict,
-                            index_of=amap.index,
-                            sat_within=frozenset(prefix)).literals
-                        learn(core)
+                    if child in outcomes:
+                        point = outcomes[child]
+                    else:
+                        point = outcomes[child] = outcome(lits, prefix)
+                    if isinstance(point, frozenset):
+                        learn(point)
                         continue
-                    point = verdict.witness
-                    if point is not None:
-                        point = scaled_point(point)
-                dfs(k + 1, lits, res, point)
+                dfs(k + 1, child, lits, res, point)
             finally:
                 del values[i]
 
     if pid != pdag.FALSE:
-        dfs(0, (), pid, ({}, 1))
+        dfs(0, 1, (), pid, ({}, 1))
 
     ordered = sorted(
         learned,

@@ -20,6 +20,7 @@ from kcmt.formulas import (
 from kcmt.generate import InstanceSpec, generate
 from kcmt.lemmas import (
     TARGET_FORMULA,
+    TARGET_NEGATION,
     TARGET_TOP,
     LemmaError,
     LemmaSet,
@@ -31,6 +32,7 @@ from kcmt.lemmas import (
 )
 from kcmt.oracle import Oracle
 from kcmt.queries import count_models, is_valid
+from kcmt.smtlib import parse_smt2, write_smt2
 from kcmt.theory import (
     LraBackend,
     TheoryVerdict,
@@ -296,6 +298,109 @@ class TestIncrementalEnumeration:
         assert fresh >= 10, fresh
         # Reuse really happened: it saved backend calls.
         assert reused.checks < plain.checks, (reused.checks, plain.checks)
+
+
+def _family(seed):
+    """Criterion-7 instance `seed`: its arena, root and atom set."""
+    dag = Dag()
+    node, alpha = generate(dag, InstanceSpec(
+        num_lra_atoms=14 + seed % 5, num_rational_vars=3 + seed % 2,
+        dag_depth=4, seed=seed))
+    return dag, node, alpha
+
+
+def _runs(dag, node):
+    """(target, scope, label) of the formula, negation and top runs."""
+    return ((node, "formula", None),
+            (dag.negate(node), "formula", TARGET_NEGATION),
+            (node, "top", None))
+
+
+def _lines(lset):
+    return [str(lm) for lm in lset.lemmas]
+
+
+class TestSharedOutcomes:
+    """Runs over one `AtomSet` object with one backend share the theory
+    outcomes of their prefixes; nothing else does."""
+
+    def test_sharing_changes_no_lemma(self):
+        for seed in range(1000, 1050):
+            dag, node, alpha = _family(seed)
+            # The first run finds no outcomes to share, so it is the fresh
+            # run of its target; each later run is checked against one.
+            assert alpha.outcomes(None) == {}
+            for k, (target, scope, label) in enumerate(_runs(dag, node)):
+                shared = enumerate_lemmas(dag, target, alpha, scope=scope,
+                                          label=label)
+                if k:
+                    fresh = enumerate_lemmas(dag, target, AtomSet(alpha),
+                                             scope=scope, label=label)
+                    assert _lines(shared) == _lines(fresh), (seed, scope)
+                    assert shared.target == fresh.target
+
+    @pytest.mark.parametrize("seed", [1000, 1004])
+    def test_a_shared_atom_set_saves_backend_calls(self, seed):
+        dag, node, alpha = _family(seed)
+        shared = _CountingBackend(keep_witness=True)
+        fresh = 0
+        for target, scope, label in _runs(dag, node):
+            enumerate_lemmas(dag, target, alpha, scope=scope, label=label,
+                             backend=shared)
+            alone = _CountingBackend(keep_witness=True)
+            enumerate_lemmas(dag, target, AtomSet(alpha), scope=scope,
+                             label=label, backend=alone)
+            fresh += alone.checks
+        assert shared.checks < fresh, (shared.checks, fresh)
+
+    def test_backends_share_nothing(self):
+        dag, node, alpha = _family(1004)
+        targets = (node, dag.negate(node))
+        alone, own = _CountingBackend(keep_witness=True), AtomSet(alpha)
+        for target in targets:
+            enumerate_lemmas(dag, target, own, backend=alone)
+        for target in targets:
+            enumerate_lemmas(dag, target, alpha)
+        for _ in range(2):
+            other = _CountingBackend(keep_witness=True)
+            for target in targets:
+                enumerate_lemmas(dag, target, alpha, backend=other)
+            assert other.checks == alone.checks
+
+    def test_a_new_atom_set_starts_empty(self):
+        dag, node, alpha = _family(1000)
+        backend = _CountingBackend(keep_witness=True)
+        enumerate_lemmas(dag, node, alpha, backend=backend)
+        assert alpha.outcomes(backend)
+        for copy in (AtomSet(alpha), alpha.union(AtomSet([X_EQ_1]))):
+            assert copy.outcomes(backend) == {}
+            assert copy.outcomes(None) == {}
+        assert AtomSet(alpha) == alpha
+
+    def test_parsing_the_same_text_twice_shares_nothing(self):
+        dag, node, alpha = _family(1004)
+        text = write_smt2(dag, node, alpha)
+        backend = _CountingBackend(keep_witness=True)
+        calls = []
+        for _ in range(2):
+            before = backend.checks
+            fdag, root, parsed = parse_smt2(text)
+            for target in (root, fdag.negate(root)):
+                enumerate_lemmas(fdag, target, parsed, backend=backend)
+            calls.append(backend.checks - before)
+        assert calls[0] == calls[1] > 0, calls
+
+    def test_an_unhashable_backend_still_enumerates(self):
+        class Unhashable(_CountingBackend):
+            __hash__ = None
+
+        dag, node, alpha = _family(1000)
+        backend = Unhashable(keep_witness=True)
+        for target, scope, label in _runs(dag, node):
+            assert _lines(enumerate_lemmas(
+                dag, target, alpha, scope=scope, label=label,
+                backend=backend)) == _lines(enumerate_lemmas(
+                    dag, target, AtomSet(alpha), scope=scope, label=label))
 
 
 class TestBooleanAtoms:
