@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Generator
 
 from .formulas import (AND, FALSE_KIND, LIT, OR, TRUE_KIND, AbstractionMap,
-                       AtomSet, Dag, abstract, atoms_of, fold, gather)
+                       AtomSet, Dag, abstract, atoms_of, fold, gather,
+                       translate)
 from .lemmas import (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP, LemmaSet,
                      abstract_clauses, lemmas_of)
 from .obdd import ObddManager, ObddRef, from_formula
@@ -278,8 +279,9 @@ class CompiledArtifact:
 
     `kind` picks the backend: "ddnnf" roots live in `dag`, "obdd" roots
     in `manager`. `mode` records which lemma transformation produced the
-    circuit and therefore which queries it can answer soundly. Queries
-    read the circuit as it is and never add nodes to `dag`.
+    circuit and therefore which queries it can answer soundly. A d-DNNF
+    artifact's `dag` holds only its circuit, as built or loaded. Queries
+    read the circuit as it is and add no node to `dag` or `manager`.
     """
     kind: str
     mode: str
@@ -305,9 +307,10 @@ class CompiledArtifact:
 def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
            backend, kind, smooth_output, order, manager,
            lemmas: LemmaSet | None) -> CompiledArtifact:
-    """Both pipelines: abstract the formula once, into the artifact's arena,
+    """Both pipelines: abstract the formula once, into a working arena,
     find the lemmas of the abstraction (tReduced) or of its negation
-    (tExtended) there unless `lemmas` is given, combine and compile."""
+    (tExtended) there unless `lemmas` is given, combine, compile, and copy
+    a d-DNNF into an arena of its own."""
     if alpha is None:
         alpha = atoms_of(fdag, node)
     reduced = mode == MODE_T_REDUCED
@@ -353,7 +356,9 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
     root = compile_ddnnf(pdag, pdag.to_nnf(combined))
     if smooth_output:
         root = smooth(pdag, root, len(alpha))
-    return CompiledArtifact(kind, mode, alpha, amap, lemmas, root, dag=pdag)
+    circuit = Dag()
+    root = translate(pdag, root, circuit, lambda key: key)
+    return CompiledArtifact(kind, mode, alpha, amap, lemmas, root, dag=circuit)
 
 
 def build_tred(fdag: Dag, node: int, alpha: AtomSet | None = None, *,

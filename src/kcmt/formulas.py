@@ -494,6 +494,46 @@ class Dag:
                         neg |= 1 << q[1]
         return pos, neg
 
+    def model_count(self, root: int, nvars: int,
+                    fixed: Mapping[int, bool]) -> int:
+        """Number of total assignments over keys 1..nvars that extend
+        `fixed` (key to value) and satisfy `root`, a decision-DNNF.
+
+        One loop over handles 0..root: a node is interned after its
+        children, so ascending handle order is bottom-up. A handle the
+        root does not reach costs time but cannot change the answer. With
+        F free keys, a node's value is 2**F times its probability when
+        every free key is true with probability 1/2: decisions add,
+        because their branches exclude each other, and conjunctions
+        multiply, because their conjuncts share no key. Every partial
+        product of a conjunction spans at most F free keys, so
+        `out * value >> F` stays an exact integer.
+        """
+        free = nvars - len(fixed)
+        top = 1 << free
+        half = top >> 1
+        values: list[int] = []
+        payload = self._payload
+        for n in range(root + 1):
+            p = payload[n]
+            tag = p[0]
+            if tag == LIT:
+                value = fixed.get(p[1])
+                values.append(half if value is None
+                              else top if value == p[2] else 0)
+            elif tag == AND:
+                out = top
+                for c in p[1]:
+                    out = out * values[c] >> free
+                    if not out:
+                        break
+                values.append(out)
+            elif tag == OR:
+                values.append(sum(map(values.__getitem__, p[1])))
+            else:
+                values.append(top if tag == TRUE_KIND else 0)
+        return values[root]
+
     def children(self, node: int) -> tuple[int, ...]:
         p = self._payload[node]
         if p[0] in (AND, OR):
@@ -732,15 +772,15 @@ def abstract(fdag: Dag, node: int, alpha: AtomSet, pdag: Dag) -> tuple[int, Abst
             raise AbstractionError("formula atom missing from the atom set: %s" % a)
         return amap.index(a)
 
-    return _translate(fdag, node, pdag, index), amap
+    return translate(fdag, node, pdag, index), amap
 
 
 def refine(pdag: Dag, node: int, amap: AbstractionMap, fdag: Dag) -> int:
     """Inverse of abstract: indices replaced by their atoms."""
-    return _translate(pdag, node, fdag, amap.atom)
+    return translate(pdag, node, fdag, amap.atom)
 
 
-def _translate(src: Dag, node: int, dst: Dag, leaf) -> int:
+def translate(src: Dag, node: int, dst: Dag, leaf) -> int:
     """Copy `node` into `dst`, mapping each leaf key through `leaf`."""
 
     def visit(n: int) -> Generator:

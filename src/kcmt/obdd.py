@@ -13,7 +13,7 @@ cross-manager mixups fail loudly instead of comparing unrelated integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Sequence
+from typing import Generator, Mapping, Sequence
 
 from .formulas import (AND, FALSE_KIND, IFF, IMPLIES, LIT, NOT, OR, TRUE_KIND,
                        Dag, fold, gather)
@@ -42,6 +42,9 @@ class ObddManager:
 
     FALSE = 0
     TRUE = 1
+    # Per binary op, the node that absorbs the other operand (xor has
+    # none) and the node that leaves it as it is.
+    _IDENTITIES = {"&": (FALSE, TRUE), "|": (TRUE, FALSE), "^": (None, FALSE)}
 
     def __init__(self, order: Sequence[int]):
         order = tuple(order)
@@ -55,8 +58,6 @@ class ObddManager:
             (len(order), 0, 0), (len(order), 0, 0)]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_cache: dict[tuple, int] = {}
-        # satcount of each counted node over the levels from its own down
-        self._counts: dict[int, int] = {self.FALSE: 0, self.TRUE: 1}
 
     # -- structure ----------------------------------------------------------
 
@@ -123,61 +124,53 @@ class ObddManager:
         return other.node
 
     def neg(self, a: int) -> int:
-        key = ("~", a)
-        out = self._apply_cache.get(key)
-        if out is not None:
-            return out
-        if a == self.FALSE:
-            out = self.TRUE
-        elif a == self.TRUE:
-            out = self.FALSE
-        else:
-            lvl, hi, lo = self._nodes[a]
-            out = self._make(lvl, self.neg(hi), self.neg(lo))
-        self._apply_cache[key] = out
-        return out
+        return self._apply2("^", a, self.TRUE)
 
     def _apply2(self, op: str, a: int, b: int) -> int:
-        if op == "&":
-            if a == self.FALSE or b == self.FALSE:
-                return self.FALSE
-            if a == self.TRUE:
-                return b
-            if b == self.TRUE or a == b:
-                return a
-        elif op == "|":
-            if a == self.TRUE or b == self.TRUE:
-                return self.TRUE
-            if a == self.FALSE:
-                return b
-            if b == self.FALSE or a == b:
-                return a
-        elif op == "^":
-            if a == b:
-                return self.FALSE
-            if a == self.FALSE:
-                return b
-            if b == self.FALSE:
-                return a
-            if a == self.TRUE:
-                return self.neg(b)
-            if b == self.TRUE:
-                return self.neg(a)
-        else:
+        """`a op b` by Shannon expansion on the top variable of the two.
+
+        Pending expansions wait on an explicit stack, so the depth of a
+        diagram is bounded by memory only. The hi branch is expanded before
+        the lo branch, and a node is made after both.
+        """
+        if op not in self._IDENTITIES:
             raise ObddError("unknown binary op %r" % op)
-        # Symmetric ops: normalize the cache key.
-        key = (op, a, b) if a <= b else (op, b, a)
-        out = self._apply_cache.get(key)
-        if out is not None:
-            return out
-        la, lb = self._nodes[a][0], self._nodes[b][0]
-        lvl = min(la, lb)
-        a_hi, a_lo = self._nodes[a][1:] if la == lvl else (a, a)
-        b_hi, b_lo = self._nodes[b][1:] if lb == lvl else (b, b)
-        out = self._make(lvl, self._apply2(op, a_hi, b_hi),
-                         self._apply2(op, a_lo, b_lo))
-        self._apply_cache[key] = out
-        return out
+        zero, unit = self._IDENTITIES[op]
+        nodes, cache, make = self._nodes, self._apply_cache, self._make
+        values: list[int] = []
+        # (a, b, None) expands a op b; (level, None, key) makes the node of
+        # the two values on top of `values` and caches it under `key`.
+        todo: list[tuple] = [(a, b, None)]
+        while todo:
+            a, b, key = todo.pop()
+            if key is not None:
+                lo = values.pop()
+                out = make(a, values.pop(), lo)
+                cache[key] = out
+                values.append(out)
+                continue
+            if a == b:
+                out = self.FALSE if op == "^" else a
+            elif a == zero or b == zero:
+                out = zero
+            elif a == unit:
+                out = b
+            elif b == unit:
+                out = a
+            else:
+                # Symmetric ops: normalize the cache key.
+                key = (op, a, b) if a <= b else (op, b, a)
+                out = cache.get(key)
+            if out is None:
+                la, lb = nodes[a][0], nodes[b][0]
+                lvl = min(la, lb)
+                a_hi, a_lo = nodes[a][1:] if la == lvl else (a, a)
+                b_hi, b_lo = nodes[b][1:] if lb == lvl else (b, b)
+                todo += ((lvl, None, key), (a_lo, b_lo, None),
+                         (a_hi, b_hi, None))
+            else:
+                values.append(out)
+        return values[0]
 
     def and_(self, a: int, b: int) -> int:
         return self._apply2("&", a, b)
@@ -191,59 +184,61 @@ class ObddManager:
     def implies(self, a: int, b: int) -> int:
         return self._apply2("|", self.neg(a), b)
 
-    def restrict(self, a: int, var: int, value: bool) -> int:
-        lvl = self._level.get(var)
-        if lvl is None:
-            raise ObddError("variable %d is not in the order" % var)
-        cache: dict[int, int] = {}
+    def reachable(self, a: int) -> list[int]:
+        """The inner nodes that `a` reaches, itself included, in ascending
+        handle order. A node is made after its branches, so one sweep down
+        the handles from `a` finds them, and their ascending order is
+        bottom-up."""
+        reached = bytearray(a + 1)
+        reached[a] = 1
+        out = []
+        for n in range(a, self.TRUE, -1):
+            if reached[n]:
+                out.append(n)
+                _, hi, lo = self._nodes[n]
+                reached[hi] = reached[lo] = 1
+        out.reverse()
+        return out
 
-        def rec(n: int) -> int:
-            if self._nodes[n][0] > lvl:
-                return n
-            out = cache.get(n)
-            if out is not None:
-                return out
-            nl, hi, lo = self._nodes[n]
-            if nl == lvl:
-                out = hi if value else lo
+    def satcount(self, a: int, fixed: Mapping[int, bool] | None = None) -> int:
+        """Number of total assignments over the full order that extend
+        `fixed` (variable to value) and satisfy a, in one bottom-up pass
+        over the nodes `a` reaches. With F free variables, a node's value
+        is 2**F times its probability when every free variable is true with
+        probability 1/2, so a level that an edge skips needs no correction.
+        """
+        pick: dict[int, bool] = {}
+        for var, value in (fixed or {}).items():
+            lvl = self._level.get(var)
+            if lvl is None:
+                raise ObddError("variable %d is not in the order" % var)
+            pick[lvl] = value
+        nodes = self._nodes
+        values = {self.FALSE: 0,
+                  self.TRUE: 1 << (len(self.order) - len(pick))}
+        for n in self.reachable(a):
+            lvl, hi, lo = nodes[n]
+            value = pick.get(lvl)
+            if value is None:
+                values[n] = (values[hi] + values[lo]) >> 1
             else:
-                out = self._make(nl, rec(hi), rec(lo))
-            cache[n] = out
-            return out
-
-        return rec(a)
-
-    def satcount(self, a: int) -> int:
-        """Number of total assignments over the full order satisfying a."""
-        memo = self._counts
-
-        def rec(node: int) -> int:
-            out = memo.get(node)
-            if out is not None:
-                return out
-            lvl, hi, lo = self._nodes[node]
-            out = (rec(hi) << (self._nodes[hi][0] - lvl - 1)) + \
-                  (rec(lo) << (self._nodes[lo][0] - lvl - 1))
-            memo[node] = out
-            return out
-
-        return rec(a) << self._nodes[a][0]
+                values[n] = values[hi] if value else values[lo]
+        return values[a]
 
     def export_text(self, a: int) -> str:
-        """One node per line: id var hiId loId, terminals as 0/1."""
+        """One node per line: id var hiId loId, terminals as 0/1. A node
+        follows both of its branches, hi's lines before lo's."""
         lines = []
         seen = set()
-
-        def rec(n: int) -> None:
-            if n in seen or self.is_terminal(n):
-                return
-            seen.add(n)
+        stack = [(a, False)]
+        while stack:
+            n, ready = stack.pop()
             _, hi, lo = self._nodes[n]
-            rec(hi)
-            rec(lo)
-            lines.append("%d %d %d %d" % (n, self.var_at(n), hi, lo))
-
-        rec(a)
+            if ready:
+                lines.append("%d %d %d %d" % (n, self.var_at(n), hi, lo))
+            elif n not in seen and not self.is_terminal(n):
+                seen.add(n)
+                stack += ((n, True), (lo, False), (hi, False))
         return "\n".join(lines)
 
 
@@ -272,8 +267,26 @@ def equal(a: ObddRef, b: ObddRef) -> bool:
 
 
 def entails(a: ObddRef, b: ObddRef) -> bool:
-    mgr = a.manager
-    return mgr.and_(a.node, mgr.neg(mgr._check(b))) == ObddManager.FALSE
+    """Whether every model of `a` is a model of `b`, by one walk over the
+    pairs of nodes that the two reach under a common path; no node is
+    built. Below a path, a node other than FALSE has a model and one other
+    than TRUE a countermodel, as both test only variables it leaves free."""
+    nodes = a.manager._nodes
+    seen = set()
+    stack = [(a.node, a.manager._check(b))]
+    while stack:
+        x, y = pair = stack.pop()
+        if x == ObddManager.FALSE or y == ObddManager.TRUE or x == y \
+                or pair in seen:
+            continue
+        if x == ObddManager.TRUE or y == ObddManager.FALSE:
+            return False
+        seen.add(pair)
+        lvl = min(nodes[x][0], nodes[y][0])
+        x_hi, x_lo = nodes[x][1:] if nodes[x][0] == lvl else (x, x)
+        y_hi, y_lo = nodes[y][1:] if nodes[y][0] == lvl else (y, y)
+        stack += ((x_lo, y_lo), (x_hi, y_hi))
+    return True
 
 
 def from_formula(pdag: Dag, node: int, manager: ObddManager) -> ObddRef:
@@ -316,16 +329,9 @@ def copy_into(a: ObddRef, target: ObddManager) -> ObddRef:
     src = a.manager
     if src.order != target.order:
         raise ObddError("managers use different variable orders")
-    memo: dict[int, int] = {ObddManager.FALSE: ObddManager.FALSE,
-                            ObddManager.TRUE: ObddManager.TRUE}
-
-    def rec(n: int) -> int:
-        out = memo.get(n)
-        if out is not None:
-            return out
+    copies = {ObddManager.FALSE: ObddManager.FALSE,
+              ObddManager.TRUE: ObddManager.TRUE}
+    for n in src.reachable(a.node):
         lvl, hi, lo = src._nodes[n]
-        out = target._make(lvl, rec(hi), rec(lo))
-        memo[n] = out
-        return out
-
-    return target.ref(rec(a.node))
+        copies[n] = target._make(lvl, copies[hi], copies[lo])
+    return target.ref(copies[a.node])

@@ -5,12 +5,12 @@ answer coincide with the theory-level one: consistency, clausal
 entailment, counting, and enumeration need a T-reduced artifact;
 validity and implicant checks need a T-extended one. Equivalence and
 sentential entailment additionally need the canonical OBDD backend,
-where they reduce to handle identity and one linear apply.
+where they reduce to handle identity and one linear walk.
 
 CO, CE, CT, CT under assumptions, VA and IM all reduce to one count of
 the models that extend a set of fixed literals (`_count`): a single
-bottom-up pass over the d-DNNF as loaded, which adds no node to it, or
-one restriction per literal and a satcount on an OBDD.
+bottom-up pass over the circuit as it is, `Dag.model_count` on a d-DNNF
+and `ObddManager.satcount` on an OBDD. Neither adds a node.
 
 ME expands the partial assignment of every proof tree of the d-DNNF, or
 of every root-to-TRUE path of the OBDD, over the variables it leaves
@@ -25,7 +25,6 @@ set is fixed at compilation time.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -70,68 +69,19 @@ def _indexed(artifact: CompiledArtifact,
     return out
 
 
-def _bump(stats: dict | None) -> None:
+def _bump(stats: dict | None, visits: int = 1) -> None:
     if stats is not None:
-        stats["visits"] = stats.get("visits", 0) + 1
+        stats["visits"] = stats.get("visits", 0) + visits
 
 
 def _count(artifact: CompiledArtifact, fixed: dict[int, bool],
            stats: dict | None = None) -> int:
-    """Number of total assignments over alpha that extend `fixed` (variable
-    index to value) and satisfy the root; either backend.
-
-    A d-DNNF is read as it is, in one bottom-up pass. With F free
-    variables, a node's value is 2**F times its probability when every
-    free variable is true with probability 1/2: decisions add, because
-    their branches exclude each other, and conjunctions multiply, because
-    their conjuncts share no variable. Every partial product of a
-    conjunction spans at most F free variables, so `out * value >> F`
-    stays an exact integer. Both properties are what `compile_ddnnf`
-    builds and what `read_nnf` checks on load.
-    """
+    """Models over alpha that extend `fixed` (variable index to value)."""
     if artifact.kind == KIND_OBDD:
-        manager = artifact.manager
-        node = artifact.root.node
-        for var, value in fixed.items():
-            node = manager.restrict(node, var, value)
         _bump(stats)
-        return manager.satcount(node) >> len(fixed)
-    pdag = artifact.dag
-    free = artifact.nvars - len(fixed)
-    top = 1 << free
-    memo: dict[int, int] = {}
-
-    # Plain recursion rather than `formulas.fold`: a decision circuit is at
-    # most 2·|alpha|+1 deep, and on the query_warm benchmark the fold's
-    # generator per node cost about 50% in wall time and 55% in median
-    # query latency.
-    def rec(n: int) -> int:
-        out = memo.get(n)
-        if out is not None:
-            return out
-        _bump(stats)
-        tag = pdag.kind(n)
-        if tag == LIT:
-            var, positive = pdag.leaf(n)
-            value = fixed.get(var)
-            if value is None:
-                out = top >> 1
-            else:
-                out = top if value == positive else 0
-        elif tag == AND:
-            out = top
-            for c in pdag.children(n):
-                out = out * rec(c) >> free
-                if not out:
-                    break
-        elif tag == OR:
-            out = sum(rec(c) for c in pdag.children(n))
-        else:
-            out = top if tag == TRUE_KIND else 0
-        memo[n] = out
-        return out
-
-    return rec(artifact.root)
+        return artifact.manager.satcount(artifact.root.node, fixed)
+    _bump(stats, artifact.root + 1)
+    return artifact.dag.model_count(artifact.root, artifact.nvars, fixed)
 
 
 # -- the eight queries -------------------------------------------------------
@@ -189,40 +139,38 @@ def enumerate_models(artifact: CompiledArtifact) -> Iterator[Assignment]:
     """ME: all theory-consistent total assignments, lexicographic in atom
     index with true before false."""
     _require(artifact, MODE_T_REDUCED, "enumerateModels")
+    # The partial assignments of each node, bottom-up in handle order.
     if artifact.kind == KIND_OBDD:
         manager = artifact.manager
         root = artifact.root.node
-
-        def partials(node: int) -> list[dict]:
-            if manager.is_terminal(node):
-                return [{}] if node == manager.TRUE else []
+        parts: dict[int, list[dict]] = {manager.FALSE: [], manager.TRUE: [{}]}
+        for node in manager.reachable(root):
             var = manager.var_at(node)
-            return [{var: value, **p} for value, child in
-                    zip((True, False), manager.branches(node))
-                    for p in rec(child)]
+            hi, lo = manager.branches(node)
+            parts[node] = [{var: True, **p} for p in parts[hi]] + \
+                [{var: False, **p} for p in parts[lo]]
     else:
         pdag = artifact.dag
         root = artifact.root
-
-        def partials(node: int) -> list[dict]:
+        parts = {}
+        for node in sorted(pdag.reachable(root)):
             tag = pdag.kind(node)
             if tag == LIT:
                 var, pol = pdag.leaf(node)
-                return [{var: pol}]
-            if tag == AND:
+                parts[node] = [{var: pol}]
+            elif tag == AND:
                 out = [{}]
                 for child in pdag.children(node):
-                    out = [{**m, **tail} for m in out for tail in rec(child)]
-                return out
-            if tag == OR:
-                return [m for child in pdag.children(node)
-                        for m in rec(child)]
-            return [{}] if tag == TRUE_KIND else []
-
-    rec = cache(partials)
+                    out = [{**m, **tail} for m in out for tail in parts[child]]
+                parts[node] = out
+            elif tag == OR:
+                parts[node] = [m for child in pdag.children(node)
+                               for m in parts[child]]
+            else:
+                parts[node] = [{}] if tag == TRUE_KIND else []
     indices = range(1, artifact.nvars + 1)
     found = []
-    for partial in rec(root):
+    for partial in parts[root]:
         free = [i for i in indices if i not in partial]
         for values in product((True, False), repeat=len(free)):
             model = {**partial, **dict(zip(free, values))}

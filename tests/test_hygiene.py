@@ -1,4 +1,5 @@
-"""Source hygiene: every name a kcmt module imports is used or exported."""
+"""Source hygiene: every name a kcmt module imports is used or exported,
+and no walker over a compiled circuit calls itself."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,33 @@ def test_the_walk_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used_or_exported(path):
     assert unused_imports(path.read_text()) == []
+
+
+def self_calls(source: str) -> list[str]:
+    """Functions that call themselves by name, as `f(...)` or `x.f(...)`
+    anywhere in the body of `f`."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and fn.name == getattr(
+                    node.func, "id", getattr(node.func, "attr", None)):
+                out.append("%s (line %d)" % (fn.name, node.lineno))
+                break
+    return out
+
+
+def test_the_walk_sees_a_self_call():
+    assert self_calls("def f(n):\n    return f(n - 1)\n") == ["f (line 2)"]
+    assert self_calls("class C:\n    def g(self):\n"
+                      "        def rec():\n            return self.g()\n"
+                      "        return rec\n") == ["g (line 4)"]
+    assert self_calls("def f():\n    return g()\n") == []
+
+
+# A compiled circuit can be as deep as its atom set is large, so walkers
+# over one must not use the interpreter's stack.
+@pytest.mark.parametrize("name", ["obdd.py", "queries.py"])
+def test_no_circuit_walker_calls_itself(name):
+    assert self_calls((PACKAGE / name).read_text()) == []

@@ -206,7 +206,7 @@ class TestCountingAndModels:
         assert m.satcount(ObddManager.TRUE) == 8
         assert m.satcount(ObddManager.FALSE) == 0
 
-    def test_restrict_fixes_one_variable(self):
+    def test_satcount_with_one_variable_fixed(self):
         rng = random.Random(90106)
         for _ in range(30):
             nvars = rng.randint(2, 4)
@@ -216,10 +216,11 @@ class TestCountingAndModels:
             r = from_formula(p, node, m)
             var = rng.randint(1, nvars)
             val = rng.random() < 0.5
-            out = m.restrict(r.node, var, val)
-            for v in assignments(nvars):
-                assert eval_bdd(m, out, v) == \
-                    eval_bdd(m, r.node, {**v, var: val})
+            size = len(m)
+            assert m.satcount(r.node, {var: val}) == sum(
+                eval_bdd(m, r.node, v) for v in assignments(nvars)
+                if v[var] == val)
+            assert len(m) == size
 
 
 class TestEntailsAndCopy:

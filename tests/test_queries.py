@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from kcmt import cli
 from kcmt.compiler import (
     MODE_T_EXTENDED,
     MODE_T_REDUCED,
@@ -18,6 +19,7 @@ from kcmt.compiler import (
 from kcmt.formulas import (AbstractionMap, Assignment, Atom, AtomSet, Dag,
                            atoms_of, refine)
 from kcmt.generate import InstanceSpec, generate
+from kcmt.nnf_io import read_nnf, write_nnf
 from kcmt.obdd import ObddManager
 from kcmt.oracle import Oracle
 from kcmt.queries import (
@@ -501,7 +503,11 @@ class TestFrozenCircuit:
             alpha = AtomSet(atoms).union(atoms_of(fdag, node))
             tred = build_tred(fdag, node, alpha)
             text = build_text(fdag, node, alpha)
-            sizes = len(tred.dag), len(text.dag)
+            obdd = build_obdd_artifact(fdag, node, alpha)
+            part = build_obdd_artifact(
+                fdag, fdag.and_([node, fdag.lit(alpha[0])]), alpha,
+                manager=obdd.manager)
+            sizes = len(tred.dag), len(text.dag), len(obdd.manager)
             for _ in range(5):
                 k = rng.randint(1, len(alpha))
                 cube = _random_literals(rng, alpha, k)
@@ -511,7 +517,14 @@ class TestFrozenCircuit:
                 entails_clause(tred, cube)
                 is_valid(text)
                 is_implicant(text, cube)
-            assert (len(tred.dag), len(text.dag)) == sizes
+                is_consistent(obdd)
+                count_models(obdd)
+                count_models_assume(obdd, cube)
+                entails_clause(obdd, cube)
+            assert sentential_entails(part, obdd)
+            sentential_entails(obdd, part)
+            equivalent(obdd, part)
+            assert (len(tred.dag), len(text.dag), len(obdd.manager)) == sizes
 
     def test_enumeration_adds_no_nodes(self):
         fdag = Dag()
@@ -521,3 +534,82 @@ class TestFrozenCircuit:
         size = len(tred.dag)
         assert len(list(enumerate_models(tred))) == count_models(tred)
         assert len(tred.dag) == size
+
+
+def _chain(fdag, n):
+    """(and (or b0000 b0001) (or b0001 b0002) ...) over n Boolean atoms."""
+    atoms = [Atom.boolean("b%04d" % i) for i in range(n)]
+    node = fdag.and_([fdag.or_([fdag.lit(a), fdag.lit(b)])
+                      for a, b in zip(atoms, atoms[1:])])
+    return node, AtomSet(atoms)
+
+
+def _fib(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def _round_trip(art, tmp, stem):
+    paths = str(tmp / (stem + ".nnf")), str(tmp / (stem + ".map"))
+    write_nnf(art, *paths)
+    return read_nnf(*paths)
+
+
+class TestLongChain:
+    """A chain's compiled circuits are about as deep as it has atoms, far
+    deeper than the interpreter's recursion limit. Its models are the
+    strings with no two adjacent false atoms: Fibonacci many."""
+
+    N = 1100
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("chain")
+        fdag = Dag()
+        node, alpha = _chain(fdag, self.N)
+        obdd = build_obdd_artifact(fdag, node, alpha)
+        part = build_obdd_artifact(fdag, fdag.and_([node, fdag.lit(alpha[0])]),
+                                   alpha, manager=obdd.manager)
+        arts = {"tred": build_tred(fdag, node, alpha),
+                "text": build_text(fdag, node, alpha), "obdd": obdd,
+                "part": part}
+        loaded = {k: _round_trip(art, tmp, k) for k, art in arts.items()}
+        return alpha, arts, loaded
+
+    def test_counting_queries_agree_on_both_backends(self, chain):
+        alpha, _, loaded = chain
+        first, second = alpha[0], alpha[1]
+        for art in (loaded["tred"], loaded["obdd"]):
+            assert count_models(art) == _fib(self.N + 2)
+            assert count_models_assume(art, [(first, False)]) == \
+                _fib(self.N)
+            assert is_consistent(art)
+            assert entails_clause(art, [(first, True), (second, True)])
+            assert not entails_clause(art, [(first, True)])
+
+    def test_validity_and_implicants_on_the_extended_circuit(self, chain):
+        alpha, _, loaded = chain
+        text = loaded["text"]
+        assert not is_valid(text)
+        assert is_implicant(text, [(a, True) for a in list(alpha)[1::2]])
+        assert not is_implicant(text, [(alpha[0], False), (alpha[1], False)])
+
+    def test_equivalence_and_entailment_between_obdds(self, chain):
+        _, arts, loaded = chain
+        for obdd, part in ((arts["obdd"], arts["part"]),
+                           (loaded["obdd"], loaded["part"])):
+            assert sentential_entails(part, obdd)
+            assert not sentential_entails(obdd, part)
+            assert not equivalent(obdd, part)
+            assert equivalent(part, part)
+
+    def test_cli_counts_a_700_atom_circuit(self, tmp_path, capsys):
+        fdag = Dag()
+        node, alpha = _chain(fdag, 700)
+        nnf, mp = str(tmp_path / "c.nnf"), str(tmp_path / "c.map")
+        write_nnf(build_tred(fdag, node, alpha), nnf, mp)
+        capsys.readouterr()
+        assert cli.main(["query", "ct", nnf, mp]) == 0
+        assert capsys.readouterr().out == "%d\n" % _fib(702)
