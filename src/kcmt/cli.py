@@ -113,7 +113,9 @@ def _read_order(path: str) -> tuple:
 @cli.command("compile")
 @click.option("--input", "input_path", required=True, metavar="F.smt2")
 @click.option("--mode", required=True, type=click.Choice(["tred", "text"]),
-              help="conjoin lemmas (tred) or disjoin negated lemmas (text)")
+              help="tred: the formula and its lemmas; text: the "
+              "tExtended form, stored as its complement, the negation and "
+              "its lemmas")
 @click.option("--target", required=True, type=click.Choice(["ddnnf", "obdd"]))
 @click.option("--lemmas-scope", "lemmas_scope", default="formula",
               type=click.Choice(["formula", "top"]), show_default=True,

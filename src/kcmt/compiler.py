@@ -8,13 +8,17 @@ every OR ranges over the same atoms; its `v or not v` gadgets are
 decisions too, so the result is still a decision-DNNF.
 
 One pipeline, in two modes over one abstraction of the input, conjoins
-(`build_tred`) or disjoins (`build_text`) the clausal lemmas before
-compiling, so the propositional models of the output coincide with the
-theory-consistent models of the input. `build_tred` keeps exactly the
-consistent models; `build_text` adds every inconsistent total
-assignment instead. The input's arena is read, never written. The
-pipeline can also target a reduced ordered BDD backend, whose canonicity
-gives constant-time equivalence checks downstream.
+clausal lemmas with the formula (`build_tred`) or with its negation
+(`build_text`) before compiling. `build_tred` keeps exactly the
+theory-consistent models of the formula. `build_text` stands for the
+paper's tExtended form, formula or negated lemmas, which adds every
+inconsistent total assignment to them; it stores that form's
+complement, the negation conjoined with its own lemmas, which means the
+same model set and compiles to a far smaller circuit. A d-DNNF cannot
+be negated in polytime, so the complement is compiled, not derived.
+The input's arena is read, never written. The pipeline can also target
+a reduced ordered BDD backend, whose canonicity gives constant-time
+equivalence checks downstream.
 """
 
 from __future__ import annotations
@@ -100,11 +104,15 @@ def select_literal(pdag: Dag, node: int) -> int:
 def compile_ddnnf(pdag: Dag, node: int, use_cache: bool = True) -> int:
     """Compile an NNF node into a decision-DNNF in the same arena.
 
-    Branching order: assert a literal conjunct when one exists, split
-    independent components, otherwise decide the selected variable and
-    recurse on both residuals. Residuals are hash-consed, so the cache
-    is keyed on node handles; `use_cache=False` disables it (the result
-    must stay equivalent, only slower to build).
+    Branching order: assert a literal conjunct when one exists, or decide
+    the variable of a literal disjunct l as l or (not l and the residual
+    under not l); split independent components, otherwise decide the
+    selected variable and recurse on both residuals. The disjunct rule is
+    the dual of the conjunct rule: without it, the complement of a CNF, a
+    DNF, is decided one selected variable at a time and grows
+    exponentially. Residuals are hash-consed, so the cache is keyed on
+    node handles; `use_cache=False` disables it (the result must stay
+    equivalent, only slower to build).
     """
     if not pdag.is_nnf(node):
         raise CompileError("compilation input must be in negation normal form")
@@ -113,12 +121,16 @@ def compile_ddnnf(pdag: Dag, node: int, use_cache: bool = True) -> int:
         tag = pdag.kind(n)
         if tag in (TRUE_KIND, FALSE_KIND, LIT):
             return n
-        if tag == AND:
-            for child in pdag.children(n):
-                if pdag.kind(child) == LIT:
-                    var, pol = pdag.leaf(child)
+        for child in pdag.children(n):
+            if pdag.kind(child) == LIT:
+                var, pol = pdag.leaf(child)
+                if tag == AND:
                     rest = yield pdag.residual(n, {var: pol})
                     return pdag.and_([child, rest])
+                rest = yield pdag.residual(n, {var: not pol})
+                return pdag.or_([child, pdag.and_([pdag.lit(var, not pol),
+                                                   rest])])
+        if tag == AND:
             parts = partition(pdag, n)
             if len(parts) > 1:
                 return pdag.and_((yield from gather(parts)))
@@ -279,7 +291,8 @@ class CompiledArtifact:
 
     `kind` picks the backend: "ddnnf" roots live in `dag`, "obdd" roots
     in `manager`. `mode` records which lemma transformation produced the
-    circuit and therefore which queries it can answer soundly. A d-DNNF
+    circuit and therefore which queries it can answer soundly; the root of
+    a tExtended artifact is the complement of the tExtended form. A d-DNNF
     artifact's `dag` holds only its circuit, as built or loaded. Queries
     read the circuit as it is and add no node to `dag` or `manager`.
     """
@@ -309,8 +322,9 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
            lemmas: LemmaSet | None) -> CompiledArtifact:
     """Both pipelines: abstract the formula once, into a working arena,
     find the lemmas of the abstraction (tReduced) or of its negation
-    (tExtended) there unless `lemmas` is given, combine, compile, and copy
-    a d-DNNF into an arena of its own."""
+    (tExtended) there unless `lemmas` is given, conjoin them with the
+    abstraction or its negation, compile, and copy a d-DNNF into an arena
+    of its own."""
     if alpha is None:
         alpha = atoms_of(fdag, node)
     reduced = mode == MODE_T_REDUCED
@@ -340,15 +354,12 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
                 "lemma set was built against a different atom set")
     pdag = Dag()
     prop, amap = abstract(fdag, node, alpha, pdag)
-    if lemmas is None and reduced:
-        lemmas = lemmas_of(pdag, prop, amap, scope, backend)
-    elif lemmas is None:
-        label = TARGET_NEGATION if scope == "formula" else None
-        lemmas = lemmas_of(pdag, pdag.negate(prop), amap, scope, backend,
-                           label)
-    clauses = abstract_clauses(lemmas, amap, pdag)
-    combined = pdag.and_([prop, clauses]) if reduced else \
-        pdag.or_([prop, pdag.negate(clauses)])
+    # tExtended stores the tReduced form of the negation: its complement.
+    target = prop if reduced else pdag.negate(prop)
+    if lemmas is None:
+        label = None if reduced or scope != "formula" else TARGET_NEGATION
+        lemmas = lemmas_of(pdag, target, amap, scope, backend, label)
+    combined = pdag.and_([target, abstract_clauses(lemmas, amap, pdag)])
     if kind == KIND_OBDD:
         root = from_formula(pdag, combined, manager)
         return CompiledArtifact(kind, mode, alpha, amap, lemmas, root,
@@ -384,11 +395,16 @@ def build_text(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
                smooth_output: bool = False, order=None,
                manager: ObddManager | None = None,
                lemmas: LemmaSet | None = None) -> CompiledArtifact:
-    """Compile the disjunction of a formula with its negated lemma clauses.
+    """Compile the tExtended form of a formula, stored as its complement.
 
-    The lemmas target the formula's negation, so every theory-unsat
-    total assignment propositionally satisfies the result. Validity and
-    implicant checks then reduce to propositional counting.
+    The tExtended form is the formula or its negated lemma clauses, where
+    the lemmas target the formula's negation, so every theory-unsat total
+    assignment satisfies it. The artifact stores its complement instead:
+    the negation conjoined with those lemma clauses, whose models are
+    exactly the theory-consistent models of the negation. The formula is
+    valid iff the complement has no model, and a cube is an implicant iff
+    no model of the complement extends it, so both queries are one
+    propositional count.
 
     A precomputed `lemmas` set must target the negation (or the full
     assignment space) over the same atom set.

@@ -21,10 +21,14 @@ alone.
 The sidecar map file carries everything the circuit cannot: the atom
 strings in index order, the artifact's kind and mode, the lemma clauses
 (signed atom indices, DIMACS style), and the variable order for OBDD
-backed artifacts. The circuit file's first comment records the sha-256
-of the map text, so a circuit is never silently re-interpreted against
-a foreign atom map; hand-written files without the comment are accepted
-as-is. An OBDD artifact's circuit is read straight into a fresh
+backed artifacts. The mode line names the form the circuit stores:
+`tReduced`, or `tExtended-complement` for a tExtended artifact, whose
+circuit is the complement of the tExtended form. A map that names
+`tExtended` itself was written for a circuit of the uncomplemented form
+and is refused, so neither form is ever read as the other. The circuit
+file's first comment records the sha-256 of the map text, so a circuit
+is never silently re-interpreted against a foreign atom map;
+hand-written files without the comment are accepted as-is. An OBDD artifact's circuit is read straight into a fresh
 manager under the stored order. An `O` line over two `A 2` lines that
 guard opposite literals of one variable, above both guarded nodes,
 becomes that decision node directly; every other line is applied as a
@@ -73,6 +77,9 @@ from .lemmas import (
 from .obdd import ObddManager
 
 MAP_HEADER = "kcmt-map 1"
+# Artifact mode -> the map's name for the form its circuit stores.
+_MAP_MODES = {MODE_T_REDUCED: "tReduced",
+              MODE_T_EXTENDED: "tExtended-complement"}
 _TARGETS = (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP)
 
 
@@ -166,7 +173,7 @@ def _map_text(artifact: CompiledArtifact) -> str:
     alpha = artifact.alpha
     lines = [MAP_HEADER,
              "kind %s" % artifact.kind,
-             "mode %s" % artifact.mode,
+             "mode %s" % _MAP_MODES[artifact.mode],
              "target %s" % artifact.lemmas.target]
     if artifact.kind == KIND_OBDD:
         lines.append("order %s" % " ".join(str(v) for v in artifact.order))
@@ -201,9 +208,14 @@ def _parse_map(text: str, path: str):
     kind, no = keyed("kind", "kind")
     if kind not in (KIND_DDNNF, KIND_OBDD):
         raise _fail(path, no, "unknown kind %r" % kind)
-    mode, no = keyed("mode", "mode")
-    if mode not in (MODE_T_REDUCED, MODE_T_EXTENDED):
-        raise _fail(path, no, "unknown mode %r" % mode)
+    stored, no = keyed("mode", "mode")
+    if stored == MODE_T_EXTENDED:
+        raise _fail(path, no, "mode tExtended names a circuit of the "
+                    "uncomplemented form, which is no longer read; recompile "
+                    "the artifact")
+    mode = next((m for m, name in _MAP_MODES.items() if name == stored), None)
+    if mode is None:
+        raise _fail(path, no, "unknown mode %r" % stored)
     target, no = keyed("target", "target")
     if target not in _TARGETS:
         raise _fail(path, no, "unknown lemma target %r" % target)

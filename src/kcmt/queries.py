@@ -10,7 +10,10 @@ where they reduce to handle identity and one linear walk.
 CO, CE, CT, CT under assumptions, VA and IM all reduce to one count of
 the models that extend a set of fixed literals (`_count`): a single
 bottom-up pass over the circuit as it is, `Dag.model_count` on a d-DNNF
-and `ObddManager.satcount` on an OBDD. Neither adds a node.
+and `ObddManager.satcount` on an OBDD. Neither adds a node. A T-extended
+artifact stores the complement of its model set (see
+`compiler.build_text`), so VA and IM are emptiness checks: a count of
+zero, over all of alpha or under the cube.
 
 ME expands the partial assignment of every proof tree of the d-DNNF, or
 of every root-to-TRUE path of the OBDD, over the variables it leaves
@@ -95,9 +98,9 @@ def is_consistent(artifact: CompiledArtifact,
 
 
 def is_valid(artifact: CompiledArtifact, stats: dict | None = None) -> bool:
-    """VA: theory validity, as a full propositional model count."""
+    """VA: theory validity, iff the stored complement has no model."""
     _require(artifact, MODE_T_EXTENDED, "isValid")
-    return _count(artifact, {}, stats) == 1 << artifact.nvars
+    return _count(artifact, {}, stats) == 0
 
 
 def entails_clause(artifact: CompiledArtifact,
@@ -112,12 +115,10 @@ def entails_clause(artifact: CompiledArtifact,
 def is_implicant(artifact: CompiledArtifact,
                  cube: Sequence[tuple[Atom, bool]],
                  stats: dict | None = None) -> bool:
-    """IM: cube ⊨ artifact, iff every assignment extending the cube is a
-    model."""
+    """IM: cube ⊨ artifact, iff no model of the stored complement extends
+    the cube."""
     _require(artifact, MODE_T_EXTENDED, "isImplicant")
-    fixed = _indexed(artifact, cube)
-    return _count(artifact, fixed, stats) == \
-        1 << (artifact.nvars - len(fixed))
+    return _count(artifact, _indexed(artifact, cube), stats) == 0
 
 
 def count_models(artifact: CompiledArtifact,
@@ -213,7 +214,15 @@ def equivalent(a: CompiledArtifact, b: CompiledArtifact,
 
 def sentential_entails(a: CompiledArtifact, b: CompiledArtifact,
                        stats: dict | None = None) -> bool:
-    """SE: theory entailment between artifacts, as one OBDD implication."""
+    """SE: theory entailment between artifacts, as one OBDD implication.
+
+    T-extended artifacts store complements, and a ⊨ b iff not b ⊨ not a,
+    so their roots are compared the other way round. Equivalence needs
+    no such turn.
+    """
     other = _matching_obdds(a, b, "sententialEntails")
     _bump(stats)
-    return _obdd.entails(a.root, a.manager.ref(other))
+    first, second = a.root, a.manager.ref(other)
+    if a.mode == MODE_T_EXTENDED:
+        first, second = second, first
+    return _obdd.entails(first, second)

@@ -17,6 +17,7 @@ import pytest
 import conftest
 
 from kcmt.compiler import (
+    MODE_T_EXTENDED,
     build_obdd_artifact,
     build_text,
     build_tred,
@@ -269,6 +270,32 @@ def test_criterion_3_oracle_equivalence(corpus):
                         % (len(corpus), queries, elapsed))
 
 
+def test_textended_obdds_answer_eq_and_se(corpus):
+    """EQ and SE on two tExtended OBDDs, which store complements, answer
+    as the oracle does on criterion 3's formula pairs, in both directions."""
+    oracle = Oracle()
+    one_way = 0
+    for seed, fdag, node, alpha, _, _ in corpus:
+        atoms = list(alpha)
+        manager = ObddManager(tuple(range(1, len(alpha) + 1)))
+        o1 = build_obdd_artifact(fdag, node, alpha, mode=MODE_T_EXTENDED,
+                                 manager=manager)
+        pivot = atoms[seed % len(atoms)]
+        twin = shannon(fdag, node, pivot)
+        perturbed = fdag.not_(fdag.iff(node, fdag.lit(pivot)))
+        for other in (twin, perturbed):
+            o2 = build_obdd_artifact(fdag, other, alpha, mode=MODE_T_EXTENDED,
+                                     manager=manager)
+            assert equivalent(o1, o2) == oracle.query(
+                "eq", fdag, node, alpha, other)
+            forward = oracle.query("se", fdag, node, alpha, other)
+            backward = oracle.query("se", fdag, other, alpha, node)
+            assert sentential_entails(o1, o2) == forward
+            assert sentential_entails(o2, o1) == backward
+            one_way += forward != backward
+    assert one_way > 0
+
+
 def test_criterion_4_structural_invariants(corpus):
     with gate(4, "structural invariants") as info:
         start = time.perf_counter()
@@ -334,10 +361,11 @@ def test_criterion_5_conditioning_preserves_modes():
                     fdag, fdag.and_([res, fdag.lit(atom, pol)]), alpha)
 
                 # Dually for the disjunctive form: the refined residual,
-                # weakened by the literal's negation, stays covering.
-                res2 = refine(text.dag,
-                              text.dag.residual(text.root, {idx: pol}),
-                              text.amap, fdag)
+                # weakened by the literal's negation, stays covering. The
+                # text circuit stores the complement of that form.
+                res2 = fdag.not_(refine(
+                    text.dag, text.dag.residual(text.root, {idx: pol}),
+                    text.amap, fdag))
                 assert oracle.check_textended(
                     fdag, fdag.or_([fdag.lit(atom, not pol), res2]), alpha)
 

@@ -1,5 +1,6 @@
 """Tests for the command-line surface and its exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -20,6 +21,11 @@ PHI1_SMT2 = (
     "(set-logic QF_LRA)\n"
     "(declare-const x Real)\n"
     "(assert (or (<= x 0) (= x 1)))\n"
+)
+NEG_PHI1_SMT2 = (
+    "(set-logic QF_LRA)\n"
+    "(declare-const x Real)\n"
+    "(assert (not (or (<= x 0) (= x 1))))\n"
 )
 PHI2_SMT2 = (
     "(set-logic QF_LRA)\n"
@@ -247,6 +253,44 @@ class TestQuery:
         code, _, _ = run(capsys, "query", "eq",
                          "--other", *art(ws, "tred"), *art(ws, "tred"))
         assert code == 3
+
+    def test_old_textended_map_exits_two(self, ws, tmp_path, capsys):
+        # A map whose mode line names the tExtended form itself belongs to a
+        # circuit of that form, not of its complement; read as the
+        # complement, every VA and IM verdict would flip.
+        nnf, mp = art(ws, "text")
+        map_text = Path(mp).read_text()
+        assert "\nmode tExtended-complement\n" in map_text
+        old_map = map_text.replace("\nmode tExtended-complement\n",
+                                   "\nmode tExtended\n")
+        digest = hashlib.sha256(old_map.encode()).hexdigest()
+        body = Path(nnf).read_text().split("\n", 1)[1]
+        (tmp_path / "old.map").write_text(old_map)
+        (tmp_path / "old.nnf").write_text("c map %s\n%s" % (digest, body))
+        for verb, extra in (("va", []), ("im", ["--cube", "x <= 0"])):
+            code, out, err = run(capsys, "query", verb, *extra,
+                                 str(tmp_path / "old.nnf"),
+                                 str(tmp_path / "old.map"))
+            assert (code, out) == (2, "")
+            assert "recompile" in err
+
+    def test_tred_artifact_of_the_negation_is_no_textended(self, ws, tmp_path,
+                                                           capsys):
+        # The tReduced artifact of not phi has the circuit the tExtended
+        # artifact of phi stores; only its mode line tells them apart.
+        (tmp_path / "neg.smt2").write_text(NEG_PHI1_SMT2)
+        code, _, _ = run(capsys, "compile", "--input",
+                         str(tmp_path / "neg.smt2"), "--mode", "tred",
+                         "--target", "ddnnf", "--out", str(tmp_path / "n.nnf"),
+                         "--map", str(tmp_path / "n.map"))
+        assert code == 0
+        assert "\nmode tReduced\n" in (tmp_path / "n.map").read_text()
+        for verb, extra in (("va", []), ("im", ["--cube", "x <= 0"])):
+            code, out, err = run(capsys, "query", verb, *extra,
+                                 str(tmp_path / "n.nnf"),
+                                 str(tmp_path / "n.map"))
+            assert (code, out) == (3, "")
+            assert "mode violation" in err
 
     def test_non_decomposable_circuit_exits_two(self, ws, tmp_path, capsys):
         # p or q, hand-written as a non-deterministic OR: counting it as a

@@ -14,6 +14,7 @@ from kcmt.compiler import (
     build_text,
     build_tred,
     compile_ddnnf,
+    decision_var,
     partition,
     select_literal,
     smooth,
@@ -157,6 +158,18 @@ class TestCompileDdnnf:
         assert p.kind(out) == "&"
         assert p.lit(5) in p.children(out)
 
+    def test_literal_disjunct_is_decided(self):
+        p = Dag()
+        node = p.or_([p.and_([p.lit(1), p.lit(2)]), p.lit(3, False)])
+        out = compile_ddnnf(p, node)
+        report = validate(p, out)
+        assert report.decomposable and report.deterministic, \
+            report.first_violation
+        assert p.kind(out) == "|"
+        assert decision_var(p, out) == 3
+        assert p.lit(3, False) in p.children(out)
+        assert p.truth_bits(out, [1, 2, 3]) == p.truth_bits(node, [1, 2, 3])
+
     def test_non_nnf_rejected(self):
         p = Dag()
         with pytest.raises(CompileError):
@@ -185,6 +198,31 @@ class TestCompileDdnnf:
             uncached = compile_ddnnf(p, node, use_cache=False)
             order = list(range(1, nvars + 1))
             assert p.truth_bits(cached, order) == p.truth_bits(uncached, order)
+
+
+class TestChainComplement:
+    """The complement of a CNF is a DNF, with no literal conjunct to
+    assert. Deciding the variable of a literal disjunct keeps the compiled
+    complement of the chain (and (or 1 2) (or 2 3) ...) linear in its
+    length; a compile without that rule grows about 3x every four atoms."""
+
+    @staticmethod
+    def complement_nodes(n):
+        p = Dag()
+        chain = p.and_([p.or_([p.lit(v), p.lit(v + 1)]) for v in range(1, n)])
+        out = compile_ddnnf(p, p.negate(chain))
+        report = validate(p, out)
+        assert report.decomposable and report.deterministic, \
+            report.first_violation
+        return len(p.reachable(out))
+
+    def test_ten_more_atoms_add_as_many_nodes(self):
+        a, b, c = (self.complement_nodes(n) for n in (10, 20, 30))
+        assert c - b <= 1.1 * (b - a)
+
+    def test_doubling_the_chain_at_most_doubles_the_circuit(self):
+        assert self.complement_nodes(400) <= \
+            2.2 * self.complement_nodes(200)
 
 
 class TestSmooth:
@@ -364,18 +402,21 @@ class TestBuildText:
         assert art.lemmas.target == TARGET_NEGATION
         assert len(art.lemmas) == 0
         prop, _ = abstract(fdag, node, art.alpha, art.dag)
-        assert art.dag.truth_bits(art.root, [1, 2]) == \
+        # The circuit stores the complement of the model set.
+        assert ~art.dag.truth_bits(art.root, [1, 2]) & 0b1111 == \
             art.dag.truth_bits(prop, [1, 2])
 
     def test_valid_formula_extends_to_tautology(self, fdag):
         node = fdag.or_([fdag.lit(X_LE_0, False), fdag.lit(X_EQ_1, False)])
         art = build_text(fdag, node)
-        assert popcount_over(art.dag, art.root, 2) == 4
+        # The complement of the tautology has no model.
+        assert popcount_over(art.dag, art.root, 2) == 0
 
     def test_bottom_extends_to_blocked_assignment(self, fdag):
         art = build_text(fdag, fdag.FALSE, alpha_phi1())
-        assert popcount_over(art.dag, art.root, 2) == 1
-        assert art.dag.evaluate(art.root, {1: True, 2: True})
+        # The complement keeps the three consistent assignments.
+        assert popcount_over(art.dag, art.root, 2) == 3
+        assert not art.dag.evaluate(art.root, {1: True, 2: True})
 
 
 class TestPrecomputedLemmas:
@@ -426,7 +467,8 @@ class TestObddArtifacts:
         art = build_obdd_artifact(fdag, build_phi1(fdag),
                                   mode=MODE_T_EXTENDED)
         assert art.mode == MODE_T_EXTENDED
-        assert art.manager.satcount(art.root.node) == 3
+        # The complement holds the one model of 4 the extended form lacks.
+        assert art.manager.satcount(art.root.node) == 1
 
     def test_order_validation(self, fdag):
         node = build_phi1(fdag)
@@ -509,7 +551,9 @@ class TestTheoremSuite:
                     report.first_violation
 
             tred_back = refine(tred.dag, tred.root, tred.amap, fdag)
-            text_back = refine(text.dag, text.root, text.amap, fdag)
+            # The text artifact stores the complement of its model set.
+            text_back = fdag.not_(refine(text.dag, text.root, text.amap,
+                                         fdag))
             assert oracle.check_treduced(fdag, tred_back, alpha)
             assert oracle.check_textended(fdag, text_back, alpha)
             assert oracle.query("eq", fdag, tred_back, alpha, node)
@@ -522,7 +566,7 @@ class TestTheoremSuite:
             assert tred_bits & ~prop_bits & mask == 0
 
             prop2, _ = abstract(fdag, node, alpha, text.dag)
-            text_bits = text.dag.truth_bits(text.root, order)
+            text_bits = ~text.dag.truth_bits(text.root, order) & mask
             prop2_bits = text.dag.truth_bits(prop2, order)
             assert prop2_bits & ~text_bits & mask == 0
 
@@ -542,8 +586,9 @@ class TestTheoremSuite:
                          tred.amap, fdag)
             assert oracle.check_treduced(fdag, fdag.and_([res, lit]), alpha)
 
-            res2 = refine(text.dag, text.dag.residual(text.root, {idx: pol}),
-                          text.amap, fdag)
+            res2 = fdag.not_(refine(
+                text.dag, text.dag.residual(text.root, {idx: pol}),
+                text.amap, fdag))
             assert oracle.check_textended(
                 fdag, fdag.or_([fdag.lit(atom, not pol), res2]), alpha)
             checked += 1
@@ -557,6 +602,6 @@ class TestTheoremSuite:
             assert oracle.check_treduced(fdag, back, alpha)
             assert oracle.query("eq", fdag, back, alpha, node)
             text = build_text(fdag, node, alpha, scope="top")
-            back2 = refine(text.dag, text.root, text.amap, fdag)
+            back2 = fdag.not_(refine(text.dag, text.root, text.amap, fdag))
             assert oracle.check_textended(fdag, back2, alpha)
             assert oracle.query("eq", fdag, back2, alpha, node)

@@ -111,6 +111,21 @@ class TestDdnnfRoundTrip:
         assert back.dag.structurally_equal(back.root, art.dag, art.root)
         assert is_valid(back) == is_valid(art)
 
+    def test_text_map_names_the_stored_complement(self, tmp_path):
+        fdag = Dag()
+        art = build_text(fdag, build_phi2(fdag))
+        nnf, mp = paths(tmp_path)
+        write_nnf(art, nnf, mp)
+        map_text = Path(mp).read_text()
+        assert "\nmode tExtended-complement\n" in map_text
+        # The uncomplemented form's mode line is refused, not reinterpreted.
+        Path(mp).write_text(map_text.replace("mode tExtended-complement",
+                                             "mode tExtended"))
+        for read in (lambda: read_nnf(nnf, mp), lambda: read_map(mp)):
+            with pytest.raises(NnfIoError, match="line 3: mode tExtended "
+                               ".*recompile the artifact"):
+                read()
+
     def test_smoothed_artifact(self, tmp_path):
         fdag = Dag()
         art = build_tred(fdag, build_two_clause(fdag), smooth_output=True)

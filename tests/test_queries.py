@@ -9,6 +9,7 @@ import pytest
 
 from kcmt import cli
 from kcmt.compiler import (
+    KIND_OBDD,
     MODE_T_EXTENDED,
     MODE_T_REDUCED,
     build_obdd_artifact,
@@ -427,7 +428,9 @@ class TestOracleAgreement:
             text = build_text(fdag, node, alpha)
             unsmooth += not validate(tred.dag, tred.root).smooth
             tred_bits = tred.dag.truth_bits(tred.root, order)
-            text_bits = text.dag.truth_bits(text.root, order)
+            # The text artifact stores the complement of its model set.
+            text_bits = ~text.dag.truth_bits(text.root, order) & \
+                ((1 << (1 << n)) - 1)
             lits = [(i, pol) for i in order for pol in (True, False)]
             cubes = [()] + [(l,) for l in lits] + [
                 pair for pair in itertools.combinations(lits, 2)
@@ -452,6 +455,30 @@ class TestOracleAgreement:
                     want = oracle.query("im", fdag, node, alpha,
                                         [(atom, pol)])
                     assert is_implicant(text, [(atom, pol)]) == want
+
+
+class TestAboveOracleBound:
+    """Above the oracle's 16-atom bound, the d-DNNF and OBDD tExtended
+    artifacts of one formula and one lemma set check each other."""
+
+    def test_ddnnf_and_obdd_agree_on_va_and_im(self):
+        verdicts = set()
+        for seed in range(1000, 1010):
+            fdag = Dag()
+            node, alpha = generate(fdag, InstanceSpec(
+                num_lra_atoms=14 + seed % 5, num_rational_vars=3 + seed % 2,
+                dag_depth=4, seed=seed))
+            text = build_text(fdag, node, alpha)
+            text_o = build_text(fdag, node, alpha, kind=KIND_OBDD,
+                                lemmas=text.lemmas)
+            assert is_valid(text) == is_valid(text_o)
+            rng = random.Random(seed)
+            for _ in range(20):
+                cube = _random_literals(rng, alpha, rng.randint(2, 4))
+                verdict = is_implicant(text, cube)
+                assert is_implicant(text_o, cube) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestVisitCosts:
