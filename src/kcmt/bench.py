@@ -62,10 +62,13 @@ class BenchError(ValueError):
 def load_config(path: str) -> dict:
     """Read and validate a JSON benchmark config."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise BenchError("cannot read config: %s" % exc) from exc
+    except UnicodeDecodeError as exc:
+        raise BenchError("config %s is not UTF-8 text: %s"
+                         % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise BenchError("config is not valid JSON: %s" % exc) from exc
     return validate_config(raw)
@@ -253,7 +256,7 @@ def bench_run(config: dict, out_path: str | None, jobs: int = 1,
         per_instance = [_run_instance(t) for t in tasks]
     rows = [row for batch in per_instance for row in batch]
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(COLUMNS))
             writer.writeheader()
             writer.writerows(rows)

@@ -60,8 +60,12 @@ def cli():
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise click.UsageError(
+                "%s is not UTF-8 text: %s" % (path, exc)) from exc
 
 
 def _parse_literals(text: str, alpha, what: str) -> list:
@@ -294,7 +298,7 @@ def gen_cmd(seed, bool_atoms, lra_atoms, nvars, depth, out_path):
         dag_depth=depth,
         seed=seed,
     ))
-    with open(out_path, "w") as fh:
+    with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(write_smt2(fdag, node, alpha))
     click.echo("wrote %s: %d atoms, seed %d" % (out_path, len(alpha), seed))
     return 0

@@ -417,6 +417,20 @@ class Dag:
             return flat[0]
         return self._intern((op, tuple(flat)))
 
+    def flat_junction(self, op: str, kids: tuple[int, ...]) -> int | None:
+        """The node `(op, kids)`, for `op` AND or OR, when `kids` are two or
+        more distinct children, none a constant or of kind `op`: the node
+        `and_`/`or_` would make of them, interned without their folding.
+        None for any other `kids`, which need it."""
+        if len(kids) < 2 or len(set(kids)) != len(kids):
+            return None
+        payload = self._payload
+        for c in kids:
+            tag = payload[c][0]
+            if tag == op or tag == TRUE_KIND or tag == FALSE_KIND:
+                return None
+        return self._intern((op, kids))
+
     def and_(self, children: Iterable[int]) -> int:
         return self._junction(AND, children, self.TRUE, self.FALSE)
 

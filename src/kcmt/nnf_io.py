@@ -36,8 +36,15 @@ literal, conjunction or disjunction. So any NNF over the atoms is
 accepted, the loaded diagram is canonical, and a file the writer made
 loads into exactly the nodes its root reaches.
 
-The reader does only the work a check needs: a map atom is taken as
-printed and checked to be in normal form, not renormalised.
+The reader does only the work a check needs. A map atom is taken as
+printed and checked to be in normal form, not renormalised. A lemma
+clause printed as the writer prints it, known literals in ascending
+index, is read by table lookups; any other clause is parsed and checked
+number by number. A d-DNNF line keeps one record, its variable mask and
+the literals it asserts, and both checks are bit operations on its
+children's records. A line whose children are distinct, non-constant and
+not of its own operator, as every written line is, is interned as it
+stands; any other shape is folded as `Dag.and_`/`or_` fold it.
 """
 
 from __future__ import annotations
@@ -169,6 +176,16 @@ def _lemma_from_ids(ids: list[int], atoms: list[Atom]) -> TLemma:
     return TLemma(tuple([(atoms[abs(i) - 1], i > 0) for i in ids]))
 
 
+def _literal_table(atoms: list[Atom]) -> dict[str, tuple]:
+    """Each printed lemma literal, `"3"` or `"-3"`, to its atom index and
+    its (atom, polarity) pair."""
+    table = {}
+    for i, atom in enumerate(atoms, 1):
+        table[str(i)] = (i, (atom, True))
+        table[str(-i)] = (i, (atom, False))
+    return table
+
+
 def _map_text(artifact: CompiledArtifact) -> str:
     alpha = artifact.alpha
     lines = [MAP_HEADER,
@@ -247,10 +264,24 @@ def _parse_map(text: str, path: str):
     except ValueError:
         raise _fail(path, no, "lemma count must be an integer")
     atoms = list(alpha)
+    table = _literal_table(atoms)
     lemmas = []
     for _ in range(nlemmas):
         line, no = take("lemma clause")
         toks = line.split()
+        # A clause as the writer prints it: known literals in strictly
+        # ascending index, then 0, which is already its canonical lemma.
+        if len(toks) > 1 and toks[-1] == "0":
+            last, lits = 0, []
+            for tok in toks[:-1]:
+                got = table.get(tok)
+                if got is None or got[0] <= last:
+                    break
+                last = got[0]
+                lits.append(got[1])
+            else:
+                lemmas.append(TLemma(tuple(lits)))
+                continue
         if not toks or toks[-1] != "0":
             raise _fail(path, no, "lemma clause must end with 0")
         try:
@@ -386,27 +417,35 @@ def _bad_child(toks: list[str], count: int, path: str,
     raise AssertionError("every child id is valid")
 
 
-def _ddnnf_mask(pdag: Dag, node: int, disjunction: bool, masks: dict,
-                path: str, lineno: int) -> int:
-    """Variables under a new AND or OR node of a d-DNNF file, as a bit mask.
+def _ddnnf_record(rec: list, conjunction: bool, kids: tuple, path: str,
+                  lineno: int) -> tuple[int, int, int]:
+    """The record of a new AND or OR node of a d-DNNF file over `kids`, its
+    children as interned, from theirs (see `read_nnf`).
 
     Rejects the two shapes that would make counting wrong: a conjunction
     whose conjuncts share a variable, and a disjunction that is not a
-    binary decision. `masks` must hold every child of `node`.
+    binary decision, one whose branches assert no opposite literals. No
+    conjunction has a conjunction child, so a conjunction asserts the
+    literals its children assert.
     """
-    mask = 0
-    for c in pdag.children(node):
-        below = masks[c]
-        if mask & below and not disjunction:
-            raise _fail(path, lineno,
-                        "conjuncts share variable %d, so the circuit is not "
-                        "decomposable" % ((mask & below).bit_length() - 1))
-        mask |= below
-    if disjunction and decision_var(pdag, node) is None:
-        raise _fail(path, lineno,
-                    "O node is not a binary decision on one variable, so "
-                    "the circuit is not deterministic")
-    return mask
+    mask = pos = neg = 0
+    if conjunction:
+        for c in kids:
+            below, p, n = rec[c]
+            if mask & below:
+                raise _fail(path, lineno,
+                            "conjuncts share variable %d, so the circuit is "
+                            "not decomposable"
+                            % ((mask & below).bit_length() - 1))
+            mask, pos, neg = mask | below, pos | p, neg | n
+        return mask, pos, neg
+    if len(kids) == 2:
+        (ma, pa, na), (mb, pb, nb) = rec[kids[0]], rec[kids[1]]
+        if pa & nb | na & pb:
+            return ma | mb, 0, 0
+    raise _fail(path, lineno,
+                "O node is not a binary decision on one variable, so "
+                "the circuit is not deterministic")
 
 
 # An OBDD file spells each decision node (v, hi, lo) as `A 2 <v> <hi>`,
@@ -431,7 +470,7 @@ def _is_literal(x) -> bool:
     return type(x) is tuple and x[2] == ObddManager.TRUE
 
 
-def _obdd_line(m: ObddManager, conjunction: bool, kids: list):
+def _obdd_line(m: ObddManager, conjunction: bool, kids: tuple):
     """The node, or the pending arm, of an `A` or `O` line over `kids`."""
     if len(kids) == 2:
         a, b = kids
@@ -454,6 +493,15 @@ def _obdd_line(m: ObddManager, conjunction: bool, kids: list):
 # -- public entry points ------------------------------------------------------
 
 
+def _read_text(path) -> str:
+    """A file's text, decoded as UTF-8 whatever the locale."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise NnfIoError("%s: not UTF-8 text: %s" % (path, e))
+
+
 def write_nnf(artifact: CompiledArtifact, nnf_path, map_path) -> None:
     """Serialize an artifact as a circuit file plus its map sidecar."""
     map_text = _map_text(artifact)
@@ -465,9 +513,9 @@ def write_nnf(artifact: CompiledArtifact, nnf_path, map_path) -> None:
     body = ["c map %s" % digest,
             "nnf %d %d %d" % (len(lines), _edge_count(lines), artifact.nvars)]
     body.extend(lines)
-    with open(map_path, "w") as f:
+    with open(map_path, "w", encoding="utf-8") as f:
         f.write(map_text)
-    with open(nnf_path, "w") as f:
+    with open(nnf_path, "w", encoding="utf-8") as f:
         f.write("\n".join(body) + "\n")
 
 
@@ -476,7 +524,7 @@ def write_lemmas(artifact: CompiledArtifact, path) -> None:
     lines = ["c theory lemmas, atoms indexed as in the map sidecar",
              "p cnf %d %d" % (len(artifact.alpha), len(artifact.lemmas))]
     lines.extend(_lemma_lines(artifact))
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -486,8 +534,7 @@ def read_map(map_path) -> AtomSet:
     Lets a caller pin query literals and enumeration order to an
     artifact's atoms without loading the circuit itself.
     """
-    with open(map_path) as f:
-        map_text = f.read()
+    map_text = _read_text(map_path)
     _, _, _, alpha, _, _ = _parse_map(map_text, str(map_path))
     return alpha
 
@@ -501,13 +548,11 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
     lines are folded into a fresh manager under the stored variable
     order as they are read, each written decision as one node.
     """
-    with open(map_path) as f:
-        map_text = f.read()
+    map_text = _read_text(map_path)
     kind, mode, order, alpha, amap, lemma_set = _parse_map(
         map_text, str(map_path))
 
-    with open(nnf_path) as f:
-        raw = f.read().splitlines()
+    raw = _read_text(nnf_path).splitlines()
     path = str(nnf_path)
     header = None
     body_start = 0
@@ -544,7 +589,11 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
     ddnnf = kind == KIND_DDNNF
     if ddnnf:
         pdag = Dag()
-        masks = {pdag.TRUE: 0, pdag.FALSE: 0}
+        # Handle -> (variable mask, positive and negative literal masks the
+        # node asserts: itself if a literal, else its literal conjuncts).
+        # Every node of `pdag` is made by one line, so the list stays in
+        # step with the arena and `node == len(rec)` tells a new node.
+        rec = [(0, 0, 0), (0, 0, 0)]
     else:
         manager = ObddManager(order)
         level = {v: i for i, v in enumerate(order)}
@@ -567,7 +616,9 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
                             "literal variable %d outside 1..%d" % (v, n_vars))
             if ddnnf:
                 node = pdag.lit(abs(v), v > 0)
-                masks[node] = 1 << abs(v)
+                if node == len(rec):
+                    bit = 1 << abs(v)
+                    rec.append((bit, bit, 0) if v > 0 else (bit, 0, bit))
             else:
                 node = (level[abs(v)], v > 0, manager.TRUE)
             nodes.append(node)
@@ -596,7 +647,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
         # A negative id is dropped and one past the end raises, so either
         # leaves fewer than k children.
         try:
-            kids = [nodes[j] for j in map(int, toks[start:]) if j >= 0]
+            kids = tuple([nodes[j] for j in map(int, toks[start:]) if j >= 0])
         except (ValueError, IndexError):
             kids = ()
         if len(kids) != k:
@@ -604,10 +655,14 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
         edges += k
         conjunction = tag == "A"
         if ddnnf:
-            node = pdag.and_(kids) if conjunction else pdag.or_(kids)
-            if node not in masks:
-                masks[node] = _ddnnf_mask(pdag, node, not conjunction, masks,
-                                          path, lineno)
+            node = pdag.flat_junction(AND if conjunction else OR, kids)
+            if node is None:  # a hand-written shape: fold it as usual
+                node = pdag.and_(kids) if conjunction else pdag.or_(kids)
+                if node == len(rec):
+                    kids = pdag.children(node)
+            if node == len(rec):
+                rec.append(_ddnnf_record(rec, conjunction, kids, path,
+                                         lineno))
         else:
             node = _obdd_line(manager, conjunction, kids)
         nodes.append(node)

@@ -525,6 +525,55 @@ class TestGenBench:
         assert "unknown config keys" in err
 
 
+
+def _with_ff(src: Path, dst: Path) -> str:
+    """`dst` as a copy of `src` with a 0xff byte, which no UTF-8 text
+    holds, in its last line; returns its path."""
+    dst.write_bytes(src.read_bytes().rstrip(b"\n") + b" \xff\n")
+    return str(dst)
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is malformed input: exit 2, with an
+    error that names the file, whatever the locale."""
+
+    def assert_refused(self, capsys, bad, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and bad in err
+        assert "not UTF-8 text" in err
+
+    def test_map_of_a_query(self, ws, tmp_path, capsys):
+        bad = _with_ff(ws / "tred.map", tmp_path / "bad.map")
+        self.assert_refused(capsys, bad, "query", "ct",
+                            str(ws / "tred.nnf"), bad)
+
+    def test_map_of_an_oracle_alpha(self, ws, tmp_path, capsys):
+        bad = _with_ff(ws / "tred.map", tmp_path / "bad.map")
+        self.assert_refused(capsys, bad, "oracle", "ct",
+                            "--input", str(ws / "phi1.smt2"),
+                            "--alpha-from", bad)
+
+    def test_circuit_of_a_query(self, ws, tmp_path, capsys):
+        bad = _with_ff(ws / "tred.nnf", tmp_path / "bad.nnf")
+        self.assert_refused(capsys, bad, "query", "ct", bad,
+                            str(ws / "tred.map"))
+
+    def test_smt2_input_of_compile(self, ws, tmp_path, capsys):
+        bad = _with_ff(ws / "phi1.smt2", tmp_path / "bad.smt2")
+        self.assert_refused(capsys, bad, "compile", "--input", bad,
+                            "--mode", "tred", "--target", "ddnnf",
+                            "--out", str(tmp_path / "f.nnf"),
+                            "--map", str(tmp_path / "f.map"))
+        assert not (tmp_path / "f.nnf").exists()
+
+    def test_bench_config(self, tmp_path, capsys):
+        good = tmp_path / "bench.cfg"
+        good.write_text(json.dumps({"instances": [{"name": "a", "seed": 1}]}))
+        bad = _with_ff(good, tmp_path / "bad.cfg")
+        self.assert_refused(capsys, bad, "bench", "--spec", bad,
+                            "--out", str(tmp_path / "r.csv"))
+
 class TestEntryPoints:
     def test_bare_invocation_prints_help(self, capsys):
         code, out, _ = run(capsys)

@@ -346,6 +346,23 @@ class TestDagConstruction:
         assert pdag.literal_masks(pdag.or_([a, c])) == (0, 0)
         assert pdag.literal_masks(pdag.TRUE) == (0, 0)
 
+    def test_flat_junction_is_the_unfolded_node(self):
+        pdag = Dag()
+        a, b, c = pdag.lit(1), pdag.lit(2), pdag.lit(3, False)
+        ab, a_or_b = pdag.and_([a, b]), pdag.or_([a, b])
+        for op, make, other in ((AND, pdag.and_, a_or_b),
+                                (OR, pdag.or_, ab)):
+            for kids in ((a, b), (b, a), (a, b, c), (c, other)):
+                node = pdag.flat_junction(op, kids)
+                assert node == make(kids)
+                assert pdag.children(node) == kids
+        # Shapes whose folding changes the node are left to and_/or_.
+        for kids in ((a,), (), (a, a), (a, pdag.TRUE), (a, pdag.FALSE),
+                     (ab, c)):
+            assert pdag.flat_junction(AND, kids) is None
+        assert pdag.flat_junction(OR, (a, pdag.or_([b, c]))) is None
+        assert pdag.flat_junction(OR, (ab, c)) == pdag.or_([ab, c])
+
     def test_literal_masks_need_index_keys(self, fdag):
         with pytest.raises(TypeError):
             fdag.literal_masks(fdag.lit(X_LE_0))

@@ -1,5 +1,6 @@
 """Source hygiene: every name a kcmt module imports is used or exported,
-and no walker over a compiled circuit calls itself."""
+no walker over a compiled circuit calls itself, and every text file is
+opened as UTF-8."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,43 @@ def test_the_walk_sees_a_self_call():
 @pytest.mark.parametrize("name", ["obdd.py", "queries.py"])
 def test_no_circuit_walker_calls_itself(name):
     assert self_calls((PACKAGE / name).read_text()) == []
+
+
+def text_opens_without_utf8(source: str) -> list[str]:
+    """Calls that open a file as text, `open(...)` in a mode without "b" or
+    `x.read_text(...)`/`x.write_text(...)`, but do not pass
+    `encoding="utf-8"`, so that decoding would follow the locale."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+            name = "open"
+        elif isinstance(node.func, ast.Attribute) and \
+                node.func.attr in ("read_text", "write_text"):
+            name = node.func.attr
+        else:
+            continue
+        encoding = next((k.value for k in node.keywords
+                         if k.arg == "encoding"), None)
+        if not (isinstance(encoding, ast.Constant)
+                and encoding.value == "utf-8"):
+            out.append("%s (line %d)" % (name, node.lineno))
+    return out
+
+
+def test_the_walk_sees_a_locale_dependent_open():
+    assert text_opens_without_utf8(
+        "open(p)\nopen(p, 'w', encoding='latin-1')\nopen(p, 'rb')\n"
+        "open(p, mode='wb')\nopen(p, encoding='utf-8')\n"
+        "q.read_text()\nq.write_text(t, encoding='utf-8')\n") == [
+            "open (line 1)", "open (line 2)", "read_text (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_text_file_is_opened_as_utf8(path):
+    assert text_opens_without_utf8(path.read_text(encoding="utf-8")) == []

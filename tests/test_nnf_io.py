@@ -910,3 +910,216 @@ def test_random_disjunctions_decide_as_the_reference():
     both = pdag.or_([pdag.and_([a, b]), pdag.and_([nb, na])])
     assert decision_var(pdag, both) == 2
     assert _reference_decision_var(pdag, both) == 2
+
+
+# -- the reader against the fold-and-check reference --------------------------
+
+
+def _reference_mask(pdag, node, disjunction, masks, path, lineno):
+    """Variables under a new AND or OR node, from its interned children, with
+    the two checks of a d-DNNF file: no shared variable under an AND, and
+    a binary decision, by `decision_var`, at an OR."""
+    mask = 0
+    for c in pdag.children(node):
+        below = masks[c]
+        if mask & below and not disjunction:
+            raise nnf_io._fail(
+                path, lineno, "conjuncts share variable %d, so the circuit "
+                "is not decomposable" % ((mask & below).bit_length() - 1))
+        mask |= below
+    if disjunction and decision_var(pdag, node) is None:
+        raise nnf_io._fail(path, lineno,
+                           "O node is not a binary decision on one variable, "
+                           "so the circuit is not deterministic")
+    return mask
+
+
+def _reference_ddnnf(nnf, mp, map_text, n_atoms):
+    """The arena and root of a d-DNNF file, each line folded through
+    `and_`/`or_` and each new node checked by `_reference_mask`."""
+    raw = Path(nnf).read_text().splitlines()
+    header, body_start = None, 0
+    for i, line in enumerate(raw):
+        s = line.strip()
+        if not s:
+            continue
+        if s.startswith("c"):
+            toks = s.split()
+            if len(toks) == 3 and toks[1] == "map" and \
+                    toks[2] != hashlib.sha256(map_text.encode()).hexdigest():
+                raise nnf_io._fail(nnf, i + 1, "map hash mismatch: circuit "
+                                   "was written against a different atom map")
+            continue
+        header, body_start = s, i + 1
+        break
+    if header is None:
+        raise nnf_io._fail(nnf, len(raw) + 1, "missing 'nnf' header")
+    toks = header.split()
+    if len(toks) != 4 or toks[0] != "nnf":
+        raise nnf_io._fail(nnf, body_start,
+                           "expected 'nnf <nodes> <edges> <vars>'")
+    try:
+        n_nodes, n_edges, n_vars = map(int, toks[1:])
+    except ValueError:
+        raise nnf_io._fail(nnf, body_start, "nnf header needs three integers")
+    if n_vars != n_atoms:
+        raise NnfIoError("%s: circuit ranges over %d variables but the map "
+                         "lists %d atoms" % (nnf, n_vars, n_atoms))
+    pdag = Dag()
+    masks = {pdag.TRUE: 0, pdag.FALSE: 0}
+    nodes, edges = [], 0
+    for i in range(body_start, len(raw)):
+        toks = raw[i].split()
+        if not toks or toks[0][0] == "c":
+            continue
+        lineno, tag, ntoks = i + 1, toks[0], len(toks)
+        if tag == "L" and ntoks == 2:
+            try:
+                v = int(toks[1])
+            except ValueError:
+                raise nnf_io._fail(nnf, lineno, "bad literal %r" % toks[1])
+            if not 1 <= abs(v) <= n_vars:
+                raise nnf_io._fail(nnf, lineno, "literal variable %d outside "
+                                   "1..%d" % (v, n_vars))
+            nodes.append(pdag.lit(abs(v), v > 0))
+            masks[nodes[-1]] = 1 << abs(v)
+            continue
+        if tag == "A" and ntoks >= 2:
+            try:
+                k = int(toks[1])
+            except ValueError:
+                raise nnf_io._fail(nnf, lineno,
+                                   "bad child count %r" % toks[1])
+            start = 2
+        elif tag == "O" and ntoks >= 3:
+            try:
+                v, k = int(toks[1]), int(toks[2])
+            except ValueError:
+                raise nnf_io._fail(nnf, lineno, "bad O node header")
+            if not 0 <= v <= n_vars:
+                raise nnf_io._fail(nnf, lineno, "decision variable %d outside "
+                                   "0..%d" % (v, n_vars))
+            start = 3
+        else:
+            raise nnf_io._fail(nnf, lineno,
+                               "unrecognized line %r" % raw[i].strip())
+        if ntoks != start + k:
+            raise nnf_io._fail(nnf, lineno, "%s node announces %d children "
+                               "but lists %d" % (tag, k, ntoks - start))
+        try:
+            kids = [nodes[j] for j in map(int, toks[start:]) if j >= 0]
+        except (ValueError, IndexError):
+            kids = ()
+        if len(kids) != k:
+            raise nnf_io._bad_child(toks[start:], len(nodes), nnf, lineno)
+        edges += k
+        node = pdag.and_(kids) if tag == "A" else pdag.or_(kids)
+        if node not in masks:
+            masks[node] = _reference_mask(pdag, node, tag == "O", masks, nnf,
+                                          lineno)
+        nodes.append(node)
+    if not nodes:
+        raise NnfIoError("%s: circuit has no nodes" % nnf)
+    if len(nodes) != n_nodes:
+        raise NnfIoError("%s: header announces %d nodes but the body has %d"
+                         % (nnf, n_nodes, len(nodes)))
+    if edges != n_edges:
+        raise NnfIoError("%s: header announces %d edges but the body has %d"
+                         % (nnf, n_edges, edges))
+    return pdag._payload, nodes[-1]
+
+
+def _loaded(art):
+    """What a load must reproduce: the arena and root of a d-DNNF (the root
+    node of an OBDD), and the lemmas."""
+    if art.dag is None:
+        return art.root.node, art.lemmas.lemmas
+    return art.dag._payload, art.root, art.lemmas.lemmas
+
+
+def _reference_outcome(nnf, mp):
+    """The NnfIoError text or the `_loaded` triple of the reference reader.
+    With no literal table, every lemma clause takes the reader's checked
+    path, signed integers sorted by index."""
+    map_text = Path(mp).read_text()
+    with mock.patch.object(nnf_io, "_literal_table", lambda atoms: {}):
+        try:
+            kind, _, _, alpha, _, lemma_set = nnf_io._parse_map(map_text, mp)
+            if kind == KIND_OBDD:  # its body is read as before
+                return _loaded(read_nnf(nnf, mp))
+            return _reference_ddnnf(nnf, mp, map_text, len(alpha)) + (
+                lemma_set.lemmas,)
+        except NnfIoError as e:
+            return str(e)
+
+
+def _reader_outcome(nnf, mp):
+    try:
+        return _loaded(read_nnf(nnf, mp))
+    except NnfIoError as e:
+        return str(e)
+
+
+@seed(20261020)
+@settings(max_examples=600, deadline=None, database=None)
+@given(which=st.integers(0, 2), in_map=st.booleans(), rehash=st.booleans(),
+       rng=st.randoms(use_true_random=False))
+def test_mutated_pairs_read_as_the_reference(fuzz_pairs, which, in_map,
+                                             rehash, rng):
+    """A mutated circuit or map loads into the reference's arena, root and
+    lemmas, or fails with the reference's message, line number included.
+    A mutated map gets its new hash in the circuit half the time."""
+    root, pairs = fuzz_pairs
+    circuit, map_text = pairs[which]
+    if in_map:
+        old = hashlib.sha256(map_text.encode()).hexdigest()
+        map_text = _mutated(map_text, rng)
+        if rehash:
+            circuit = circuit.replace(
+                old, hashlib.sha256(map_text.encode()).hexdigest())
+    else:
+        circuit = _mutated(circuit, rng)
+    nnf, mp = paths(root, "reference")
+    Path(nnf).write_text(circuit)
+    Path(mp).write_text(map_text)
+    assert _reader_outcome(nnf, mp) == _reference_outcome(nnf, mp)
+
+
+@pytest.mark.parametrize("body", [
+    "nnf 2 1 2\nL 1\nA 1 0\n",  # A 1 x is x
+    "nnf 3 2 2\nA 0\nL 1\nA 2 0 1\n",  # a constant child
+    "nnf 3 2 2\nO 0 0\nL 1\nO 1 2 0 1\n",
+    "nnf 3 2 2\nA 0\nL 1\nO 1 2 0 1\n",  # TRUE absorbs the disjunction
+    "nnf 3 2 2\nL 1\nL 2\nA 2 0 0\n",  # a repeated child
+    "nnf 5 5 2\nL 1\nL 2\nA 2 0 1\nL -2\nA 3 2 3 0\n",  # a nested AND
+    "nnf 6 6 2\nL 1\nL -1\nL 2\nA 2 0 2\nA 2 1 2\nO 1 2 3 4\n",
+    # a nested OR decides nothing, once flattened
+    "nnf 6 6 2\nL 1\nL -1\nL 2\nO 1 2 0 1\nL -2\nO 0 2 3 4\n",
+    # a flat AND over an OR sharing its variable
+    "nnf 6 6 2\nL 1\nL -1\nL 2\nA 2 0 2\nO 1 2 3 1\nA 2 0 4\n",
+    "nnf 6 6 2\nL 1\nL -1\nL 2\nA 2 0 2\nO 1 2 3 1\nA 2 2 4\n",
+    # the same node twice, judged once
+    "nnf 5 4 2\nL 1\nL 2\nA 2 0 1\nA 2 1 0\nA 2 0 1\n",
+    "nnf 4 4 2\nL 1\nL -1\nO 1 2 0 1\nO 1 2 1 0\n",
+])
+def test_hand_written_shapes_read_as_the_reference(tmp_path, body):
+    nnf, mp = paths(tmp_path)
+    Path(nnf).write_text(body)
+    Path(mp).write_text("kcmt-map 1\nkind ddnnf\nmode tReduced\n"
+                        "target forFormula\natoms 2\nx <= 0\nx = 1\n"
+                        "lemmas 2\n1 -2 0\n-2 1 0\n")
+    assert _reader_outcome(nnf, mp) == _reference_outcome(nnf, mp)
+
+
+def test_benchmark_corpus_reads_as_the_reference(tmp_path):
+    """The tred and text files of the benchmark's query corpus members load
+    into the reference's arena, root and lemmas."""
+    for seed in (1000, 1002):
+        fdag, node, alpha, lemmas = bench_instance(seed)
+        for art in (build_tred(fdag, node, alpha, lemmas=lemmas),
+                    build_text(fdag, node, alpha)):
+            nnf, mp = paths(tmp_path)
+            write_nnf(art, nnf, mp)
+            got = _reader_outcome(nnf, mp)
+            assert not isinstance(got, str)
+            assert got == _reference_outcome(nnf, mp)
