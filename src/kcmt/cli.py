@@ -144,9 +144,10 @@ def compile_cmd(input_path, mode, target, lemmas_scope, order_path,
         fdag, node, alpha,
         scope=lemmas_scope,
         kind=KIND_DDNNF if target == "ddnnf" else KIND_OBDD,
-        smooth_output=smooth,
         order=_read_order(order_path) if order_path else None,
     )
+    if smooth:
+        artifact.root = artifact.smooth_root()
     write_nnf(artifact, out_path, map_path)
     if lemmas_out:
         write_lemmas(artifact, lemmas_out)

@@ -210,24 +210,12 @@ def decision_var(pdag: Dag, node: int):
 
     The OR decides v when one branch asserts v and the other asserts not
     v, which makes the branches mutually exclusive. When several
-    variables qualify, the first one the left branch asserts wins.
-
-    The branches are compared as bit masks of variable indices; only
-    when several variables qualify, or a leaf is no variable index, are
-    the literals scanned in order.
+    variables qualify, the first one the left branch asserts wins. The
+    writer and `validate` ask it of every OR.
     """
     kids = pdag.children(node)
     if len(kids) != 2:
         return None
-    try:
-        pa, na = pdag.literal_masks(kids[0])
-        pb, nb = pdag.literal_masks(kids[1])
-    except (TypeError, ValueError):  # a leaf that is not a variable index
-        pass
-    else:
-        both = pa & nb | na & pb
-        if not both & (both - 1):  # no variable, or exactly one, qualifies
-            return both.bit_length() - 1 if both else None
     right = set(_asserted_literals(pdag, kids[1]))
     for v, p in _asserted_literals(pdag, kids[0]):
         if (v, not p) in right:
@@ -318,13 +306,13 @@ class CompiledArtifact:
 
 
 def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
-           backend, kind, smooth_output, order, manager,
+           backend, kind, order, manager,
            lemmas: LemmaSet | None) -> CompiledArtifact:
     """Both pipelines: abstract the formula once, into a working arena,
     find the lemmas of the abstraction (tReduced) or of its negation
     (tExtended) there unless `lemmas` is given, conjoin them with the
     abstraction or its negation, compile, and copy a d-DNNF into an arena
-    of its own."""
+    of its own. The d-DNNF is left unsmoothed; `smooth_root` pads it."""
     if alpha is None:
         alpha = atoms_of(fdag, node)
     reduced = mode == MODE_T_REDUCED
@@ -365,8 +353,6 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
         return CompiledArtifact(kind, mode, alpha, amap, lemmas, root,
                                 manager=manager, order=order)
     root = compile_ddnnf(pdag, pdag.to_nnf(combined))
-    if smooth_output:
-        root = smooth(pdag, root, len(alpha))
     circuit = Dag()
     root = translate(pdag, root, circuit, lambda key: key)
     return CompiledArtifact(kind, mode, alpha, amap, lemmas, root, dag=circuit)
@@ -374,8 +360,7 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
 
 def build_tred(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
                scope: str = "formula", backend=None, kind: str = KIND_DDNNF,
-               smooth_output: bool = False, order=None,
-               manager: ObddManager | None = None,
+               order=None, manager: ObddManager | None = None,
                lemmas: LemmaSet | None = None) -> CompiledArtifact:
     """Compile the conjunction of a formula with its lemma clauses.
 
@@ -384,16 +369,16 @@ def build_tred(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
     answer the theory-level question by purely propositional means.
 
     A caller that already enumerated (to time or dump the set) can pass
-    `lemmas` to skip re-enumeration; target and atom set must match.
+    `lemmas` to skip re-enumeration; target and atom set must match. A
+    d-DNNF is built unsmoothed; `smooth_root` pads it over all of alpha.
     """
     return _build(MODE_T_REDUCED, fdag, node, alpha, scope, backend, kind,
-                  smooth_output, order, manager, lemmas)
+                  order, manager, lemmas)
 
 
 def build_text(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
                scope: str = "formula", backend=None, kind: str = KIND_DDNNF,
-               smooth_output: bool = False, order=None,
-               manager: ObddManager | None = None,
+               order=None, manager: ObddManager | None = None,
                lemmas: LemmaSet | None = None) -> CompiledArtifact:
     """Compile the tExtended form of a formula, stored as its complement.
 
@@ -407,10 +392,11 @@ def build_text(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
     propositional count.
 
     A precomputed `lemmas` set must target the negation (or the full
-    assignment space) over the same atom set.
+    assignment space) over the same atom set. A d-DNNF is built
+    unsmoothed; `smooth_root` pads it over all of alpha.
     """
     return _build(MODE_T_EXTENDED, fdag, node, alpha, scope, backend, kind,
-                  smooth_output, order, manager, lemmas)
+                  order, manager, lemmas)
 
 
 def build_obdd_artifact(fdag: Dag, node: int, alpha: AtomSet | None = None,
@@ -424,5 +410,5 @@ def build_obdd_artifact(fdag: Dag, node: int, alpha: AtomSet | None = None,
     """
     if mode not in (MODE_T_REDUCED, MODE_T_EXTENDED):
         raise CompileError("unknown mode %r" % mode)
-    return _build(mode, fdag, node, alpha, scope, backend, KIND_OBDD, False,
-                  order, manager, None)
+    return _build(mode, fdag, node, alpha, scope, backend, KIND_OBDD, order,
+                  manager, None)

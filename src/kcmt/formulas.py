@@ -489,25 +489,6 @@ class Dag:
     def kind(self, node: int) -> str:
         return self._payload[node][0]
 
-    def literal_masks(self, node: int) -> tuple[int, int]:
-        """Bit masks of the keys a node asserts positively and negatively:
-        itself if it is a literal, or its direct AND conjuncts that are.
-        Keys must be non-negative ints; any other key raises TypeError or
-        ValueError."""
-        p = self._payload[node]
-        if p[0] == LIT:
-            return (1 << p[1], 0) if p[2] else (0, 1 << p[1])
-        pos = neg = 0
-        if p[0] == AND:
-            for c in p[1]:
-                q = self._payload[c]
-                if q[0] == LIT:
-                    if q[2]:
-                        pos |= 1 << q[1]
-                    else:
-                        neg |= 1 << q[1]
-        return pos, neg
-
     def model_count(self, root: int, nvars: int,
                     fixed: Mapping[int, bool]) -> int:
         """Number of total assignments over keys 1..nvars that extend

@@ -212,40 +212,39 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
         point = verdict.witness
         return scaled_point(point) if point is not None else None
 
-    def dfs(k: int, code: int, prefix: tuple, residual: int,
-            witness: tuple | None) -> None:
-        if k == len(lra):
-            return
+    # One loop over pending children: (depth, value, and the parent's code,
+    # prefix, residual and witness). The false child is pushed first, so the
+    # true child's subtree is walked first; a child's residual, `blocked`
+    # scan and check wait until it is popped, as in a recursive walk. Since
+    # a child is popped right after its ancestors or their true children's
+    # subtrees, `values` holds the current path at every lower atom index.
+    stack = [(0, v, 1, (), pid, ({}, 1)) for v in (False, True) if lra]
+    while stack:
+        k, val, code, prefix, residual, witness = stack.pop()
         i = lra[k]
+        res = pdag.residual(residual, {i: val})
+        if res == pdag.FALSE:
+            continue
+        values[i] = val
+        if blocked(i, val):
+            continue
         atom = amap.atom(i)
-        for val in (True, False):
-            res = pdag.residual(residual, {i: val})
-            if res == pdag.FALSE:
+        lits, point = prefix + ((atom, val),), witness
+        child = code << 1 | val
+        # The witness satisfies the prefix; variables it lacks occur in no
+        # prefix literal, so reading them as 0 keeps it a witness of the
+        # extension whenever the new literal holds there.
+        if point is None or not holds_at_scaled(atom, val, point):
+            if child in outcomes:
+                point = outcomes[child]
+            else:
+                point = outcomes[child] = outcome(lits, prefix)
+            if isinstance(point, frozenset):
+                learn(point)
                 continue
-            values[i] = val
-            try:
-                if blocked(i, val):
-                    continue
-                lits, point = prefix + ((atom, val),), witness
-                child = code << 1 | val
-                # The witness satisfies the prefix; variables it lacks occur
-                # in no prefix literal, so reading them as 0 keeps it a
-                # witness of the extension whenever the new literal holds
-                # there.
-                if point is None or not holds_at_scaled(atom, val, point):
-                    if child in outcomes:
-                        point = outcomes[child]
-                    else:
-                        point = outcomes[child] = outcome(lits, prefix)
-                    if isinstance(point, frozenset):
-                        learn(point)
-                        continue
-                dfs(k + 1, child, lits, res, point)
-            finally:
-                del values[i]
-
-    if pid != pdag.FALSE:
-        dfs(0, 1, (), pid, ({}, 1))
+        if k + 1 < len(lra):
+            stack.append((k + 1, False, child, lits, res, point))
+            stack.append((k + 1, True, child, lits, res, point))
 
     ordered = sorted(
         learned,

@@ -306,9 +306,11 @@ def _parse_map(text: str, path: str):
 # -- circuit body ------------------------------------------------------------
 
 
-def _ddnnf_lines(pdag: Dag, root: int) -> list[str]:
+def _ddnnf_lines(pdag: Dag, root: int) -> tuple[list[str], int]:
+    """The body lines of a d-DNNF, children first, and its edges."""
     ids: dict[int, int] = {}
     lines: list[str] = []
+    edges = 0
 
     def emit(node: int, line: str) -> None:
         ids[node] = len(lines)
@@ -324,6 +326,8 @@ def _ddnnf_lines(pdag: Dag, root: int) -> list[str]:
             stack.extend((c, False) for c in pdag.children(node))
             continue
         tag = pdag.kind(node)
+        kids = pdag.children(node)
+        edges += len(kids)
         if tag == TRUE_KIND:
             emit(node, "A 0")
         elif tag == FALSE_KIND:
@@ -332,11 +336,9 @@ def _ddnnf_lines(pdag: Dag, root: int) -> list[str]:
             v, p = pdag.leaf(node)
             emit(node, "L %d" % (v if p else -v))
         elif tag == AND:
-            kids = pdag.children(node)
             emit(node, "A %d %s" % (
                 len(kids), " ".join(str(ids[c]) for c in kids)))
         elif tag == OR:
-            kids = pdag.children(node)
             emit(node, "O %d %d %s" % (
                 decision_var(pdag, node) or 0, len(kids),
                 " ".join(str(ids[c]) for c in kids)))
@@ -344,14 +346,16 @@ def _ddnnf_lines(pdag: Dag, root: int) -> list[str]:
             raise NnfIoError(
                 "only negation normal form circuits can be written "
                 "(found a %r node)" % tag)
-    return lines
+    return lines, edges
 
 
-def _obdd_lines(artifact: CompiledArtifact) -> list[str]:
+def _obdd_lines(artifact: CompiledArtifact) -> tuple[list[str], int]:
+    """The body lines of an OBDD artifact, children first, and its edges."""
     m = artifact.manager
     ids: dict[int, int] = {}
     lit_ids: dict[tuple[int, bool], int] = {}
     lines: list[str] = []
+    edges = 0
 
     def lit_id(v: int, p: bool) -> int:
         got = lit_ids.get((v, p))
@@ -361,10 +365,9 @@ def _obdd_lines(artifact: CompiledArtifact) -> list[str]:
             lit_ids[(v, p)] = got
         return got
 
-    def emit(node: int, line: str) -> int:
+    def emit(node: int, line: str) -> None:
         ids[node] = len(lines)
         lines.append(line)
-        return ids[node]
 
     stack = [(artifact.root.node, False)]
     while stack:
@@ -388,18 +391,8 @@ def _obdd_lines(artifact: CompiledArtifact) -> list[str]:
         lo_arm = len(lines)
         lines.append("A 2 %d %d" % (neg_lit, ids[lo]))
         emit(node, "O %d 2 %d %d" % (v, hi_arm, lo_arm))
-    return lines
-
-
-def _edge_count(lines: list[str]) -> int:
-    edges = 0
-    for line in lines:
-        toks = line.split()
-        if toks[0] == "A":
-            edges += int(toks[1])
-        elif toks[0] == "O":
-            edges += int(toks[2])
-    return edges
+        edges += 6
+    return lines, edges
 
 
 def _bad_child(toks: list[str], count: int, path: str,
@@ -506,12 +499,10 @@ def write_nnf(artifact: CompiledArtifact, nnf_path, map_path) -> None:
     """Serialize an artifact as a circuit file plus its map sidecar."""
     map_text = _map_text(artifact)
     digest = hashlib.sha256(map_text.encode()).hexdigest()
-    if artifact.kind == KIND_DDNNF:
-        lines = _ddnnf_lines(artifact.dag, artifact.root)
-    else:
-        lines = _obdd_lines(artifact)
+    lines, edges = _ddnnf_lines(artifact.dag, artifact.root) \
+        if artifact.kind == KIND_DDNNF else _obdd_lines(artifact)
     body = ["c map %s" % digest,
-            "nnf %d %d %d" % (len(lines), _edge_count(lines), artifact.nvars)]
+            "nnf %d %d %d" % (len(lines), edges, artifact.nvars)]
     body.extend(lines)
     with open(map_path, "w", encoding="utf-8") as f:
         f.write(map_text)

@@ -194,6 +194,24 @@ class TestCompile:
                                 "--alpha-from", mp)
         assert (code, counted) == (0, expected)
 
+    @pytest.mark.parametrize("target", ["ddnnf", "obdd"])
+    def test_long_conjunction_of_bounds_compiles(self, tmp_path, capsys,
+                                                 target):
+        """The lemma walk is as deep as the arithmetic atoms are many, 1,200
+        here, far past the interpreter's recursion limit."""
+        n = 1200
+        src = tmp_path / "bounds.smt2"
+        src.write_text("".join("(declare-const x%d Real)" % i
+                               for i in range(n)) + "(assert (and %s))" %
+                       " ".join("(<= x%d %d)" % (i, i) for i in range(n)))
+        nnf, mp = str(tmp_path / "b.nnf"), str(tmp_path / "b.map")
+        code, out, err = run(capsys, "compile", "--input", str(src),
+                             "--mode", "tred", "--target", target,
+                             "--out", nnf, "--map", mp)
+        assert (code, err) == (0, "")
+        assert "1200 atoms, 0 lemmas" in out
+        assert run(capsys, "query", "ct", nnf, mp)[:2] == (0, "1\n")
+
 
 class TestQuery:
     def test_co_true(self, ws, capsys):

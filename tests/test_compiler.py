@@ -381,7 +381,8 @@ class TestBuildTred:
             len(Oracle().ctta_itta(fdag, node, alpha).ctta)
 
     def test_smooth_output_flag(self, fdag):
-        art = build_tred(fdag, build_phi1(fdag), smooth_output=True)
+        art = build_tred(fdag, build_phi1(fdag))
+        art.root = art.smooth_root()
         report = validate(art.dag, art.root, art.nvars)
         assert report.smooth
         assert popcount_over(art.dag, art.root, 2) == 2

@@ -335,17 +335,6 @@ class TestDagConstruction:
         assert fdag.and_([a, b]) != fdag.and_([b, a])
         assert fdag.children(fdag.and_([b, a])) == (b, a)
 
-    def test_literal_masks(self):
-        pdag = Dag()
-        a, nb, c = pdag.lit(1), pdag.lit(3, False), pdag.lit(4)
-        assert pdag.literal_masks(a) == (0b10, 0)
-        assert pdag.literal_masks(nb) == (0, 0b1000)
-        # Only direct conjuncts that are literals count.
-        deep = pdag.and_([a, nb, pdag.or_([c, pdag.lit(5)])])
-        assert pdag.literal_masks(deep) == (0b10, 0b1000)
-        assert pdag.literal_masks(pdag.or_([a, c])) == (0, 0)
-        assert pdag.literal_masks(pdag.TRUE) == (0, 0)
-
     def test_flat_junction_is_the_unfolded_node(self):
         pdag = Dag()
         a, b, c = pdag.lit(1), pdag.lit(2), pdag.lit(3, False)
@@ -362,10 +351,6 @@ class TestDagConstruction:
             assert pdag.flat_junction(AND, kids) is None
         assert pdag.flat_junction(OR, (a, pdag.or_([b, c]))) is None
         assert pdag.flat_junction(OR, (ab, c)) == pdag.or_([ab, c])
-
-    def test_literal_masks_need_index_keys(self, fdag):
-        with pytest.raises(TypeError):
-            fdag.literal_masks(fdag.lit(X_LE_0))
 
     def test_constant_folding(self, fdag):
         a = fdag.lit(X_LE_0)

@@ -1,6 +1,6 @@
 """Source hygiene: every name a kcmt module imports is used or exported,
-no walker over a compiled circuit calls itself, and every text file is
-opened as UTF-8."""
+no walker over a compiled circuit or a lemma walk calls itself, and every
+text file is opened as UTF-8."""
 
 import ast
 from pathlib import Path
@@ -72,9 +72,10 @@ def test_the_walk_sees_a_self_call():
     assert self_calls("def f():\n    return g()\n") == []
 
 
-# A compiled circuit can be as deep as its atom set is large, so walkers
-# over one must not use the interpreter's stack.
-@pytest.mark.parametrize("name", ["obdd.py", "queries.py"])
+# A compiled circuit, and the lemma walk's path, can be as deep as the atom
+# set is large, so walkers over them must not use the interpreter's stack.
+@pytest.mark.parametrize("name", ["compiler.py", "lemmas.py", "nnf_io.py",
+                                  "obdd.py", "queries.py"])
 def test_no_circuit_walker_calls_itself(name):
     assert self_calls((PACKAGE / name).read_text()) == []
 

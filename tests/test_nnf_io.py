@@ -128,7 +128,8 @@ class TestDdnnfRoundTrip:
 
     def test_smoothed_artifact(self, tmp_path):
         fdag = Dag()
-        art = build_tred(fdag, build_two_clause(fdag), smooth_output=True)
+        art = build_tred(fdag, build_two_clause(fdag))
+        art.root = art.smooth_root()
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
         back = read_nnf(nnf, mp)
@@ -846,27 +847,49 @@ def _checked_decision_var(pdag, node):
     return got
 
 
+def _assert_writes_reference_decisions(art, nnf, mp):
+    """Every `O v k ...` line that `write_nnf` prints for a d-DNNF artifact
+    names `_reference_decision_var` of its node, or 0 where that is None.
+    The lines are rebuilt through `and_`/`or_`, which intern a written line
+    as it stands. Returns the number of decisions checked."""
+    write_nnf(art, nnf, mp)
+    pdag, nodes, ors = Dag(), [], 0
+    for line in Path(nnf).read_text().splitlines()[2:]:
+        tag, *nums = line.split()
+        nums = [int(t) for t in nums]
+        if tag == "L":
+            nodes.append(pdag.lit(abs(nums[0]), nums[0] > 0))
+            continue
+        kids = [nodes[j] for j in nums[1 if tag == "A" else 2:]]
+        nodes.append(pdag.and_(kids) if tag == "A" else pdag.or_(kids))
+        if tag == "O" and kids:
+            want = _reference_decision_var(pdag, nodes[-1])
+            assert nums[0] == (want or 0), line
+            ors += 1
+    return ors
+
+
 @seed(20261019)
 @settings(max_examples=300, deadline=None, database=None)
 @given(which=st.integers(0, 2), rng=st.randoms(use_true_random=False))
 def test_mutated_circuits_decide_as_the_reference(fuzz_pairs, which, rng):
-    """On every OR node the reader judges in a mutated circuit, and on every
-    OR node of a circuit that loads, the mask test names the variable the
-    ordered scan names."""
+    """On every OR node of a mutated circuit that loads, the decision
+    variable is the one the ordered scan names, and so is the variable on
+    each `O` line the writer prints for it."""
     root, pairs = fuzz_pairs
     circuit, map_text = pairs[which]
     nnf, mp = paths(root, "decide")
     Path(nnf).write_text(_mutated(circuit, rng))
     Path(mp).write_text(map_text)
-    with mock.patch.object(nnf_io, "decision_var", _checked_decision_var):
-        try:
-            back = read_nnf(nnf, mp)
-        except NnfIoError:
-            return
+    try:
+        back = read_nnf(nnf, mp)
+    except NnfIoError:
+        return
     if back.dag is not None:
         for n in back.dag.reachable(back.root):
             if back.dag.kind(n) == OR:
                 _checked_decision_var(back.dag, n)
+        _assert_writes_reference_decisions(back, *paths(root, "rewritten"))
 
 
 def _assert_decides_as_the_reference(pdag, root):
@@ -888,6 +911,22 @@ def test_benchmark_family_decides_as_the_reference():
             ors += _assert_decides_as_the_reference(art.dag, art.root)
             ors += _assert_decides_as_the_reference(art.dag,
                                                     art.smooth_root())
+    assert ors > 1000
+
+
+def test_benchmark_family_writes_the_reference_decisions(tmp_path):
+    """The written tred and text circuits of criterion 7's instances
+    1000-1049, as built and smoothed, name on each `O` line the variable
+    the ordered scan names."""
+    nnf, mp = paths(tmp_path)
+    ors = 0
+    for seed in range(1000, 1050):
+        fdag, node, alpha, lemmas = bench_instance(seed)
+        for art in (build_tred(fdag, node, alpha, lemmas=lemmas),
+                    build_text(fdag, node, alpha)):
+            ors += _assert_writes_reference_decisions(art, nnf, mp)
+            art.root = art.smooth_root()
+            ors += _assert_writes_reference_decisions(art, nnf, mp)
     assert ors > 1000
 
 
