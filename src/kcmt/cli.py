@@ -97,9 +97,11 @@ def _print_answer(answer, alpha) -> int:
     if isinstance(answer, int):
         click.echo(str(answer))
     else:
+        named = [(a, str(a)) for a in alpha]
         for model in answer:
-            click.echo(",".join(
-                ("" if model.value(a) else "!") + str(a) for a in alpha))
+            values = dict(model.items())
+            click.echo(",".join(("" if values[a] else "!") + name
+                                for a, name in named))
     return 0
 
 

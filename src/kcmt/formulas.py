@@ -259,7 +259,16 @@ class Assignment:
     def __init__(self, mapping: Mapping[Atom, bool] | Iterable[tuple[Atom, bool]]):
         items = dict(mapping)
         self._items = tuple(sorted(items.items(), key=lambda kv: kv[0].sort_key()))
-        self._hash = hash(self._items)
+        self._hash = None
+
+    @classmethod
+    def _sorted(cls, items: tuple[tuple[Atom, bool], ...]) -> "Assignment":
+        """An assignment of `items`, trusted to hold distinct atoms already
+        in sort-key order, so nothing is merged or sorted."""
+        self = object.__new__(cls)
+        self._items = items
+        self._hash = None
+        return self
 
     def value(self, atom: Atom) -> bool:
         for a, v in self._items:
@@ -294,6 +303,9 @@ class Assignment:
         return isinstance(other, Assignment) and self._items == other._items
 
     def __hash__(self) -> int:
+        # Computed on first use: most enumerated models are never hashed.
+        if self._hash is None:
+            self._hash = hash(self._items)
         return self._hash
 
     def __str__(self) -> str:

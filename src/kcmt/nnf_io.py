@@ -101,6 +101,20 @@ def _fail(path: str, lineno: int, msg: str) -> NnfIoError:
 # -- atom strings ------------------------------------------------------------
 
 
+def _constant(tok: str) -> Fraction:
+    """`Fraction(tok)`, with the written forms `p` and `p/q` read by `int`,
+    which is cheaper than Fraction's string parse. Any other token, or one
+    with a signed denominator, goes to `Fraction(tok)` itself, so every
+    input gets the same value or error as from `Fraction(tok)` alone."""
+    num, slash, den = tok.partition("/")
+    if not den.startswith(("+", "-")):
+        try:
+            return Fraction(int(num), int(den) if slash else 1)
+        except ValueError:
+            pass
+    return Fraction(tok)
+
+
 def _atom_from_string(s: str) -> Atom:
     """Inverse of the atom's printed normal form.
 
@@ -121,7 +135,7 @@ def _atom_from_string(s: str) -> Atom:
         raise AtomError("malformed atom string %r" % s)
     rel = toks[rels[0]]
     try:
-        const = Fraction(toks[-1])
+        const = _constant(toks[-1])
     except ZeroDivisionError:
         raise AtomError("zero denominator in atom string %r" % s)
     left = toks[:rels[0]]

@@ -301,15 +301,17 @@ def from_formula(pdag: Dag, node: int, manager: ObddManager) -> ObddRef:
         if tag == LIT:
             var, pol = pdag.leaf(n)
             return manager.literal(var, pol)
-        if tag == AND:
-            out = ObddManager.TRUE
-            for c in pdag.children(n):
-                out = manager.and_(out, (yield c))
-            return out
-        if tag == OR:
-            out = ObddManager.FALSE
-            for c in pdag.children(n):
-                out = manager.or_(out, (yield c))
+        if tag == AND or tag == OR:
+            # Deepest operand first: each apply then rebuilds only the
+            # levels above the next operand's top, not the whole diagram.
+            operands = yield from gather(pdag.children(n))
+            operands.sort(key=manager.level_of, reverse=True)
+            if tag == AND:
+                out, apply = ObddManager.TRUE, manager.and_
+            else:
+                out, apply = ObddManager.FALSE, manager.or_
+            for c in operands:
+                out = apply(out, c)
             return out
         if tag == NOT:
             return manager.neg((yield pdag.children(n)[0]))

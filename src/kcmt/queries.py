@@ -19,7 +19,12 @@ ME expands the partial assignment of every proof tree of the d-DNNF, or
 of every root-to-TRUE path of the OBDD, over the variables it leaves
 free. Every OR is a decision and every AND is decomposable, so two proof
 trees disagree on a decided variable: the expansions are disjoint and
-list each model once, with no smoothing and no node added.
+list each model once, with no smoothing and no node added. Assignments
+are packed integers, atom 1 in the top bit: a partial one is a pair of
+masks (assigned, true), an AND ORs its conjuncts' pairs, and the models
+are sorted once, as integers, in descending order, which is atom-index
+order with true first. Each model becomes an `Assignment` only as it is
+yielded, from literal pairs built once per call.
 
 Wrong-mode calls always raise, never return a wrong answer. Queries
 mentioning atoms outside the artifact's atom set are rejected: the atom
@@ -28,7 +33,6 @@ set is fixed at compilation time.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from . import obdd as _obdd
@@ -140,16 +144,19 @@ def enumerate_models(artifact: CompiledArtifact) -> Iterator[Assignment]:
     """ME: all theory-consistent total assignments, lexicographic in atom
     index with true before false."""
     _require(artifact, MODE_T_REDUCED, "enumerateModels")
-    # The partial assignments of each node, bottom-up in handle order.
+    n = artifact.nvars
+    # The partial assignments of each node, bottom-up in handle order, as
+    # (assigned mask, true bits) pairs with atom i at bit n - i.
     if artifact.kind == KIND_OBDD:
         manager = artifact.manager
         root = artifact.root.node
-        parts: dict[int, list[dict]] = {manager.FALSE: [], manager.TRUE: [{}]}
+        parts: dict[int, list[tuple[int, int]]] = {
+            manager.FALSE: [], manager.TRUE: [(0, 0)]}
         for node in manager.reachable(root):
-            var = manager.var_at(node)
+            bit = 1 << (n - manager.var_at(node))
             hi, lo = manager.branches(node)
-            parts[node] = [{var: True, **p} for p in parts[hi]] + \
-                [{var: False, **p} for p in parts[lo]]
+            parts[node] = [(m | bit, t | bit) for m, t in parts[hi]] + \
+                [(m | bit, t) for m, t in parts[lo]]
     else:
         pdag = artifact.dag
         root = artifact.root
@@ -158,29 +165,40 @@ def enumerate_models(artifact: CompiledArtifact) -> Iterator[Assignment]:
             tag = pdag.kind(node)
             if tag == LIT:
                 var, pol = pdag.leaf(node)
-                parts[node] = [{var: pol}]
+                bit = 1 << (n - var)
+                parts[node] = [(bit, bit if pol else 0)]
             elif tag == AND:
-                out = [{}]
+                # Conjuncts share no variable, so OR merges their pairs.
+                out = [(0, 0)]
                 for child in pdag.children(node):
-                    out = [{**m, **tail} for m in out for tail in parts[child]]
+                    out = [(m | cm, t | ct) for m, t in out
+                           for cm, ct in parts[child]]
                 parts[node] = out
             elif tag == OR:
-                parts[node] = [m for child in pdag.children(node)
-                               for m in parts[child]]
+                parts[node] = [p for child in pdag.children(node)
+                               for p in parts[child]]
             else:
-                parts[node] = [{}] if tag == TRUE_KIND else []
-    indices = range(1, artifact.nvars + 1)
-    found = []
-    for partial in parts[root]:
-        free = [i for i in indices if i not in partial]
-        for values in product((True, False), repeat=len(free)):
-            model = {**partial, **dict(zip(free, values))}
-            found.append(tuple(model[i] for i in indices))
-    # Descending order of the value tuples is lexicographic, true first.
-    found.sort(reverse=True)
-    atoms = [artifact.amap.atom(i) for i in indices]
-    for values in found:
-        yield Assignment(list(zip(atoms, values)))
+                parts[node] = [(0, 0)] if tag == TRUE_KIND else []
+    # Each pair's models: its true bits under every subset of its free bits.
+    full = (1 << n) - 1
+    models = []
+    for mask, bits in parts[root]:
+        free = sub = full & ~mask
+        while True:
+            models.append(bits | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    # Atom 1 is the top bit, so descending order is lexicographic, true first.
+    models.sort(reverse=True)
+    # An Assignment keeps its items in the atoms' sort-key order.
+    amap = artifact.amap
+    atoms = sorted((amap.atom(i) for i in range(1, n + 1)), key=Atom.sort_key)
+    literals = [(1 << (n - amap.index(a)), (a, True), (a, False))
+                for a in atoms]
+    for model in models:
+        yield Assignment._sorted(tuple(pos if model & bit else neg
+                                       for bit, pos, neg in literals))
 
 
 def _matching_obdds(a: CompiledArtifact, b: CompiledArtifact,

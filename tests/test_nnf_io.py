@@ -11,6 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kcmt import nnf_io
+from kcmt.cli import main
 from kcmt.compiler import (
     KIND_OBDD,
     MODE_T_EXTENDED,
@@ -306,6 +307,19 @@ class TestLemmaDump:
 class TestHandWrittenFiles:
     MAP_ONE = ("kcmt-map 1\nkind ddnnf\nmode tReduced\ntarget forFormula\n"
                "atoms 1\nx <= 0\nlemmas 0\n")
+
+    @pytest.mark.parametrize("const", ["1.5", "2/4", "+1", "1_0", "-0",
+                                       "1/-2", "1/0"])
+    def test_unprinted_constant_refused(self, tmp_path, const):
+        # A constant is read only as the writer prints it: an integer, or
+        # p/q in lowest terms with a positive q, signed by a leading minus.
+        nnf = tmp_path / "h.nnf"
+        mp = tmp_path / "h.map"
+        nnf.write_text("nnf 1 0 1\nL 1\n")
+        mp.write_text(self.MAP_ONE.replace("x <= 0", "x <= " + const))
+        with pytest.raises(NnfIoError, match="line 6: bad atom string"):
+            read_nnf(str(nnf), str(mp))
+        assert main(["query", "ct", str(nnf), str(mp)]) == 2
 
     def test_three_line_literal_file(self, tmp_path):
         nnf = tmp_path / "h.nnf"

@@ -180,6 +180,22 @@ class TestFromFormula:
             assert equal(from_formula(p, node, m),
                          from_formula(p, p.to_nnf(node), m))
 
+    def test_clause_chain_builds_in_linear_space(self):
+        # (and (or 1 2) (or 2 3) ...): conjoined deepest clause first, each
+        # apply rebuilds only the levels above the next clause, so the
+        # manager stays linear in n; left to right it grew quadratically.
+        n = 300
+        p = Dag()
+        chain = p.and_([p.or_([p.lit(v), p.lit(v + 1)]) for v in range(1, n)])
+        m = ObddManager(tuple(range(1, n + 1)))
+        r = from_formula(p, chain, m)
+        assert len(m) <= 5 * n
+        # No two adjacent variables false: Fibonacci(n + 2) models.
+        fib = [0, 1]
+        while len(fib) < n + 3:
+            fib.append(fib[-1] + fib[-2])
+        assert m.satcount(r.node) == fib[n + 2]
+
     @pytest.mark.parametrize("chain", [implies_chain, alternating_chain])
     def test_deep_chain_gives_the_shallow_handle(self, chain):
         p = Dag()

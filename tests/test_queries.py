@@ -9,6 +9,7 @@ import pytest
 
 from kcmt import cli
 from kcmt.compiler import (
+    KIND_DDNNF,
     KIND_OBDD,
     MODE_T_EXTENDED,
     MODE_T_REDUCED,
@@ -238,6 +239,42 @@ class TestEnumeration:
                 art = build_obdd_artifact(fdag, node, alpha,
                                           order=tuple(order))
                 assert list(enumerate_models(art)) == want
+
+    def test_ddnnf_models_complete_total_and_in_atom_order(self):
+        # Atoms the formula does not mention are free at the root, and
+        # every model still assigns them, in atom-index order.
+        rng = random.Random(90106)
+        oracle = Oracle()
+        free = 0
+        for _ in range(30):
+            nvars = rng.randint(1, 5)
+            n_bool = rng.randint(0, nvars)
+            alpha = AtomSet(random_atoms(rng, n_bool, nvars - n_bool, 2))
+            pdag, fdag = Dag(), Dag()
+            node = refine(pdag, random_prop(pdag, rng, rng.randint(1, nvars),
+                                            depth=3),
+                          AbstractionMap(alpha), fdag)
+            free += len(atoms_of(fdag, node)) < nvars
+            want = oracle.query("me", fdag, node, alpha)
+            assert list(enumerate_models(build_tred(fdag, node, alpha))) == \
+                want
+        assert free >= 5
+
+    @pytest.mark.parametrize("kind", [KIND_DDNNF, KIND_OBDD])
+    def test_models_past_a_machine_word_in_atom_order(self, kind):
+        # 73 atoms: 67 unit literals, a clause over the next three and
+        # three left free, so a model's bits run past 64.
+        atoms = [Atom.boolean("b%02d" % i) for i in range(73)]
+        units = [(a, i % 3 != 0) for i, a in enumerate(atoms[:67])]
+        fdag = Dag()
+        clause = fdag.or_([fdag.lit(a) for a in atoms[67:70]])
+        node = fdag.and_([fdag.lit(a, p) for a, p in units] + [clause])
+        art = build_tred(fdag, node, AtomSet(atoms), kind=kind)
+        want = [Assignment(units + list(zip(atoms[67:], values)))
+                for values in itertools.product((True, False), repeat=6)
+                if any(values[:3])]
+        assert len(want) == 56
+        assert list(enumerate_models(art)) == want
 
 
 class TestEquivalenceAndEntailment:
