@@ -16,20 +16,29 @@ The walk is incremental. Each node carries a witness of its arithmetic
 prefix: the backend contract is that a sat verdict's witness, when present,
 satisfies every queried literal (variables it omits read as 0). An
 extension that already holds at the parent's witness is therefore sat
-without a backend call, and keeps that witness. Every other prefix is
-decided by one backend call; since each node has its own prefix, each unsat
-verdict and conflict is exactly what the backend returns for that prefix.
+without a backend call, and keeps that witness. Otherwise the parent's
+witness is first moved onto the new literal (`moved_point`): one variable of
+the new atom is freed, in name order, and set inside the bounds that the
+prefix puts on it. A point that satisfies the extension makes it sat, as
+the backend would say (see `TheoryVerdict`), and becomes its witness. Only
+a prefix that no moved point satisfies is decided by one backend call.
+Each node has its own prefix, and no point satisfies an unsat one, so each
+unsat verdict and conflict is exactly what the backend returns for that
+prefix. Residuals, `blocked` and the learned clauses never read a witness,
+so witnesses decide only which prefixes reach the backend, never the
+lemmas.
 
 Every run over one `AtomSet` object with one backend (the formula run and
-the negation run of a compile, say) shares those outcomes: the witness of a
-sat prefix, the minimized core of an unsat one. A prefix is the values of
-the first k arithmetic atoms, so an int code names it: a leading 1 bit, then
-one bit per decision. A node's witness depends on its prefix alone (the
-parent's, or the backend's for the prefix), so every run reaches the same
-checked prefixes with the same witnesses, and a shared outcome is again
-exactly what the backend returns for that prefix. Lemma sets are the same
-as with a fresh atom set for each run. Nothing is shared between backends or
-atom set objects, however equal their atoms.
+the negation run of a compile, say) shares those outcomes: the witness
+(moved or the backend's) of a checked sat prefix, the minimized core of an
+unsat one. A prefix is the values of the first k arithmetic atoms, so an
+int code names it: a leading 1 bit, then one bit per decision. A node's
+witness depends on its prefix alone (the parent's, the parent's moved, or
+the backend's for the prefix), so every run reaches the same checked
+prefixes with the same witnesses, and a shared core is again exactly what
+the backend returns for that prefix. Lemma sets are the same as with a
+fresh atom set for each run. Nothing is shared between backends or atom set
+objects, however equal their atoms.
 
 A witness is kept in `scaled_point` form, converted once per sat verdict:
 one common denominator and an integer numerator per variable. Testing an
@@ -46,7 +55,7 @@ from dataclasses import dataclass
 
 from .formulas import AbstractionMap, Assignment, AtomSet, Dag, abstract
 from .theory import (LraBackend, holds_at_scaled, minimize_conflict,
-                     scaled_point)
+                     moved_point, scaled_point)
 
 TARGET_FORMULA = "forFormula"
 TARGET_NEGATION = "forNegation"
@@ -238,7 +247,8 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
             if child in outcomes:
                 point = outcomes[child]
             else:
-                point = outcomes[child] = outcome(lits, prefix)
+                moved = point and moved_point(atom, val, prefix, point)
+                point = outcomes[child] = moved or outcome(lits, prefix)
             if isinstance(point, frozenset):
                 learn(point)
                 continue

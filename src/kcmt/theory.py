@@ -45,9 +45,12 @@ class TheoryVerdict:
     Backend contract: a sat verdict's witness, when present, satisfies every
     queried literal, reading any variable it omits as 0. Lemma enumeration
     relies on this: it carries the witness down its search and skips the
-    backend for every extension that already holds there. A sat verdict
-    may leave the witness as None; an unsat verdict always has a conflict
-    that is a subset of the queried literals.
+    backend for every extension that already holds there, or at the witness
+    moved onto it (`moved_point`). A backend therefore treats every
+    conjunction that some rational point satisfies as sat: a moved point
+    is a model that no backend produced. A sat verdict may leave the
+    witness as None; an unsat verdict always has a conflict that is a
+    subset of the queried literals.
     """
 
     status: str  # "sat" | "unsat"
@@ -349,9 +352,11 @@ class LraBackend:
 class BooleanBackend:
     """Degenerate theory: every atom is opaque, only complements conflict.
 
-    The empty witness satisfies no LRA literal in general, yet lemma
-    enumeration stays exact with it: an extension it short-cuts adds an
-    atom absent from the prefix, which this backend accepts anyway.
+    The empty witness satisfies no LRA literal in general, and lemma
+    enumeration moves it like any other witness (`moved_point`), so neither
+    it nor a point moved from it need satisfy the prefix. Enumeration stays
+    exact with it: an extension it short-cuts adds an atom absent from the
+    prefix, which this backend accepts anyway.
     """
 
     def check_conjunction(self, literals: Iterable[Literal]) -> TheoryVerdict:
@@ -398,6 +403,83 @@ def holds_at_scaled(atom: Atom, pol: bool, scaled: tuple[dict, int]) -> bool:
     else:
         holds = total == bound
     return holds == pol
+
+
+def moved_point(atom: Atom, pol: bool, literals: Iterable[Literal],
+                scaled: tuple[dict, int]) -> Optional[tuple[dict, int]]:
+    """A point in `scaled_point` form where `(atom, pol)` holds, made from
+    `scaled` by moving one variable of the atom; None when none gives one.
+
+    The variables are freed in name order, the others held at their values
+    (absent ones at 0). The LRA literals of `literals` and the new one that
+    mention the freed variable bound it to an interval: its midpoint, the
+    value itself when the ends meet, or the bound -/+ 1 when one side is
+    open. A disequality bounds nothing. The point is then checked with
+    `holds_at_scaled` on every literal that mentions the variable; one that
+    lands on a disequality fails. A literal without it keeps its truth
+    value, so a point `scaled` that satisfies `literals` moves to one that
+    satisfies them and `(atom, pol)`.
+
+    All in integers: a variable's value is kept as its numerator over the
+    point's denominator d, and each bound on that numerator as an exact
+    (num, den) pair, den > 0, compared by cross-multiplication.
+    """
+    nums, den = scaled
+    literals = ((atom, pol), *literals)  # a Boolean atom has no coeffs
+    for var, _a in atom.coeffs:
+        lo = hi = None  # (num, den, strict)
+        touching = []
+        for at, p in literals:
+            a = rest = 0
+            for w, c in at.coeffs:
+                if w == var:
+                    a = c
+                else:
+                    rest += c * nums.get(w, 0)
+            if not a:
+                continue
+            touching.append((at, p))
+            # rest/d + a*X/d rel P/Q, times Q*d: a*Q*X rel P*d - Q*rest.
+            rel = at.rel
+            if rel == REL_EQ:
+                if not p:
+                    continue
+                upper = lower = True
+                strict = False
+            else:
+                upper, lower = p, not p
+                strict = (rel == REL_LT) == p
+            q = at.const.denominator
+            t, b = at.const.numerator * den - q * rest, a * q
+            if b < 0:
+                t, b, upper, lower = -t, -b, lower, upper
+            if lower and (lo is None or t * lo[1] > lo[0] * b
+                          or (strict and t * lo[1] == lo[0] * b)):
+                lo = (t, b, strict)
+            if upper and (hi is None or t * hi[1] < hi[0] * b
+                          or (strict and t * hi[1] == hi[0] * b)):
+                hi = (t, b, strict)
+        if lo is None and hi is None:
+            continue
+        if lo is None:
+            x, xd = hi[0] - den * hi[1], hi[1]
+        elif hi is None:
+            x, xd = lo[0] + den * lo[1], lo[1]
+        elif lo[0] * hi[1] < hi[0] * lo[1]:
+            x, xd = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        elif lo[0] * hi[1] == hi[0] * lo[1] and not (lo[2] or hi[2]):
+            x, xd = lo[0], lo[1]
+        else:
+            continue
+        # The value x/xd of the numerator over d: every numerator times xd,
+        # over d*xd, reduced by the gcd of them all.
+        moved = {w: n * xd for w, n in nums.items()}
+        moved[var] = x
+        g = gcd(den * xd, *moved.values())
+        point = {w: n // g for w, n in moved.items()}, den * xd // g
+        if all(holds_at_scaled(at, p, point) for at, p in touching):
+            return point
+    return None
 
 
 def holds_at(atom: Atom, pol: bool, point: dict) -> bool:

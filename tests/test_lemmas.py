@@ -39,6 +39,7 @@ from kcmt.theory import (
     holds_at,
     holds_at_scaled,
     minimize_conflict,
+    moved_point,
     scaled_point,
 )
 
@@ -603,3 +604,138 @@ class TestIntegerWitnessTest:
             for pol in (True, False):
                 assert holds_at(atom, pol, point) == \
                     _fraction_holds(atom, pol, point)
+
+
+def _values(scaled):
+    nums, den = scaled
+    return {v: Fraction(n, den) for v, n in nums.items()}
+
+
+def _moves_onto_all(prefix, atom, pol, scaled):
+    """`moved_point` at `scaled`, with its point (if any) checked against
+    every LRA literal of `prefix` and the new one in `Fraction` arithmetic."""
+    point = moved_point(atom, pol, prefix, scaled)
+    if point is not None:
+        for at, p in tuple(prefix) + ((atom, pol),):
+            if at.kind == "lra":
+                assert _fraction_holds(at, p, _values(point)), (at, p, point)
+    return point
+
+
+X_LT_2 = Atom.linear({"x": 1}, "<", 2)
+X_LE_2 = Atom.linear({"x": 1}, "<=", 2)
+X_LE_4 = Atom.linear({"x": 1}, "<=", 4)
+X_EQ_2 = Atom.linear({"x": 1}, "=", 2)
+X_EQ_3 = Atom.linear({"x": 1}, "=", 3)
+X_LT_0 = Atom.linear({"x": 1}, "<", 0)
+X_PLUS_2Y_LE_0 = Atom.linear({"x": 1, "y": 2}, "<=", 0)
+X_PLUS_Y_LE_M1 = Atom.linear({"x": 1, "y": 1}, "<=", -1)
+
+
+class TestMovedWitness:
+    """Before a backend call, the parent's witness moves one variable of the
+    new atom inside the bounds that the prefix puts on it."""
+
+    def test_every_moved_point_satisfies_its_prefix(self, monkeypatch):
+        moves = []
+
+        def recording(atom, pol, literals, scaled):
+            point = _moves_onto_all(literals, atom, pol, scaled)
+            moves.append(point)
+            return point
+
+        monkeypatch.setattr("kcmt.lemmas.moved_point", recording)
+        for dag, node, alpha in _corpus(52001, 60):
+            for target in (node, dag.negate(node)):
+                enumerate_lemmas(dag, target, alpha)
+        found = sum(point is not None for point in moves)
+        assert found >= 200 and found < len(moves), (found, len(moves))
+
+    def test_an_equality_on_the_freed_variable_gives_its_value(self):
+        point = _moves_onto_all([(X_LE_4, True)], X_EQ_3, True, ({"x": 0}, 1))
+        assert _values(point) == {"x": 3}
+
+    def test_two_conflicting_equalities_give_nothing(self):
+        assert _moves_onto_all([(X_EQ_2, True)], X_EQ_3, True,
+                               ({"x": 2}, 1)) is None
+
+    def test_bounds_that_meet(self):
+        # x <= 2 and x >= 2 meet at 2; x < 2 and x >= 2 do not.
+        point = _moves_onto_all([(X_LE_2, True)], X_GE_2, True, ({"x": 0}, 1))
+        assert _values(point) == {"x": 2}
+        assert _moves_onto_all([(X_LT_2, True)], X_GE_2, True,
+                               ({"x": 0}, 1)) is None
+        assert _moves_onto_all([(X_LT_2, True)], X_LE_2, False,
+                               ({"x": 0}, 1)) is None
+
+    def test_the_midpoint_of_two_bounds(self):
+        point = _moves_onto_all([(X_LE_4, True)], X_LT_0, False,
+                                ({"x": -1}, 1))
+        assert _values(point) == {"x": 2}
+
+    def test_a_one_sided_bound_is_passed_by_one(self):
+        point = _moves_onto_all([], X_LE_0, True, ({"x": 1}, 1))
+        assert _values(point) == {"x": -1}
+        point = _moves_onto_all([], X_LE_4, False, ({"x": 0}, 1))
+        assert _values(point) == {"x": 5}
+        # x + 2y <= 0 at x = 1/2, y = 1/3: x moves to -2/3 - 1.
+        point = _moves_onto_all([], X_PLUS_2Y_LE_0, True,
+                                scaled_point({"x": Fraction(1, 2),
+                                              "y": Fraction(1, 3)}))
+        assert _values(point) == {"x": Fraction(-5, 3), "y": Fraction(1, 3)}
+
+    def test_a_midpoint_on_a_negated_equality_fails(self):
+        # x in [0, 4] has its midpoint at 2, which x != 2 excludes.
+        assert _moves_onto_all([(X_LE_4, True), (X_EQ_2, False)], X_LT_0,
+                               False, ({"x": -1}, 1)) is None
+        # Only disequalities bound x: nothing to move inside.
+        assert _moves_onto_all([], X_EQ_2, False, ({"x": 2}, 1)) is None
+
+    def test_a_variable_missing_from_the_witness_reads_as_zero(self):
+        point = _moves_onto_all([], X_EQ_3, True, ({"y": 3}, 2))
+        assert _values(point) == {"x": 3, "y": Fraction(3, 2)}
+        point = _moves_onto_all([], X_PLUS_Y_LE_M1, True, ({"x": 0}, 1))
+        assert _values(point) == {"x": -2}
+
+    def test_the_next_variable_when_the_first_is_pinned(self):
+        point = _moves_onto_all([(X_EQ_1, False), (Atom.linear(
+            {"x": 1}, "=", 0), True)], X_PLUS_Y_LE_M1, True,
+            ({"x": 0, "y": 0}, 1))
+        assert _values(point) == {"x": 0, "y": -2}
+
+    def test_boolean_literals_are_ignored(self):
+        prefix = [(Atom.boolean("b"), True), (X_LE_4, True)]
+        assert moved_point(X_LT_0, False, prefix, ({"x": -1}, 1)) == \
+            moved_point(X_LT_0, False, prefix[1:], ({"x": -1}, 1))
+
+    def test_a_none_witness_is_not_moved(self, monkeypatch):
+        # Without witnesses only the root's empty point and the points moved
+        # from it are moved on; the lemmas stay the same.
+        def recording(atom, pol, literals, scaled):
+            assert scaled is not None
+            return moved_point(atom, pol, literals, scaled)
+
+        monkeypatch.setattr("kcmt.lemmas.moved_point", recording)
+        dag, node, alpha = _family(1000)
+        plain = _CountingBackend(keep_witness=False)
+        for target in (node, dag.negate(node)):
+            assert _lines(enumerate_lemmas(dag, target, alpha,
+                                           backend=plain)) == \
+                _lines(enumerate_lemmas(dag, target, AtomSet(alpha)))
+        assert plain.checks > 0
+
+    @pytest.mark.parametrize("specs,limit", [
+        ([(14, 3, 4, 1000), (18, 3, 4, 1004)], 1000),
+        ([(22, 4, 5, 7)], 4000),
+    ], ids=["corpus-1000-1004", "H22"])
+    def test_fewer_backend_calls(self, specs, limit):
+        # Formula plus negation. Without the move: 1,363 and 5,585 calls.
+        counting = _CountingBackend(keep_witness=True)
+        for atoms, nvars, depth, seed in specs:
+            dag = Dag()
+            node, alpha = generate(dag, InstanceSpec(
+                num_lra_atoms=atoms, num_rational_vars=nvars, dag_depth=depth,
+                seed=seed))
+            for target in (node, dag.negate(node)):
+                enumerate_lemmas(dag, target, alpha, backend=counting)
+        assert counting.checks < limit, counting.checks
