@@ -143,21 +143,15 @@ def compile_ddnnf(pdag: Dag, node: int, use_cache: bool = True) -> int:
     return fold(node, step, {} if use_cache else None)
 
 
-def smooth(pdag: Dag, node: int, scope=None) -> int:
-    """Pad decision branches so every OR ranges over the same atoms.
+def smooth(pdag: Dag, node: int, nvars: int) -> int:
+    """Pad decision branches so every OR ranges over the same atoms, and
+    the root over variables 1..nvars.
 
-    `scope` widens the root: an int n pads it to variables 1..n, an
-    iterable pads it to that set, None leaves the root's own atom set.
     Padding conjoins `v or not v` gadgets in ascending variable order.
     """
     if not pdag.is_nnf(node):
         raise CompileError("smoothing input must be in negation normal form")
-    if scope is None:
-        target = pdag.keys_of(node)
-    elif isinstance(scope, int):
-        target = frozenset(range(1, scope + 1))
-    else:
-        target = frozenset(scope)
+    target = frozenset(range(1, nvars + 1))
     if not pdag.keys_of(node) <= target:
         raise CompileError("smoothing scope must cover the node's variables")
 
@@ -398,17 +392,3 @@ def build_text(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
     return _build(MODE_T_EXTENDED, fdag, node, alpha, scope, backend, kind,
                   order, manager, lemmas)
 
-
-def build_obdd_artifact(fdag: Dag, node: int, alpha: AtomSet | None = None,
-                        mode: str = MODE_T_REDUCED, *, scope: str = "formula",
-                        backend=None, order=None,
-                        manager: ObddManager | None = None) -> CompiledArtifact:
-    """OBDD-backed variant of the two pipelines, selected by `mode`.
-
-    Passing a shared `manager` makes artifacts comparable by root handle:
-    canonicity then turns equivalence into handle identity.
-    """
-    if mode not in (MODE_T_REDUCED, MODE_T_EXTENDED):
-        raise CompileError("unknown mode %r" % mode)
-    return _build(mode, fdag, node, alpha, scope, backend, KIND_OBDD, order,
-                  manager, None)

@@ -276,25 +276,12 @@ class Assignment:
                 return v
         raise KeyError(atom)
 
-    def get(self, atom: Atom, default=None):
-        for a, v in self._items:
-            if a == atom:
-                return v
-        return default
-
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(a for a, _ in self._items)
-
     def items(self) -> tuple[tuple[Atom, bool], ...]:
         return self._items
 
     def is_total_over(self, alpha: AtomSet) -> bool:
         assigned = {a for a, _ in self._items}
         return len(assigned) == len(alpha) and all(a in assigned for a in alpha)
-
-    def extends(self, other: "Assignment") -> bool:
-        mine = dict(self._items)
-        return all(mine.get(a) == v for a, v in other._items)
 
     def __len__(self) -> int:
         return len(self._items)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .formulas import AND, OR, Atom, AtomSet, Dag
 
@@ -20,7 +19,11 @@ DEFAULT_OPERATOR_MIX = (
     ("and", 3.0), ("or", 3.0), ("implies", 1.0), ("iff", 1.0),
     ("xor", 1.0), ("not", 1.0),
 )
-_OPS = frozenset(op for op, _ in DEFAULT_OPERATOR_MIX)
+# Connectives are drawn from the binary entries by weight; the "not"
+# weight's share of the total is the chance to negate a built node.
+_BINARY_OPS = tuple(e for e in DEFAULT_OPERATOR_MIX if e[0] != "not")
+_WRAP_PROB = (dict(DEFAULT_OPERATOR_MIX)["not"]
+              / sum(w for _, w in DEFAULT_OPERATOR_MIX))
 
 
 class GenerateError(ValueError):
@@ -35,14 +38,9 @@ class InstanceSpec:
     num_lra_atoms: int = 4
     num_rational_vars: int = 2
     dag_depth: int = 3
-    operator_mix: tuple = DEFAULT_OPERATOR_MIX
     seed: int = 0
 
     def __post_init__(self):
-        mix = self.operator_mix
-        if isinstance(mix, Mapping):
-            mix = tuple(sorted(mix.items()))
-            object.__setattr__(self, "operator_mix", mix)
         for name, count in (("num_bool_atoms", self.num_bool_atoms),
                             ("num_lra_atoms", self.num_lra_atoms),
                             ("num_rational_vars", self.num_rational_vars)):
@@ -55,16 +53,6 @@ class InstanceSpec:
         if self.num_lra_atoms > 0 and self.num_rational_vars == 0:
             raise GenerateError(
                 "linear atoms need at least one rational variable")
-        total = 0.0
-        for entry in mix:
-            if (not isinstance(entry, tuple) or len(entry) != 2
-                    or entry[0] not in _OPS):
-                raise GenerateError("unknown operator mix entry %r" % (entry,))
-            if entry[1] < 0:
-                raise GenerateError("operator weights must be >= 0")
-            total += entry[1]
-        if total <= 0:
-            raise GenerateError("operator mix needs a positive total weight")
 
 
 def _lra_atoms(rng: random.Random, count: int, nvars: int) -> list[Atom]:
@@ -93,14 +81,14 @@ def _lra_atoms(rng: random.Random, count: int, nvars: int) -> list[Atom]:
     return out
 
 
-def _pick_op(rng: random.Random, mix) -> str:
-    total = sum(w for _, w in mix)
+def _pick_op(rng: random.Random) -> str:
+    total = sum(w for _, w in _BINARY_OPS)
     roll = rng.random() * total
-    for op, w in mix:
+    for op, w in _BINARY_OPS:
         roll -= w
         if roll < 0:
             return op
-    return mix[-1][0]
+    return _BINARY_OPS[-1][0]
 
 
 def _has_or_over_and(dag: Dag, node: int) -> bool:
@@ -123,18 +111,14 @@ def generate(fdag: Dag, spec: InstanceSpec) -> tuple[int, AtomSet]:
     """Build one instance in `fdag`; returns (formula, atom set).
 
     Every atom of the returned set occurs in the formula, and the same
-    spec always produces the same formula and atom order.
+    spec always produces the same formula and atom order. Connectives
+    follow `DEFAULT_OPERATOR_MIX`, the one operator mix there is.
     """
     rng = random.Random(spec.seed)
     atoms = _lra_atoms(rng, spec.num_lra_atoms, spec.num_rational_vars)
     atoms.extend(Atom.boolean("b%d" % (i + 1))
                  for i in range(spec.num_bool_atoms))
     rng.shuffle(atoms)
-
-    binary = tuple((op, w) for op, w in spec.operator_mix
-                   if op != "not" and w > 0) or (("and", 1.0),)
-    not_weight = sum(w for op, w in spec.operator_mix if op == "not")
-    wrap_prob = min(0.5, not_weight / sum(w for _, w in spec.operator_mix))
 
     def leafy(slice_: list[Atom]) -> int:
         lits = [fdag.lit(a, rng.random() < 0.5) for a in slice_]
@@ -150,7 +134,7 @@ def generate(fdag: Dag, spec: InstanceSpec) -> tuple[int, AtomSet]:
         bounds = [0] + cuts + [len(slice_)]
         subs = [build(slice_[a:b], depth - 1)
                 for a, b in zip(bounds, bounds[1:])]
-        op = _pick_op(rng, binary)
+        op = _pick_op(rng)
         if op == "and":
             node = fdag.and_(subs)
         elif op == "or":
@@ -167,7 +151,7 @@ def generate(fdag: Dag, spec: InstanceSpec) -> tuple[int, AtomSet]:
             node = subs[-1]
             for s in reversed(subs[:-1]):
                 node = fdag.not_(fdag.iff(s, node))
-        if rng.random() < wrap_prob:
+        if rng.random() < _WRAP_PROB:
             node = fdag.not_(node)
         return node
 

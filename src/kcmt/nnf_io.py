@@ -227,11 +227,13 @@ def _parse_map(text: str, path: str):
         return lines[pos - 1].strip(), pos
 
     def keyed(key: str, what: str) -> tuple[str, int]:
+        # A key with no value reads as "": the order of a 0-atom OBDD is
+        # written as a bare `order`.
         line, no = take(what)
         parts = line.split(None, 1)
-        if len(parts) != 2 or parts[0] != key:
+        if not parts or parts[0] != key:
             raise _fail(path, no, "expected '%s <%s>'" % (key, what))
-        return parts[1], no
+        return (parts[1] if len(parts) == 2 else ""), no
 
     line, no = take("header")
     if line != MAP_HEADER:

@@ -28,14 +28,6 @@ class ObddRef:
     manager: "ObddManager"
     node: int
 
-    @property
-    def is_false(self) -> bool:
-        return self.node == ObddManager.FALSE
-
-    @property
-    def is_true(self) -> bool:
-        return self.node == ObddManager.TRUE
-
 
 class ObddManager:
     """Unique table, apply cache, and the standard operations."""
@@ -63,14 +55,6 @@ class ObddManager:
 
     def ref(self, node: int) -> ObddRef:
         return ObddRef(self, node)
-
-    @property
-    def false(self) -> ObddRef:
-        return self.ref(self.FALSE)
-
-    @property
-    def true(self) -> ObddRef:
-        return self.ref(self.TRUE)
 
     def level_of(self, node: int) -> int:
         return self._nodes[node][0]

@@ -17,8 +17,7 @@ import pytest
 import conftest
 
 from kcmt.compiler import (
-    MODE_T_EXTENDED,
-    build_obdd_artifact,
+    KIND_OBDD,
     build_text,
     build_tred,
     compile_ddnnf,
@@ -158,9 +157,9 @@ def test_criterion_1_worked_example():
         # phi2 = not(x<=0) iff (x=1) is theory-equivalent to phi1; under a
         # shared manager equivalence is root-handle identity.
         manager = ObddManager((1, 2))
-        o1 = build_obdd_artifact(fdag, phi1, alpha, manager=manager)
-        o2 = build_obdd_artifact(fdag, build_phi2(fdag), alpha,
-                                 manager=manager)
+        o1 = build_tred(fdag, phi1, alpha, kind=KIND_OBDD, manager=manager)
+        o2 = build_tred(fdag, build_phi2(fdag), alpha, kind=KIND_OBDD,
+                        manager=manager)
         assert equivalent(o1, o2)
         assert o1.root.node == o2.root.node
 
@@ -253,12 +252,13 @@ def test_criterion_3_oracle_equivalence(corpus):
 
             # Equivalence and entailment need a shared canonical backend.
             manager = ObddManager(tuple(range(1, len(alpha) + 1)))
-            o1 = build_obdd_artifact(fdag, node, alpha, manager=manager)
+            o1 = build_tred(fdag, node, alpha, kind=KIND_OBDD, manager=manager)
             pivot = atoms[seed % len(atoms)]
             twin = shannon(fdag, node, pivot)
             perturbed = fdag.not_(fdag.iff(node, fdag.lit(pivot)))
             for other in (twin, perturbed):
-                o2 = build_obdd_artifact(fdag, other, alpha, manager=manager)
+                o2 = build_tred(fdag, other, alpha, kind=KIND_OBDD,
+                                manager=manager)
                 assert equivalent(o1, o2) == oracle.query(
                     "eq", fdag, node, alpha, other)
                 assert sentential_entails(o1, o2) == oracle.query(
@@ -278,14 +278,13 @@ def test_textended_obdds_answer_eq_and_se(corpus):
     for seed, fdag, node, alpha, _, _ in corpus:
         atoms = list(alpha)
         manager = ObddManager(tuple(range(1, len(alpha) + 1)))
-        o1 = build_obdd_artifact(fdag, node, alpha, mode=MODE_T_EXTENDED,
-                                 manager=manager)
+        o1 = build_text(fdag, node, alpha, kind=KIND_OBDD, manager=manager)
         pivot = atoms[seed % len(atoms)]
         twin = shannon(fdag, node, pivot)
         perturbed = fdag.not_(fdag.iff(node, fdag.lit(pivot)))
         for other in (twin, perturbed):
-            o2 = build_obdd_artifact(fdag, other, alpha, mode=MODE_T_EXTENDED,
-                                     manager=manager)
+            o2 = build_text(fdag, other, alpha, kind=KIND_OBDD,
+                            manager=manager)
             assert equivalent(o1, o2) == oracle.query(
                 "eq", fdag, node, alpha, other)
             forward = oracle.query("se", fdag, node, alpha, other)
@@ -396,14 +395,15 @@ def test_criterion_6_canonicity():
                 seed=seed)
             node, alpha = generate(fdag, spec)
             manager = ObddManager(tuple(range(1, len(alpha) + 1)))
-            base = build_obdd_artifact(fdag, node, alpha, manager=manager)
+            base = build_tred(fdag, node, alpha, kind=KIND_OBDD,
+                              manager=manager)
             atom = list(alpha)[seed % len(alpha)]
 
             if same < CANON_PAIRS:
                 twin = shannon(fdag, node, atom)
                 assert oracle.query("eq", fdag, node, alpha, twin)
-                other = build_obdd_artifact(fdag, twin, alpha,
-                                            manager=manager)
+                other = build_tred(fdag, twin, alpha, kind=KIND_OBDD,
+                                   manager=manager)
                 assert other.root.node == base.root.node
                 assert equivalent(base, other)
                 same += 1
@@ -411,8 +411,8 @@ def test_criterion_6_canonicity():
             if different < CANON_PAIRS:
                 flipped = fdag.not_(fdag.iff(node, fdag.lit(atom)))
                 if not oracle.query("eq", fdag, node, alpha, flipped):
-                    other = build_obdd_artifact(fdag, flipped, alpha,
-                                                manager=manager)
+                    other = build_tred(fdag, flipped, alpha, kind=KIND_OBDD,
+                                       manager=manager)
                     assert other.root.node != base.root.node
                     assert not equivalent(base, other)
                     different += 1
@@ -498,7 +498,7 @@ def test_criterion_8_serialization_round_trip(corpus, tmp_path):
                                      str(tmp_path / ("e%d.map" % seed)))) \
                 == is_valid(text)
             if seed % 10 == 0:
-                obdd = build_obdd_artifact(fdag, node, alpha)
+                obdd = build_tred(fdag, node, alpha, kind=KIND_OBDD)
                 nnf = tmp_path / ("o%d.nnf" % seed)
                 mp = tmp_path / ("o%d.map" % seed)
                 write_nnf(obdd, str(nnf), str(mp))

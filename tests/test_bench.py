@@ -121,6 +121,18 @@ class TestRows:
         assert by_query["ct"]["answer"] == "0"
         assert all(r["oracleOk"] == "yes" for r in rows)
 
+    @pytest.mark.parametrize("smt2", ["(assert true)", ""],
+                             ids=["true", "empty"])
+    def test_instance_without_atoms_draws_no_clause(self, tmp_path, smt2):
+        cfg = {"instances": [{"name": "t", "smt2": smt2}], "clauses": 3}
+        rows = bench_run(cfg, None)
+        assert [(r["query"], r["answer"]) for r in rows] == \
+            [("co", "true"), ("ct", "1")]
+        p = tmp_path / "bench.cfg"
+        p.write_text(json.dumps(cfg))
+        assert main(["bench", "--spec", str(p),
+                     "--out", str(tmp_path / "r.csv")]) == 0
+
     def test_battery_shape(self):
         rows = bench_run(
             {"instances": [{"seed": 3, "lraAtoms": 5, "vars": 2}],

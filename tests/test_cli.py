@@ -114,6 +114,16 @@ class TestCompile:
         assert code == 0
         assert "order 2 1" in (tmp_path / "f.map").read_text()
 
+    def test_zero_atom_obdd_reads_back(self, tmp_path, capsys):
+        src = tmp_path / "t.smt2"
+        src.write_text("(assert true)\n")
+        nnf, mp = str(tmp_path / "t.nnf"), str(tmp_path / "t.map")
+        code, _, _ = run(
+            capsys, "compile", "--input", str(src), "--mode", "tred",
+            "--target", "obdd", "--out", nnf, "--map", mp)
+        assert code == 0
+        assert run(capsys, "query", "ct", nnf, mp) == (0, "1\n", "")
+
     @pytest.mark.parametrize("order", ["1 1", "1 2 2"])
     def test_repeated_order_index_exits_two(self, ws, tmp_path, capsys,
                                             order):

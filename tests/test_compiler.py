@@ -10,7 +10,6 @@ from kcmt.compiler import (
     MODE_T_EXTENDED,
     MODE_T_REDUCED,
     CompileError,
-    build_obdd_artifact,
     build_text,
     build_tred,
     compile_ddnnf,
@@ -246,15 +245,12 @@ class TestSmooth:
     def test_scope_must_cover_node(self):
         p = Dag()
         with pytest.raises(CompileError):
-            smooth(p, p.lit(3), {1, 2})
+            smooth(p, p.lit(3), 2)
 
     def test_scope_forms(self):
         p = Dag()
         node = p.lit(2)
-        assert smooth(p, node, None) == node
         by_int = smooth(p, node, 3)
-        by_set = smooth(p, node, {1, 2, 3})
-        assert by_int == by_set
         assert p.keys_of(by_int) == frozenset({1, 2, 3})
 
     def test_random_smoothing_preserves_truth_table(self):
@@ -450,46 +446,45 @@ class TestPrecomputedLemmas:
 
 class TestObddArtifacts:
     def test_worked_disjunction_counts_two(self, fdag):
-        art = build_obdd_artifact(fdag, build_phi1(fdag))
+        art = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD)
         assert art.kind == KIND_OBDD
         assert art.manager.satcount(art.root.node) == 2
 
     def test_canonicity_across_shared_manager(self, fdag):
         manager = ObddManager((1, 2))
-        a1 = build_obdd_artifact(fdag, build_phi1(fdag), manager=manager)
-        a2 = build_obdd_artifact(fdag, build_phi2(fdag), manager=manager)
+        a1 = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD,
+                        manager=manager)
+        a2 = build_tred(fdag, build_phi2(fdag), kind=KIND_OBDD,
+                        manager=manager)
         assert a1.root == a2.root
 
     def test_bottom_is_false_terminal(self, fdag):
-        art = build_obdd_artifact(fdag, fdag.FALSE, alpha_phi1())
-        assert art.root.is_false
+        art = build_tred(fdag, fdag.FALSE, alpha_phi1(), kind=KIND_OBDD)
+        assert art.root.node == ObddManager.FALSE
 
     def test_extended_mode_dispatch(self, fdag):
-        art = build_obdd_artifact(fdag, build_phi1(fdag),
-                                  mode=MODE_T_EXTENDED)
+        art = build_text(fdag, build_phi1(fdag), kind=KIND_OBDD)
         assert art.mode == MODE_T_EXTENDED
         # The complement holds the one model of 4 the extended form lacks.
         assert art.manager.satcount(art.root.node) == 1
 
     def test_order_validation(self, fdag):
         node = build_phi1(fdag)
-        art = build_obdd_artifact(fdag, node, order=(2, 1))
+        art = build_tred(fdag, node, kind=KIND_OBDD, order=(2, 1))
         assert art.order == (2, 1)
         with pytest.raises(CompileError):
-            build_obdd_artifact(fdag, node, order=(1, 3))
+            build_tred(fdag, node, kind=KIND_OBDD, order=(1, 3))
         with pytest.raises(CompileError):
-            build_obdd_artifact(fdag, node, order=(1,))
+            build_tred(fdag, node, kind=KIND_OBDD, order=(1,))
         with pytest.raises(CompileError):
-            build_obdd_artifact(fdag, node, order=(2, 1),
-                                manager=ObddManager((1, 2)))
-        with pytest.raises(CompileError):
-            build_obdd_artifact(fdag, node, mode="reduced")
+            build_tred(fdag, node, kind=KIND_OBDD, order=(2, 1),
+                       manager=ObddManager((1, 2)))
 
     @pytest.mark.parametrize("order", [(1, 1), (1, 2, 2)],
                              ids=["1-1", "1-2-2"])
     def test_repeated_order_index_is_a_compile_error(self, fdag, order):
         with pytest.raises(CompileError, match="permutation"):
-            build_obdd_artifact(fdag, build_phi1(fdag), order=order)
+            build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD, order=order)
 
 
 class TestInputUnwritten:
@@ -500,8 +495,8 @@ class TestInputUnwritten:
 
     @pytest.mark.parametrize("build", [
         build_tred, build_text,
-        lambda *a: build_obdd_artifact(*a, mode=MODE_T_REDUCED),
-        lambda *a: build_obdd_artifact(*a, mode=MODE_T_EXTENDED),
+        lambda *a: build_tred(*a, kind=KIND_OBDD),
+        lambda *a: build_text(*a, kind=KIND_OBDD),
     ], ids=["tred", "text", "obdd-tred", "obdd-text"])
     def test_formula_arena_is_unchanged(self, fdag, build):
         node, alpha = generate(fdag, self.SPEC)

@@ -164,8 +164,6 @@ class TestAtomContainers:
         eta = Assignment({X_LE_0: True, X_EQ_1: False})
         assert eta.value(X_LE_0) is True
         assert eta.value(X_EQ_1) is False
-        assert eta.get(X_GE_2) is None
-        assert eta.atoms() == (X_LE_0, X_EQ_1)
         assert eta.is_total_over(alpha_phi1())
         assert not eta.is_total_over(AtomSet([X_LE_0, X_EQ_1, X_GE_2]))
         assert str(eta) == "x <= 0 & !x = 1"
@@ -176,11 +174,6 @@ class TestAtomContainers:
         assert e1 == e2
         assert hash(e1) == hash(e2)
         assert e1 in {e2}
-
-    def test_assignment_extends(self):
-        total = Assignment({X_LE_0: True, X_EQ_1: False})
-        assert total.extends(Assignment({X_LE_0: True}))
-        assert not total.extends(Assignment({X_EQ_1: True}))
 
 
 class TestNormalRows:

@@ -26,20 +26,11 @@ class TestSpecValidation:
             (dict(dag_depth=0), "dag_depth"),
             (dict(num_bool_atoms=0, num_lra_atoms=0), "at least one atom"),
             (dict(num_lra_atoms=2, num_rational_vars=0), "rational variable"),
-            (dict(operator_mix=(("nand", 1.0),)), "unknown operator"),
-            (dict(operator_mix=(("and", -1.0),)), "weights must be >= 0"),
-            (dict(operator_mix={"and": 0.0}), "positive total weight"),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs, fragment):
         with pytest.raises(GenerateError, match=fragment):
             InstanceSpec(**kwargs)
-
-    def test_mapping_mix_is_normalized(self):
-        # dict input is frozen into a sorted tuple so field order cannot
-        # change the draw sequence
-        spec = InstanceSpec(operator_mix={"or": 2.0, "and": 1.0})
-        assert spec.operator_mix == (("and", 1.0), ("or", 2.0))
 
     def test_default_mix_covers_all_connectives(self):
         names = {name for name, _ in DEFAULT_OPERATOR_MIX}

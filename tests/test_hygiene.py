@@ -118,3 +118,42 @@ def test_the_walk_sees_a_locale_dependent_open():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_text_file_is_opened_as_utf8(path):
     assert text_opens_without_utf8(path.read_text(encoding="utf-8")) == []
+
+
+# Public names that only tests call: references the tests check the
+# pipeline against.
+TEST_REFERENCES = ("BooleanBackend", "count_allsmt", "refine", "rules_out",
+                   "validate")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def names_read(source: str, imports: bool) -> set[str]:
+    """Names a module loads, bare or as an attribute, and with `imports`
+    also the names it imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif imports and isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_the_scan_sees_what_a_module_reads():
+    source = "from a import b\ndef f():\n    return g\ny.h\nz.k = 1\n"
+    assert names_read(source, imports=False) == {"g", "y", "h", "z"}
+    assert names_read(source, imports=True) == {"b", "g", "y", "h", "z"}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    used = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            used |= names_read(path.read_text(encoding="utf-8"), False)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= names_read(path.read_text(encoding="utf-8"), True)
+    assert [name for name in kcmt.__all__
+            if name not in used and name not in TEST_REFERENCES] == []

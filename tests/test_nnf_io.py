@@ -15,7 +15,6 @@ from kcmt.cli import main
 from kcmt.compiler import (
     KIND_OBDD,
     MODE_T_EXTENDED,
-    build_obdd_artifact,
     build_text,
     build_tred,
     decision_var,
@@ -38,6 +37,7 @@ from kcmt.queries import (
     is_consistent,
     is_valid,
 )
+from kcmt.smtlib import parse_smt2
 
 from conftest import (
     X_EQ_1,
@@ -181,7 +181,7 @@ class TestDdnnfRoundTrip:
 class TestObddRoundTrip:
     def test_tred_obdd(self, tmp_path):
         fdag = Dag()
-        art = build_obdd_artifact(fdag, build_phi1(fdag))
+        art = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD)
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
         back = read_nnf(nnf, mp)
@@ -193,8 +193,7 @@ class TestObddRoundTrip:
 
     def test_custom_order_and_text_mode(self, tmp_path):
         fdag = Dag()
-        art = build_obdd_artifact(fdag, build_phi1(fdag), mode=MODE_T_EXTENDED,
-                                  order=(2, 1))
+        art = build_text(fdag, build_phi1(fdag), kind=KIND_OBDD, order=(2, 1))
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
         back = read_nnf(nnf, mp)
@@ -204,12 +203,36 @@ class TestObddRoundTrip:
 
     def test_terminal_roots(self, tmp_path):
         fdag = Dag()
-        art = build_obdd_artifact(
-            fdag, fdag.and_([fdag.lit(X_LE_0), fdag.lit(X_EQ_1)]))
+        art = build_tred(fdag, fdag.and_([fdag.lit(X_LE_0), fdag.lit(X_EQ_1)]),
+                         kind=KIND_OBDD)
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
         back = read_nnf(nnf, mp)
-        assert back.root.is_false
+        assert back.root.node == ObddManager.FALSE
+
+    @pytest.mark.parametrize("build", [build_tred, build_text],
+                             ids=["tred", "text"])
+    def test_zero_atom_artifacts(self, tmp_path, build):
+        # With no atoms the map's order line is a bare `order`.
+        back = {}
+        for name in ("true", "false"):
+            fdag, node, alpha = parse_smt2("(assert %s)" % name)
+            art = build(fdag, node, alpha, kind=KIND_OBDD)
+            nnf, mp = paths(tmp_path, name)
+            write_nnf(art, nnf, mp)
+            back[name] = read_nnf(nnf, mp)
+            assert back[name].order == ()
+            assert back[name].mode == art.mode
+            assert equivalent(back[name], art)
+        if build is build_tred:
+            assert is_consistent(back["true"])
+            assert not is_consistent(back["false"])
+            assert count_models(back["true"]) == 1
+            assert count_models(back["false"]) == 0
+        else:
+            assert is_valid(back["true"])
+            assert not is_valid(back["false"])
+        assert not equivalent(back["true"], back["false"])
 
     def test_random_corpus(self, tmp_path):
         rng = random.Random(90403)
@@ -219,7 +242,7 @@ class TestObddRoundTrip:
                                  rng.randint(1, 2))
             node = random_formula(fdag, rng, atoms)
             alpha = atoms_of(fdag, node).union(AtomSet(atoms))
-            art = build_obdd_artifact(fdag, node)
+            art = build_tred(fdag, node, kind=KIND_OBDD)
             nnf, mp = paths(tmp_path, "r%d" % i)
             write_nnf(art, nnf, mp)
             back = read_nnf(nnf, mp)
@@ -268,7 +291,7 @@ class TestObddFold:
             alpha = atoms_of(fdag, node).union(AtomSet(atoms))
             # every third instance under the reversed order
             order = tuple(range(len(alpha), 0, -1)) if i % 3 == 2 else None
-            art = build_obdd_artifact(fdag, node, alpha, order=order)
+            art = build_tred(fdag, node, alpha, kind=KIND_OBDD, order=order)
             nnf, mp = paths(tmp_path, "r%d" % i)
             write_nnf(art, nnf, mp)
             self.assert_fold_is_from_formula(nnf, mp)
@@ -487,7 +510,7 @@ class TestFormatErrors:
 
     def test_obdd_order_must_be_permutation(self, tmp_path):
         fdag = Dag()
-        art = build_obdd_artifact(fdag, build_phi1(fdag))
+        art = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD)
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
         text = Path(mp).read_text().replace("order 1 2", "order 1 3")
@@ -554,7 +577,7 @@ def fuzz_pairs(tmp_path_factory):
     ])
     pairs = []
     for art in (build_tred(fdag, node), build_text(fdag, node),
-                build_obdd_artifact(fdag, node)):
+                build_tred(fdag, node, kind=KIND_OBDD)):
         nnf, mp = paths(root)
         write_nnf(art, nnf, mp)
         pairs.append((Path(nnf).read_text(), Path(mp).read_text()))

@@ -45,11 +45,6 @@ def assert_reduced(manager: ObddManager):
 
 
 class TestManagerBasics:
-    def test_terminals(self):
-        m = ObddManager((1, 2))
-        assert m.false.is_false and not m.false.is_true
-        assert m.true.is_true and not m.true.is_false
-
     def test_duplicate_order_rejected(self):
         with pytest.raises(ObddError):
             ObddManager((1, 2, 1))

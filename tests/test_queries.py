@@ -13,7 +13,6 @@ from kcmt.compiler import (
     KIND_OBDD,
     MODE_T_EXTENDED,
     MODE_T_REDUCED,
-    build_obdd_artifact,
     build_text,
     build_tred,
     validate,
@@ -83,9 +82,10 @@ class TestConsistency:
         assert is_consistent(art)
 
     def test_obdd_backend(self, fdag):
-        assert is_consistent(build_obdd_artifact(fdag, build_phi1(fdag)))
+        assert is_consistent(build_tred(fdag, build_phi1(fdag),
+                                        kind=KIND_OBDD))
         node = fdag.and_([fdag.lit(X_LE_0), fdag.lit(X_EQ_1)])
-        assert not is_consistent(build_obdd_artifact(fdag, node))
+        assert not is_consistent(build_tred(fdag, node, kind=KIND_OBDD))
 
 
 class TestValidity:
@@ -102,8 +102,7 @@ class TestValidity:
 
     def test_obdd_backend(self, fdag):
         node = fdag.or_([fdag.lit(X_LE_0, False), fdag.lit(X_EQ_1, False)])
-        assert is_valid(build_obdd_artifact(fdag, node,
-                                            mode=MODE_T_EXTENDED))
+        assert is_valid(build_text(fdag, node, kind=KIND_OBDD))
 
 
 class TestClauseEntailment:
@@ -117,7 +116,7 @@ class TestClauseEntailment:
         assert not entails_clause(tred_phi1, [(X_LE_0, False)])
 
     def test_obdd_backend(self, fdag):
-        art = build_obdd_artifact(fdag, build_phi1(fdag))
+        art = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD)
         assert entails_clause(art, [(X_LE_0, False), (X_EQ_1, False)])
         assert not entails_clause(art, [(X_LE_0, False)])
 
@@ -135,8 +134,7 @@ class TestImplicant:
                                 [(X_LE_0, False), (X_EQ_1, False)])
 
     def test_obdd_backend(self, fdag):
-        art = build_obdd_artifact(fdag, build_phi1(fdag),
-                                  mode=MODE_T_EXTENDED)
+        art = build_text(fdag, build_phi1(fdag), kind=KIND_OBDD)
         assert is_implicant(art, [(X_LE_0, True)])
         assert not is_implicant(art, [(X_LE_0, False), (X_EQ_1, False)])
 
@@ -164,8 +162,8 @@ class TestCounting:
         assert got == 0
 
     def test_obdd_backend(self, fdag):
-        art = build_obdd_artifact(fdag, build_two_clause(fdag),
-                                  alpha_two_clause())
+        art = build_tred(fdag, build_two_clause(fdag), alpha_two_clause(),
+                         kind=KIND_OBDD)
         assert count_models(art) == 2
         assert count_models_assume(art, [(X1_LE_0, True)]) == 1
 
@@ -219,8 +217,8 @@ class TestEnumeration:
 
     def test_obdd_matches_ddnnf(self, fdag):
         ddnnf = build_tred(fdag, build_two_clause(fdag), alpha_two_clause())
-        obdd = build_obdd_artifact(fdag, build_two_clause(fdag),
-                                   alpha_two_clause())
+        obdd = build_tred(fdag, build_two_clause(fdag), alpha_two_clause(),
+                          kind=KIND_OBDD)
         assert list(enumerate_models(ddnnf)) == list(enumerate_models(obdd))
 
     def test_obdd_models_complete_total_and_in_atom_order(self):
@@ -236,8 +234,8 @@ class TestEnumeration:
                           AbstractionMap(alpha), fdag)
             want = oracle.query("me", fdag, node, alpha)
             for order in (range(1, nvars + 1), range(nvars, 0, -1)):
-                art = build_obdd_artifact(fdag, node, alpha,
-                                          order=tuple(order))
+                art = build_tred(fdag, node, alpha, kind=KIND_OBDD,
+                                 order=tuple(order))
                 assert list(enumerate_models(art)) == want
 
     def test_ddnnf_models_complete_total_and_in_atom_order(self):
@@ -280,36 +278,38 @@ class TestEnumeration:
 class TestEquivalenceAndEntailment:
     def test_worked_pair_equivalent(self, fdag):
         manager = ObddManager((1, 2))
-        a1 = build_obdd_artifact(fdag, build_phi1(fdag), manager=manager)
-        a2 = build_obdd_artifact(fdag, build_phi2(fdag), manager=manager)
+        a1 = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD,
+                        manager=manager)
+        a2 = build_tred(fdag, build_phi2(fdag), kind=KIND_OBDD,
+                        manager=manager)
         assert equivalent(a1, a2)
         assert equivalent(a1, a1)
 
     def test_equivalence_across_managers(self, fdag):
-        a1 = build_obdd_artifact(fdag, build_phi1(fdag))
-        a2 = build_obdd_artifact(fdag, build_phi2(fdag))
+        a1 = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD)
+        a2 = build_tred(fdag, build_phi2(fdag), kind=KIND_OBDD)
         assert equivalent(a1, a2)
 
     def test_bottom_not_equivalent(self, fdag):
-        a1 = build_obdd_artifact(fdag, build_phi1(fdag))
-        bot = build_obdd_artifact(fdag, fdag.FALSE, alpha_phi1())
+        a1 = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD)
+        bot = build_tred(fdag, fdag.FALSE, alpha_phi1(), kind=KIND_OBDD)
         assert not equivalent(a1, bot)
 
     def test_strengthened_formula_entails(self, fdag):
         node = build_phi1(fdag)
         stronger = fdag.and_([node, fdag.lit(X_LE_0)])
         manager = ObddManager((1, 2))
-        a = build_obdd_artifact(fdag, stronger, alpha_phi1(),
-                                manager=manager)
-        b = build_obdd_artifact(fdag, node, manager=manager)
+        a = build_tred(fdag, stronger, alpha_phi1(), kind=KIND_OBDD,
+                       manager=manager)
+        b = build_tred(fdag, node, kind=KIND_OBDD, manager=manager)
         assert sentential_entails(a, b)
         assert sentential_entails(a, a)
 
     def test_top_does_not_entail(self, fdag):
         manager = ObddManager((1, 2))
-        top = build_obdd_artifact(fdag, fdag.TRUE, alpha_phi1(),
-                                  manager=manager)
-        b = build_obdd_artifact(fdag, build_phi1(fdag), manager=manager)
+        top = build_tred(fdag, fdag.TRUE, alpha_phi1(), kind=KIND_OBDD,
+                         manager=manager)
+        b = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD, manager=manager)
         assert not sentential_entails(top, b)
         assert sentential_entails(b, top)
 
@@ -351,18 +351,17 @@ class TestGuards:
         ddnnf_b = build_tred(fdag, build_phi2(fdag))
         with pytest.raises(UnsupportedQueryError):
             equivalent(tred_phi1, ddnnf_b)
-        a1 = build_obdd_artifact(fdag, build_phi1(fdag))
-        a2 = build_obdd_artifact(fdag, build_phi2(fdag),
-                                 mode=MODE_T_EXTENDED)
+        a1 = build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD)
+        a2 = build_text(fdag, build_phi2(fdag), kind=KIND_OBDD)
         with pytest.raises(UnsupportedQueryError):
             equivalent(a1, a2)
         with pytest.raises(UnsupportedQueryError):
             sentential_entails(a1, a2)
-        a3 = build_obdd_artifact(fdag, build_phi2(fdag), order=(2, 1))
+        a3 = build_tred(fdag, build_phi2(fdag), kind=KIND_OBDD, order=(2, 1))
         with pytest.raises(UnsupportedQueryError):
             equivalent(a1, a3)
-        wider = build_obdd_artifact(
-            fdag, build_phi1(fdag), AtomSet([X_LE_0, X_EQ_1, X_GE_2]))
+        wider = build_tred(fdag, build_phi1(fdag),
+                           AtomSet([X_LE_0, X_EQ_1, X_GE_2]), kind=KIND_OBDD)
         with pytest.raises(UnsupportedQueryError):
             equivalent(a1, wider)
 
@@ -396,10 +395,10 @@ class TestOracleAgreement:
             tred = build_tred(fdag, node, alpha)
             text = build_text(fdag, node, alpha)
             manager = ObddManager(tuple(range(1, n + 1)))
-            tred_o = build_obdd_artifact(fdag, node, alpha, manager=manager)
-            text_o = build_obdd_artifact(fdag, node, alpha,
-                                         mode=MODE_T_EXTENDED,
-                                         manager=manager)
+            tred_o = build_tred(fdag, node, alpha, kind=KIND_OBDD,
+                                manager=manager)
+            text_o = build_text(fdag, node, alpha, kind=KIND_OBDD,
+                                manager=manager)
 
             assert is_consistent(tred) == oracle.query("co", fdag, node, alpha)
             assert is_consistent(tred_o) == is_consistent(tred)
@@ -439,11 +438,10 @@ class TestOracleAgreement:
                 # Bias toward related pairs so both verdicts show up.
                 other = fdag.and_([node, random_formula(fdag, rng, pool, 1)])
             manager = ObddManager(tuple(range(1, n + 1)))
-            for mode in (MODE_T_REDUCED, MODE_T_EXTENDED):
-                a = build_obdd_artifact(fdag, node, alpha, mode=mode,
-                                        manager=manager)
-                b = build_obdd_artifact(fdag, other, alpha, mode=mode,
-                                        manager=manager)
+            for mode, build in ((MODE_T_REDUCED, build_tred),
+                                (MODE_T_EXTENDED, build_text)):
+                a = build(fdag, node, alpha, kind=KIND_OBDD, manager=manager)
+                b = build(fdag, other, alpha, kind=KIND_OBDD, manager=manager)
                 want_eq = oracle.query("eq", fdag, node, alpha, other)
                 want_se = oracle.query("se", fdag, node, alpha, other)
                 assert equivalent(a, b) == want_eq
@@ -567,10 +565,9 @@ class TestFrozenCircuit:
             alpha = AtomSet(atoms).union(atoms_of(fdag, node))
             tred = build_tred(fdag, node, alpha)
             text = build_text(fdag, node, alpha)
-            obdd = build_obdd_artifact(fdag, node, alpha)
-            part = build_obdd_artifact(
-                fdag, fdag.and_([node, fdag.lit(alpha[0])]), alpha,
-                manager=obdd.manager)
+            obdd = build_tred(fdag, node, alpha, kind=KIND_OBDD)
+            part = build_tred(fdag, fdag.and_([node, fdag.lit(alpha[0])]),
+                              alpha, kind=KIND_OBDD, manager=obdd.manager)
             sizes = len(tred.dag), len(text.dag), len(obdd.manager)
             for _ in range(5):
                 k = rng.randint(1, len(alpha))
@@ -633,9 +630,9 @@ class TestLongChain:
         tmp = tmp_path_factory.mktemp("chain")
         fdag = Dag()
         node, alpha = _chain(fdag, self.N)
-        obdd = build_obdd_artifact(fdag, node, alpha)
-        part = build_obdd_artifact(fdag, fdag.and_([node, fdag.lit(alpha[0])]),
-                                   alpha, manager=obdd.manager)
+        obdd = build_tred(fdag, node, alpha, kind=KIND_OBDD)
+        part = build_tred(fdag, fdag.and_([node, fdag.lit(alpha[0])]), alpha,
+                          kind=KIND_OBDD, manager=obdd.manager)
         arts = {"tred": build_tred(fdag, node, alpha),
                 "text": build_text(fdag, node, alpha), "obdd": obdd,
                 "part": part}
