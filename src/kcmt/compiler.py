@@ -272,7 +272,8 @@ class CompiledArtifact:
     """A compiled formula plus everything queries need to interpret it.
 
     `kind` picks the backend: "ddnnf" roots live in `dag`, "obdd" roots
-    in `manager`. `mode` records which lemma transformation produced the
+    in `manager`, which is the root's own manager, filled from the root
+    when omitted. `mode` records which lemma transformation produced the
     circuit and therefore which queries it can answer soundly; the root of
     a tExtended artifact is the complement of the tExtended form. A d-DNNF
     artifact's `dag` holds only its circuit, as built or loaded. Queries
@@ -286,7 +287,19 @@ class CompiledArtifact:
     root: int | ObddRef
     dag: Dag | None = None
     manager: ObddManager | None = None
-    order: tuple | None = None
+
+    def __post_init__(self):
+        if isinstance(self.root, ObddRef):
+            if self.manager is None:
+                self.manager = self.root.manager
+            elif self.manager is not self.root.manager:
+                raise CompileError("the artifact's manager is not its "
+                                   "root's manager")
+
+    @property
+    def order(self) -> tuple | None:
+        """The OBDD's variable order; None for a d-DNNF."""
+        return self.manager.order if self.manager is not None else None
 
     @property
     def nvars(self) -> int:
@@ -344,8 +357,7 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
     combined = pdag.and_([target, abstract_clauses(lemmas, amap, pdag)])
     if kind == KIND_OBDD:
         root = from_formula(pdag, combined, manager)
-        return CompiledArtifact(kind, mode, alpha, amap, lemmas, root,
-                                manager=manager, order=order)
+        return CompiledArtifact(kind, mode, alpha, amap, lemmas, root)
     root = compile_ddnnf(pdag, pdag.to_nnf(combined))
     circuit = Dag()
     root = translate(pdag, root, circuit, lambda key: key)

@@ -395,40 +395,26 @@ class Dag:
         return self._intern((LIT, key, bool(positive)))
 
     def _junction(self, op: str, children: Iterable[int], unit: int, zero: int) -> int:
-        flat: list[int] = []
-        seen: set[int] = set()
-        for c in children:
-            if c == unit:
-                continue
-            if c == zero:
-                return zero
-            if self._payload[c][0] == op:
-                grand = self._payload[c][1]
-            else:
-                grand = (c,)
-            for g in grand:
-                if g not in seen:
-                    seen.add(g)
-                    flat.append(g)
-        if not flat:
-            return unit
-        if len(flat) == 1:
-            return flat[0]
-        return self._intern((op, tuple(flat)))
-
-    def flat_junction(self, op: str, kids: tuple[int, ...]) -> int | None:
-        """The node `(op, kids)`, for `op` AND or OR, when `kids` are two or
-        more distinct children, none a constant or of kind `op`: the node
-        `and_`/`or_` would make of them, interned without their folding.
-        None for any other `kids`, which need it."""
-        if len(kids) < 2 or len(set(kids)) != len(kids):
-            return None
+        """The `op` node over `children`, folded: `unit` children dropped, a
+        `zero` child absorbing, a child of kind `op` replaced by its own
+        children, and repeats dropped after their first place. Two or more
+        distinct children, none a constant and none of kind `op`, are
+        interned as given, in their order."""
         payload = self._payload
-        for c in kids:
-            tag = payload[c][0]
-            if tag == op or tag == TRUE_KIND or tag == FALSE_KIND:
-                return None
-        return self._intern((op, kids))
+        flat: list[int] = []
+        for c in children:
+            p = payload[c]
+            if p[0] == op:
+                flat.extend(p[1])
+            elif c == zero:
+                return zero
+            elif c != unit:
+                flat.append(c)
+        if len(set(flat)) < len(flat):
+            flat = list(dict.fromkeys(flat))
+        if len(flat) > 1:
+            return self._intern((op, tuple(flat)))
+        return flat[0] if flat else unit
 
     def and_(self, children: Iterable[int]) -> int:
         return self._junction(AND, children, self.TRUE, self.FALSE)

@@ -92,19 +92,9 @@ def _pick_op(rng: random.Random) -> str:
 
 
 def _has_or_over_and(dag: Dag, node: int) -> bool:
-    root = dag.to_nnf(node)
-    seen: set[int] = set()
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        kids = dag.children(n)
-        if dag.kind(n) == OR and any(dag.kind(c) == AND for c in kids):
-            return True
-        stack.extend(kids)
-    return False
+    return any(dag.kind(n) == OR and
+               any(dag.kind(c) == AND for c in dag.children(n))
+               for n in dag.reachable(dag.to_nnf(node)))
 
 
 def generate(fdag: Dag, spec: InstanceSpec) -> tuple[int, AtomSet]:

@@ -11,6 +11,8 @@ The circuit file follows the line format consumed by d-DNNF reasoners:
 Ids are 0-based positions of earlier body lines; the root is the last
 line. `A 0` is the true constant, `O 0 0` the false one. A decision
 variable of 0 marks an OR node with no recognized branching variable.
+The writer lists the nodes the root reaches in ascending handle order,
+which puts children first, since a node is made after its children.
 
 A circuit of kind ddnnf must be a decision-DNNF, because the queries
 count on it: no `A` line's conjuncts share a variable, and every `O`
@@ -28,23 +30,29 @@ circuit is the complement of the tExtended form. A map that names
 and is refused, so neither form is ever read as the other. The circuit
 file's first comment records the sha-256 of the map text, so a circuit
 is never silently re-interpreted against a foreign atom map;
-hand-written files without the comment are accepted as-is. An OBDD artifact's circuit is read straight into a fresh
-manager under the stored order. An `O` line over two `A 2` lines that
-guard opposite literals of one variable, above both guarded nodes,
-becomes that decision node directly; every other line is applied as a
-literal, conjunction or disjunction. So any NNF over the atoms is
-accepted, the loaded diagram is canonical, and a file the writer made
-loads into exactly the nodes its root reaches.
+hand-written files without the comment are accepted as-is.
+
+An OBDD node is written as two `A 2` arms, each a literal of its
+variable over one branch, and the `O` line over them; a literal or
+terminal line comes just before its first use. An OBDD artifact's
+circuit is read straight into a fresh manager under the stored order.
+An `O` line over two `A 2` lines that guard opposite literals of one
+variable, above both guarded nodes, becomes that decision node
+directly; every other line is applied as a literal, conjunction or
+disjunction. So any NNF over the atoms is accepted, the loaded diagram
+is canonical, and a file the writer made loads into exactly the nodes
+its root reaches.
 
 The reader does only the work a check needs. A map atom is taken as
 printed and checked to be in normal form, not renormalised. A lemma
 clause printed as the writer prints it, known literals in ascending
 index, is read by table lookups; any other clause is parsed and checked
-number by number. A d-DNNF line keeps one record, its variable mask and
-the literals it asserts, and both checks are bit operations on its
-children's records. A line whose children are distinct, non-constant and
-not of its own operator, as every written line is, is interned as it
-stands; any other shape is folded as `Dag.and_`/`or_` fold it.
+number by number. A d-DNNF line is interned through `Dag.and_`/`or_`,
+which keep a line whose children are distinct, non-constant and not of
+its own operator, as every written line is, as it stands, and fold any
+other shape. Each new node keeps one record, its variable mask and the
+literals it asserts, and both checks are bit operations on its
+children's records.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ from .lemmas import (
     LemmaSet,
     TLemma,
 )
-from .obdd import ObddManager
+from .obdd import ObddManager, ObddRef
 
 MAP_HEADER = "kcmt-map 1"
 # Artifact mode -> the map's name for the form its circuit stores.
@@ -323,39 +331,29 @@ def _parse_map(text: str, path: str):
 
 
 def _ddnnf_lines(pdag: Dag, root: int) -> tuple[list[str], int]:
-    """The body lines of a d-DNNF, children first, and its edges."""
+    """The body lines of a d-DNNF and its edges: one line per node the root
+    reaches, in ascending handle order. A node is interned after its
+    children, so they come first and the root comes last."""
     ids: dict[int, int] = {}
     lines: list[str] = []
     edges = 0
-
-    def emit(node: int, line: str) -> None:
+    for node in sorted(pdag.reachable(root)):
         ids[node] = len(lines)
-        lines.append(line)
-
-    stack = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node in ids:
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.extend((c, False) for c in pdag.children(node))
-            continue
         tag = pdag.kind(node)
         kids = pdag.children(node)
         edges += len(kids)
         if tag == TRUE_KIND:
-            emit(node, "A 0")
+            lines.append("A 0")
         elif tag == FALSE_KIND:
-            emit(node, "O 0 0")
+            lines.append("O 0 0")
         elif tag == LIT:
             v, p = pdag.leaf(node)
-            emit(node, "L %d" % (v if p else -v))
+            lines.append("L %d" % (v if p else -v))
         elif tag == AND:
-            emit(node, "A %d %s" % (
+            lines.append("A %d %s" % (
                 len(kids), " ".join(str(ids[c]) for c in kids)))
         elif tag == OR:
-            emit(node, "O %d %d %s" % (
+            lines.append("O %d %d %s" % (
                 decision_var(pdag, node) or 0, len(kids),
                 " ".join(str(ids[c]) for c in kids)))
         else:
@@ -365,50 +363,39 @@ def _ddnnf_lines(pdag: Dag, root: int) -> tuple[list[str], int]:
     return lines, edges
 
 
-def _obdd_lines(artifact: CompiledArtifact) -> tuple[list[str], int]:
-    """The body lines of an OBDD artifact, children first, and its edges."""
-    m = artifact.manager
-    ids: dict[int, int] = {}
-    lit_ids: dict[tuple[int, bool], int] = {}
+def _obdd_lines(root: ObddRef) -> tuple[list[str], int]:
+    """The body lines of an OBDD and its edges. Each node the root reaches,
+    in ascending handle order, is written as its two `A 2` arms and its `O`
+    line; a literal or terminal line comes just before its first use."""
+    m = root.manager
+    # Inner node handle, or the text of a literal or terminal line, to the
+    # id of its line.
+    ids: dict = {}
     lines: list[str] = []
-    edges = 0
 
-    def lit_id(v: int, p: bool) -> int:
-        got = lit_ids.get((v, p))
+    def line_id(line: str) -> int:
+        got = ids.get(line)
         if got is None:
-            got = len(lines)
-            lines.append("L %d" % (v if p else -v))
-            lit_ids[(v, p)] = got
+            got = ids[line] = len(lines)
+            lines.append(line)
         return got
 
-    def emit(node: int, line: str) -> None:
-        ids[node] = len(lines)
-        lines.append(line)
+    def node_id(n: int) -> int:
+        if m.is_terminal(n):
+            return line_id("A 0" if n == m.TRUE else "O 0 0")
+        return ids[n]
 
-    stack = [(artifact.root.node, False)]
-    while stack:
-        node, ready = stack.pop()
-        if node in ids:
-            continue
-        if m.is_terminal(node):
-            emit(node, "A 0" if node == m.TRUE else "O 0 0")
-            continue
-        hi, lo = m.branches(node)
-        if not ready:
-            stack.append((node, True))
-            stack.append((hi, False))
-            stack.append((lo, False))
-            continue
+    inner = m.reachable(root.node)
+    for node in inner:
         v = m.var_at(node)
-        pos_lit = lit_id(v, True)
-        neg_lit = lit_id(v, False)
-        hi_arm = len(lines)
-        lines.append("A 2 %d %d" % (pos_lit, ids[hi]))
-        lo_arm = len(lines)
-        lines.append("A 2 %d %d" % (neg_lit, ids[lo]))
-        emit(node, "O %d 2 %d %d" % (v, hi_arm, lo_arm))
-        edges += 6
-    return lines, edges
+        hi, lo = m.branches(node)
+        hi_arm = "A 2 %d %d" % (line_id("L %d" % v), node_id(hi))
+        lo_arm = "A 2 %d %d" % (line_id("L %d" % -v), node_id(lo))
+        arm = len(lines)
+        lines += (hi_arm, lo_arm, "O %d 2 %d %d" % (v, arm, arm + 1))
+        ids[node] = arm + 2
+    node_id(root.node)  # a terminal root is the one line
+    return lines, 6 * len(inner)
 
 
 def _bad_child(toks: list[str], count: int, path: str,
@@ -479,7 +466,7 @@ def _is_literal(x) -> bool:
     return type(x) is tuple and x[2] == ObddManager.TRUE
 
 
-def _obdd_line(m: ObddManager, conjunction: bool, kids: tuple):
+def _obdd_line(m: ObddManager, conjunction: bool, kids: list):
     """The node, or the pending arm, of an `A` or `O` line over `kids`."""
     if len(kids) == 2:
         a, b = kids
@@ -516,7 +503,7 @@ def write_nnf(artifact: CompiledArtifact, nnf_path, map_path) -> None:
     map_text = _map_text(artifact)
     digest = hashlib.sha256(map_text.encode()).hexdigest()
     lines, edges = _ddnnf_lines(artifact.dag, artifact.root) \
-        if artifact.kind == KIND_DDNNF else _obdd_lines(artifact)
+        if artifact.kind == KIND_DDNNF else _obdd_lines(artifact.root)
     body = ["c map %s" % digest,
             "nnf %d %d %d" % (len(lines), edges, artifact.nvars)]
     body.extend(lines)
@@ -654,22 +641,18 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
         # A negative id is dropped and one past the end raises, so either
         # leaves fewer than k children.
         try:
-            kids = tuple([nodes[j] for j in map(int, toks[start:]) if j >= 0])
+            kids = [nodes[j] for j in map(int, toks[start:]) if j >= 0]
         except (ValueError, IndexError):
-            kids = ()
+            kids = []
         if len(kids) != k:
             raise _bad_child(toks[start:], len(nodes), path, lineno)
         edges += k
         conjunction = tag == "A"
         if ddnnf:
-            node = pdag.flat_junction(AND if conjunction else OR, kids)
-            if node is None:  # a hand-written shape: fold it as usual
-                node = pdag.and_(kids) if conjunction else pdag.or_(kids)
-                if node == len(rec):
-                    kids = pdag.children(node)
+            node = pdag.and_(kids) if conjunction else pdag.or_(kids)
             if node == len(rec):
-                rec.append(_ddnnf_record(rec, conjunction, kids, path,
-                                         lineno))
+                rec.append(_ddnnf_record(rec, conjunction,
+                                         pdag.children(node), path, lineno))
         else:
             node = _obdd_line(manager, conjunction, kids)
         nodes.append(node)
@@ -688,5 +671,4 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
         return CompiledArtifact(kind, mode, alpha, amap, lemma_set, nodes[-1],
                                 dag=pdag)
     return CompiledArtifact(kind, mode, alpha, amap, lemma_set,
-                            manager.ref(_obdd_built(manager, nodes[-1])),
-                            manager=manager, order=order)
+                            manager.ref(_obdd_built(manager, nodes[-1])))

@@ -86,7 +86,7 @@ def _count(artifact: CompiledArtifact, fixed: dict[int, bool],
     """Models over alpha that extend `fixed` (variable index to value)."""
     if artifact.kind == KIND_OBDD:
         _bump(stats)
-        return artifact.manager.satcount(artifact.root.node, fixed)
+        return artifact.root.manager.satcount(artifact.root.node, fixed)
     _bump(stats, artifact.root + 1)
     return artifact.dag.model_count(artifact.root, artifact.nvars, fixed)
 
@@ -148,7 +148,7 @@ def enumerate_models(artifact: CompiledArtifact) -> Iterator[Assignment]:
     # The partial assignments of each node, bottom-up in handle order, as
     # (assigned mask, true bits) pairs with atom i at bit n - i.
     if artifact.kind == KIND_OBDD:
-        manager = artifact.manager
+        manager = artifact.root.manager
         root = artifact.root.node
         parts: dict[int, list[tuple[int, int]]] = {
             manager.FALSE: [], manager.TRUE: [(0, 0)]}
@@ -217,9 +217,9 @@ def _matching_obdds(a: CompiledArtifact, b: CompiledArtifact,
     if a.order != b.order:
         raise UnsupportedQueryError(
             "%s requires artifacts with the same variable order" % query)
-    if a.manager is b.manager:
+    if a.root.manager is b.root.manager:
         return b.root.node
-    return _obdd.copy_into(b.root, a.manager).node
+    return _obdd.copy_into(b.root, a.root.manager).node
 
 
 def equivalent(a: CompiledArtifact, b: CompiledArtifact,
@@ -240,7 +240,7 @@ def sentential_entails(a: CompiledArtifact, b: CompiledArtifact,
     """
     other = _matching_obdds(a, b, "sententialEntails")
     _bump(stats)
-    first, second = a.root, a.manager.ref(other)
+    first, second = a.root, a.root.manager.ref(other)
     if a.mode == MODE_T_EXTENDED:
         first, second = second, first
     return _obdd.entails(first, second)

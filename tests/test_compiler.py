@@ -1,6 +1,7 @@
 """Decision-DNNF compilation, smoothing, validation, and the two
 lemma-based artifact pipelines, checked against the enumeration oracle."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from kcmt.compiler import (
     KIND_OBDD,
     MODE_T_EXTENDED,
     MODE_T_REDUCED,
+    CompiledArtifact,
     CompileError,
     build_text,
     build_tred,
@@ -22,8 +24,9 @@ from kcmt.compiler import (
 from kcmt.formulas import AtomSet, Dag, abstract, atoms_of, refine
 from kcmt.generate import InstanceSpec, generate
 from kcmt.lemmas import TARGET_FORMULA, TARGET_NEGATION, enumerate_lemmas
-from kcmt.obdd import ObddManager
+from kcmt.obdd import ObddManager, copy_into
 from kcmt.oracle import Oracle
+from kcmt.queries import count_models, equivalent
 from kcmt.theory import LraBackend
 
 from conftest import (
@@ -479,6 +482,27 @@ class TestObddArtifacts:
         with pytest.raises(CompileError):
             build_tred(fdag, node, kind=KIND_OBDD, order=(2, 1),
                        manager=ObddManager((1, 2)))
+
+    def test_manager_is_the_roots_own(self):
+        fdag = Dag()
+        node, alpha = generate(fdag, InstanceSpec(
+            num_lra_atoms=6, num_rational_vars=2, dag_depth=3, seed=5))
+        art = build_tred(fdag, node, alpha, kind=KIND_OBDD)
+        assert art.manager is art.root.manager
+        assert art.order == art.manager.order
+        shared = ObddManager(art.order)
+        copied = copy_into(art.root, shared)
+        # The old manager's handles name other functions than the copy's.
+        with pytest.raises(CompileError, match="root's manager"):
+            dataclasses.replace(art, root=copied)
+        moved = dataclasses.replace(art, root=copied, manager=shared)
+        assert count_models(moved) == count_models(art) == 9
+        assert equivalent(moved, build_tred(fdag, node, alpha, kind=KIND_OBDD,
+                                            manager=shared))
+        filled = CompiledArtifact(art.kind, art.mode, art.alpha, art.amap,
+                                  art.lemmas, copied)
+        assert filled.manager is shared and filled.order == art.order
+        assert build_tred(fdag, node, alpha).order is None
 
     @pytest.mark.parametrize("order", [(1, 1), (1, 2, 2)],
                              ids=["1-1", "1-2-2"])

@@ -328,22 +328,18 @@ class TestDagConstruction:
         assert fdag.and_([a, b]) != fdag.and_([b, a])
         assert fdag.children(fdag.and_([b, a])) == (b, a)
 
-    def test_flat_junction_is_the_unfolded_node(self):
+    def test_flat_distinct_children_are_interned_as_given(self):
         pdag = Dag()
         a, b, c = pdag.lit(1), pdag.lit(2), pdag.lit(3, False)
         ab, a_or_b = pdag.and_([a, b]), pdag.or_([a, b])
         for op, make, other in ((AND, pdag.and_, a_or_b),
                                 (OR, pdag.or_, ab)):
             for kids in ((a, b), (b, a), (a, b, c), (c, other)):
-                node = pdag.flat_junction(op, kids)
+                node = make(iter(kids))
                 assert node == make(kids)
+                assert pdag.kind(node) == op
                 assert pdag.children(node) == kids
-        # Shapes whose folding changes the node are left to and_/or_.
-        for kids in ((a,), (), (a, a), (a, pdag.TRUE), (a, pdag.FALSE),
-                     (ab, c)):
-            assert pdag.flat_junction(AND, kids) is None
-        assert pdag.flat_junction(OR, (a, pdag.or_([b, c]))) is None
-        assert pdag.flat_junction(OR, (ab, c)) == pdag.or_([ab, c])
+        assert pdag.children(pdag.or_([ab, c])) == (ab, c)
 
     def test_constant_folding(self, fdag):
         a = fdag.lit(X_LE_0)

@@ -123,7 +123,9 @@ def test_every_text_file_is_opened_as_utf8(path):
 # Public names that only tests call: references the tests check the
 # pipeline against.
 TEST_REFERENCES = ("BooleanBackend", "count_allsmt", "refine", "rules_out",
-                   "validate")
+                   "validate", "evaluate", "structurally_equal", "equal",
+                   "export_text", "check_treduced", "check_textended",
+                   "evaluate_literal")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -156,4 +158,44 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     for path in sorted(PERFBENCH.glob("*.py")):
         used |= names_read(path.read_text(encoding="utf-8"), True)
     assert [name for name in kcmt.__all__
+            if name not in used and name not in TEST_REFERENCES] == []
+
+
+def public_definitions(source: str) -> list[str]:
+    """The undecorated public functions and classes of a module, and the
+    undecorated public methods of its classes."""
+    out = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop(0)
+        if isinstance(node, ast.ClassDef):
+            todo.extend(node.body)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) \
+                and not node.decorator_list and not node.name.startswith("_"):
+            out.append(node.name)
+    return out
+
+
+def test_the_scan_sees_an_unread_method():
+    source = ("class C:\n    def read(self):\n        return 1\n"
+              "    def unread(self):\n        return 2\n"
+              "    @property\n    def shown(self):\n        return 3\n"
+              "    def _own(self):\n        return 4\n"
+              "def f():\n    return C().read()\n")
+    assert public_definitions(source) == ["C", "f", "read", "unread"]
+    used = names_read(source, False)
+    assert [name for name in public_definitions(source)
+            if name not in used] == ["f", "unread"]
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    used = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            used |= names_read(path.read_text(encoding="utf-8"), False)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= names_read(path.read_text(encoding="utf-8"), True)
+    assert ["%s.%s" % (path.stem, name) for path in MODULES
+            for name in public_definitions(path.read_text(encoding="utf-8"))
             if name not in used and name not in TEST_REFERENCES] == []

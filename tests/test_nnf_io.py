@@ -846,6 +846,47 @@ def test_obdd_load_holds_only_reachable_nodes(tmp_path):
             assert copy_into(back.root, art.manager) == art.root
 
 
+def test_bodies_list_nodes_in_ascending_handle_order(tmp_path):
+    """A d-DNNF body writes one line per node its root reaches, and an OBDD
+    body one `O` line per inner node, after its two arms; either way in
+    ascending handle order, the root's line last."""
+    fdag, node, alpha, lemmas = bench_instance(1000)
+    nnf, mp = paths(tmp_path)
+    art = build_tred(fdag, node, alpha, lemmas=lemmas)
+    write_nnf(art, nnf, mp)
+    body = [line.split() for line in Path(nnf).read_text().splitlines()[2:]]
+    handles = sorted(art.dag.reachable(art.root))
+    assert len(body) == len(handles) and handles[-1] == art.root
+    for h, toks in zip(handles, body):
+        if toks[0] == "L":
+            v, p = art.dag.leaf(h)
+            assert int(toks[1]) == (v if p else -v)
+        else:
+            ids = toks[2:] if toks[0] == "A" else toks[3:]
+            assert tuple(handles[int(j)] for j in ids) == art.dag.children(h)
+
+    art = build_tred(fdag, node, alpha, lemmas=lemmas, kind=KIND_OBDD)
+    write_nnf(art, nnf, mp)
+    body = [line.split() for line in Path(nnf).read_text().splitlines()[2:]]
+    m = art.manager
+    inner = m.reachable(art.root.node)
+    written = {}  # line id -> the handle of the node it writes
+    decisions = []
+    for i, toks in enumerate(body):
+        if toks in (["A", "0"], ["O", "0", "0"]):
+            written[i] = m.TRUE if toks[0] == "A" else m.FALSE
+        elif toks[0] == "O":
+            h = inner[len(decisions)]
+            hi_arm, lo_arm = body[int(toks[3])], body[int(toks[4])]
+            assert int(toks[1]) == m.var_at(h)
+            assert (written[int(hi_arm[3])], written[int(lo_arm[3])]) == \
+                m.branches(h)
+            written[i] = h
+            decisions.append(h)
+    assert decisions == inner
+    assert written[len(body) - 1] == art.root.node
+
+
 # -- decisions judged by masks, on the circuits the fuzz test parses ----------
 
 
