@@ -217,7 +217,7 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
             # The parent prefix is sat, so every trial inside it is.
             return minimize_conflict(backend, lits, verdict.conflict,
                                      index_of=amap.index,
-                                     sat_within=frozenset(prefix)).literals
+                                     sat_within=frozenset(prefix))
         point = verdict.witness
         return scaled_point(point) if point is not None else None
 

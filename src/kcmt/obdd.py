@@ -117,8 +117,6 @@ class ObddManager:
         diagram is bounded by memory only. The hi branch is expanded before
         the lo branch, and a node is made after both.
         """
-        if op not in self._IDENTITIES:
-            raise ObddError("unknown binary op %r" % op)
         zero, unit = self._IDENTITIES[op]
         nodes, cache, make = self._nodes, self._apply_cache, self._make
         values: list[int] = []
@@ -208,46 +206,6 @@ class ObddManager:
             else:
                 values[n] = values[hi] if value else values[lo]
         return values[a]
-
-    def export_text(self, a: int) -> str:
-        """One node per line: id var hiId loId, terminals as 0/1. A node
-        follows both of its branches, hi's lines before lo's."""
-        lines = []
-        seen = set()
-        stack = [(a, False)]
-        while stack:
-            n, ready = stack.pop()
-            _, hi, lo = self._nodes[n]
-            if ready:
-                lines.append("%d %d %d %d" % (n, self.var_at(n), hi, lo))
-            elif n not in seen and not self.is_terminal(n):
-                seen.add(n)
-                stack += ((n, True), (lo, False), (hi, False))
-        return "\n".join(lines)
-
-
-# -- public ref-level API ----------------------------------------------------
-
-
-def apply(op: str, a: ObddRef, b: ObddRef | None = None) -> ObddRef:
-    mgr = a.manager
-    if op == "not":
-        if b is not None:
-            raise ObddError("negation takes one operand")
-        return mgr.ref(mgr.neg(a.node))
-    if b is None:
-        raise ObddError("binary op %r takes two operands" % op)
-    bn = mgr._check(b)
-    ops = {"and": mgr.and_, "or": mgr.or_, "xor": mgr.xor,
-           "implies": mgr.implies}
-    if op not in ops:
-        raise ObddError("unknown op %r" % op)
-    return mgr.ref(ops[op](a.node, bn))
-
-
-def equal(a: ObddRef, b: ObddRef) -> bool:
-    a.manager._check(b)
-    return a.node == b.node
 
 
 def entails(a: ObddRef, b: ObddRef) -> bool:

@@ -62,12 +62,6 @@ class TheoryVerdict:
         return self.status == "sat"
 
 
-@dataclass(frozen=True)
-class ConflictCore:
-    literals: frozenset
-    minimal: bool
-
-
 def _complementary_pair(literals: Iterable[Literal]) -> Optional[frozenset]:
     seen: dict[Atom, bool] = {}
     for atom, pol in literals:
@@ -200,7 +194,7 @@ def _solve_core(constraints: list[_Constraint]) -> dict:
         work = [c for c in rest if not _check_ground(c)]
 
     # Feasible: reconstruct a witness in reverse elimination order, on
-    # exact (num, den) pairs. Variables never bounded anywhere default to 0.
+    # exact (num, den) pairs.
     values: dict[str, tuple[int, int]] = {}
     for var, lowers, uppers in reversed(eliminations):
         lo = hi = None
@@ -217,9 +211,7 @@ def _solve_core(constraints: list[_Constraint]) -> dict:
                 hi, hi_strict = v, c.rel == REL_LT
             elif v == hi and c.rel == REL_LT:
                 hi_strict = True
-        if lo is None and hi is None:
-            values[var] = (0, 1)
-        elif lo is None:
+        if lo is None:
             values[var] = (hi[0] - hi[1], hi[1])
         elif hi is None:
             values[var] = (lo[0] + lo[1], lo[1])
@@ -265,7 +257,7 @@ class LraBackend:
     """Sound and complete consistency oracle for LRA atom-literals.
 
     Boolean atoms are theory-free: they only matter through the
-    complementary-pair check shared by every backend. Every sat verdict
+    complementary-pair check (`_complementary_pair`). Every sat verdict
     carries a witness that assigns each variable of the queried literals
     and satisfies all of them (see `TheoryVerdict`).
 
@@ -349,34 +341,17 @@ class LraBackend:
         return TheoryVerdict("sat", witness=point)
 
 
-class BooleanBackend:
-    """Degenerate theory: every atom is opaque, only complements conflict.
-
-    The empty witness satisfies no LRA literal in general, and lemma
-    enumeration moves it like any other witness (`moved_point`), so neither
-    it nor a point moved from it need satisfy the prefix. Enumeration stays
-    exact with it: an extension it short-cuts adds an atom absent from the
-    prefix, which this backend accepts anyway.
-    """
-
-    def check_conjunction(self, literals: Iterable[Literal]) -> TheoryVerdict:
-        lits = sorted(set(literals), key=lambda lp: (lp[0].sort_key(), lp[1]))
-        pair = _complementary_pair(lits)
-        if pair is not None:
-            return TheoryVerdict("unsat", conflict=pair)
-        return TheoryVerdict("sat", witness={})
-
-
 def evaluate_literal(atom: Atom, pol: bool, witness: dict) -> bool:
-    """Exact evaluation of an LRA literal at a rational point that assigns
-    every variable of the atom."""
+    """Exact truth of an LRA literal at a rational point that assigns every
+    variable of the atom: `holds_at_scaled` on the point's `scaled_point`
+    form. A Boolean atom or an unassigned variable raises TheoryError."""
     if atom.kind != "lra":
         raise TheoryError("cannot evaluate a Boolean atom at a point")
     for v, _a in atom.coeffs:
         if v not in witness:
             raise TheoryError("the point assigns no value to variable %r of %s"
                               % (v, atom))
-    return holds_at(atom, pol, witness)
+    return holds_at_scaled(atom, pol, scaled_point(witness))
 
 
 def scaled_point(point: dict) -> tuple[dict, int]:
@@ -390,7 +365,8 @@ def scaled_point(point: dict) -> tuple[dict, int]:
 
 
 def holds_at_scaled(atom: Atom, pol: bool, scaled: tuple[dict, int]) -> bool:
-    """`holds_at` on a point in `scaled_point` form, in integers only:
+    """Exact truth of an LRA literal at a point in `scaled_point` form,
+    absent variables read as 0, in integers only:
     coeffs . (nums / d) rel p/q iff q * (coeffs . nums) rel p * d."""
     nums, den = scaled
     total = sum(a * nums.get(v, 0) for v, a in atom.coeffs)
@@ -482,16 +458,13 @@ def moved_point(atom: Atom, pol: bool, literals: Iterable[Literal],
     return None
 
 
-def holds_at(atom: Atom, pol: bool, point: dict) -> bool:
-    """Exact truth of an LRA literal at a point; absent variables read as 0."""
-    return holds_at_scaled(atom, pol, scaled_point(point))
-
-
 def minimize_conflict(backend, literals: Iterable[Literal],
                       conflict: Iterable[Literal],
                       index_of: Optional[Callable[[Atom], int]] = None,
-                      sat_within: frozenset = frozenset()) -> ConflictCore:
-    """Deletion-based minimization in descending atom-index order.
+                      sat_within: frozenset = frozenset()) -> frozenset:
+    """The core of `conflict`, as a frozenset of literals, by
+    deletion-based minimization in descending atom-index order. Dropping
+    any one literal of the core leaves a satisfiable set.
 
     `index_of` supplies the abstraction index; without one, the atom's
     structural sort key fixes the order. `sat_within` is a set of literals
@@ -525,4 +498,4 @@ def minimize_conflict(backend, literals: Iterable[Literal],
         raise TheoryInternalError(
             "1-literal core %s contradicts the no-trivial-atom invariant"
             % sorted(str(a) for a, _ in core))
-    return ConflictCore(literals=frozenset(core), minimal=True)
+    return frozenset(core)

@@ -27,7 +27,7 @@ from kcmt.formulas import Assignment, Dag, abstract, refine
 from kcmt.generate import InstanceSpec, generate
 from kcmt.lemmas import enumerate_lemmas
 from kcmt.nnf_io import read_nnf, write_nnf
-from kcmt.obdd import ObddManager
+from kcmt.obdd import ObddManager, copy_into
 from kcmt.oracle import Oracle, OracleTimeout, count_allsmt
 from kcmt.queries import (
     count_models,
@@ -94,17 +94,6 @@ def shannon(fdag, node, atom):
         fdag.and_([fdag.lit(atom, True), pos]),
         fdag.and_([fdag.lit(atom, False), neg]),
     ])
-
-
-def canonical_export(manager, node):
-    """Export text with ids renumbered by first appearance."""
-    ren = {}
-    out = []
-    for line in manager.export_text(node).splitlines():
-        i, v, h, l = line.split()
-        ren[i] = "n%d" % len(ren)
-        out.append((ren[i], v, ren.get(h, h), ren.get(l, l)))
-    return out
 
 
 def corpus_spec(seed):
@@ -504,8 +493,8 @@ def test_criterion_8_serialization_round_trip(corpus, tmp_path):
                 write_nnf(obdd, str(nnf), str(mp))
                 back = read_nnf(str(nnf), str(mp))
                 assert back.order == obdd.order
-                assert canonical_export(back.manager, back.root.node) == \
-                    canonical_export(obdd.manager, obdd.root.node)
+                m = ObddManager(obdd.order)
+                assert copy_into(back.root, m) == copy_into(obdd.root, m)
                 assert equivalent(back, obdd)
                 obdd_trips += 1
         elapsed = time.perf_counter() - start

@@ -63,6 +63,7 @@ class TestConfig:
              "instance 0: vars must be an integer"),
             ({"instances": [{"depth": 2.5}]},
              "instance 0: depth must be an integer"),
+            ([], "config must be a JSON object"),
         ],
     )
     def test_invalid_configs_rejected(self, raw, fragment):
@@ -236,6 +237,24 @@ class TestRows:
             assert row["answer"] == "timeout"
             assert row["oracleOk"] == "skip"
             assert row["lemmaCount"] == ""
+
+    def test_compile_timeout_gives_one_row(self):
+        cfg = {"instances": [{"seed": 1, "lraAtoms": 4, "vars": 2}],
+               "compileTimeoutS": 1e-9}
+        [row] = bench_run(cfg, None)
+        assert (row["query"], row["answer"], row["oracleOk"]) == \
+            ("compile", "timeout", "skip")
+        assert row["lemmaCount"] != "" and row["dagNodes"] == ""
+
+    def test_query_timeout_marks_every_query_row(self):
+        cfg = {"instances": [{"seed": 1, "lraAtoms": 4, "vars": 2}],
+               "clauses": 3, "queryTimeoutS": 1e-9}
+        rows = bench_run(cfg, None)
+        assert [r["query"][:2] for r in rows[:5]] == \
+            ["co", "ct", "ce", "ce", "ce"]
+        for row in rows:
+            assert (row["answer"], row["oracleOk"]) == ("timeout", "skip")
+            assert row["queryMs"] != "" and row["dagNodes"] != ""
 
     def test_oracle_skipped_outside_bound(self):
         rows = bench_run(

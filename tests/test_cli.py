@@ -136,6 +136,16 @@ class TestCompile:
         assert code == 2
         assert "order must be a permutation" in err
 
+    def test_non_integer_order_exits_two(self, ws, tmp_path, capsys):
+        (tmp_path / "ord.txt").write_text("1 two\n")
+        code, _, err = run(
+            capsys, "compile", "--input", str(ws / "phi1.smt2"),
+            "--mode", "tred", "--target", "obdd",
+            "--order", str(tmp_path / "ord.txt"),
+            "--out", str(tmp_path / "x.nnf"), "--map", str(tmp_path / "x.map"))
+        assert code == 2
+        assert "must hold whitespace-separated integers" in err
+
     def test_name_a_map_cannot_carry_exits_two(self, tmp_path, capsys):
         src = tmp_path / "f.smt2"
         src.write_text("(declare-const -x Real)\n(assert (<= -x 0))\n")

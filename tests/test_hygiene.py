@@ -120,27 +120,58 @@ def test_every_text_file_is_opened_as_utf8(path):
     assert text_opens_without_utf8(path.read_text(encoding="utf-8")) == []
 
 
-# Public names that only tests call: references the tests check the
-# pipeline against.
-TEST_REFERENCES = ("BooleanBackend", "count_allsmt", "refine", "rules_out",
-                   "validate", "evaluate", "structurally_equal", "equal",
-                   "export_text", "check_treduced", "check_textended",
-                   "evaluate_literal")
+# Public names that only tests call, the references the tests check the
+# pipeline against, and the names that only those references read.
+TEST_REFERENCES = ("count_allsmt", "refine", "rules_out", "validate",
+                   "evaluate", "structurally_equal", "check_treduced",
+                   "check_textended", "evaluate_literal", "is_total_over",
+                   "ValidationReport")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def bound_names(fn) -> set[str]:
+    """The arguments of a function, the bare names its own body assigns and
+    the functions and classes it defines, but nothing bound inside those."""
+    args = fn.args
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    out.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            out.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
 
 
 def names_read(source: str, imports: bool) -> set[str]:
     """Names a module loads, bare or as an attribute, and with `imports`
-    also the names it imports."""
+    also the names it imports. A bare name that an enclosing function binds
+    is a local, not a read, and nothing inside the definition of a name in
+    TEST_REFERENCES is a read."""
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    todo = [(ast.parse(source), frozenset())]
+    while todo:
+        node, local = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and node.name in TEST_REFERENCES:
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            local = local | bound_names(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            if node.id not in local:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute) and \
                 isinstance(node.ctx, ast.Load):
             out.add(node.attr)
         elif imports and isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
+        todo.extend((child, local) for child in ast.iter_child_nodes(node))
     return out
 
 
@@ -148,6 +179,14 @@ def test_the_scan_sees_what_a_module_reads():
     source = "from a import b\ndef f():\n    return g\ny.h\nz.k = 1\n"
     assert names_read(source, imports=False) == {"g", "y", "h", "z"}
     assert names_read(source, imports=True) == {"b", "g", "y", "h", "z"}
+    # A local that shadows a module-level name reads nothing.
+    source = ("def apply():\n    pass\n"
+              "def f(m, x):\n    apply = m.and_\n"
+              "    def g():\n        return apply(x, y)\n    return g\n")
+    assert names_read(source, imports=False) == {"and_", "y"}
+    # Nothing inside a reference's definition is read.
+    assert names_read("def validate(x):\n    return check(x)\n"
+                      "validate(1)\n", imports=False) == {"validate"}
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

@@ -36,7 +36,6 @@ from kcmt.smtlib import parse_smt2, write_smt2
 from kcmt.theory import (
     LraBackend,
     TheoryVerdict,
-    holds_at,
     holds_at_scaled,
     minimize_conflict,
     moved_point,
@@ -590,7 +589,6 @@ class TestIntegerWitnessTest:
                         for pol in (True, False):
                             want = _fraction_holds(atom, pol, point)
                             assert holds_at_scaled(atom, pol, scaled) == want
-                            assert holds_at(atom, pol, point) == want
                     points += 1
         assert points >= 1000, points
 
@@ -602,7 +600,7 @@ class TestIntegerWitnessTest:
         for point in ({}, {"x": 0, "y": 0}, {"x": 1}, {"y": -1},
                       {"x": Fraction(5, 21)}, {"x": Fraction(5, 21) + 1}):
             for pol in (True, False):
-                assert holds_at(atom, pol, point) == \
+                assert holds_at_scaled(atom, pol, scaled_point(point)) == \
                     _fraction_holds(atom, pol, point)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcmt.cli import _parse_literals
+from kcmt.cli import _parse_literals, main
 from kcmt.formulas import Atom, Dag, atoms_of
 from kcmt.nnf_io import _atom_from_string
 from kcmt.smtlib import SmtParseError, parse_smt2, write_smt2
@@ -233,6 +233,61 @@ class TestParseErrors:
         with pytest.raises(SmtParseError) as e:
             parse("(declare-const p Bool)\n" + line)
         assert (e.value.line, e.value.col) == (2, line.index("a (not") + 1)
+
+
+# Declarations with a full-line and a trailing comment; a malformed line
+# follows them on line 5.
+DECLS = ("; declarations\n(declare-const x Real) ; a rational\n"
+         "(declare-const a Bool)(declare-const b Bool)\n"
+         "(declare-const c Bool)\n")
+
+
+class TestRareConstructs:
+    def test_comments_iff_constant_product_and_false(self):
+        fdag = Dag()
+        _, iff, alpha = parse_smt2(DECLS + "(assert (iff a b c))", fdag)
+        assert [str(atom) for atom in alpha] == ["a", "b", "c"]
+        _, eq, _ = parse_smt2(DECLS + "(assert (= a b c))", fdag)
+        assert iff == eq
+        _, prod, _ = parse_smt2(DECLS + "(assert (<= (* 2 3) x))", fdag)
+        _, six, _ = parse_smt2(DECLS + "(assert (<= 6 x))", fdag)
+        assert prod == six
+        text = write_smt2(fdag, fdag.FALSE)
+        assert "(assert false)" in text
+        assert parse(text)[1] == fdag.FALSE
+
+    @pytest.mark.parametrize("line,message,marker", [
+        ("(declare-const |y Real)", "unterminated quoted symbol", "|"),
+        ("(set-logic)", "set-logic expects one symbol", "set"),
+        ("(declare-fun y Real)",
+         "declare-fun expects (declare-fun name () Sort)", "declare"),
+        ("(assert a b)", "assert expects exactly one term", "assert"),
+        ("(assert (<= x \u00b2))", "malformed numeral '\u00b2'", "\u00b2"),
+        ("(assert (let ((c a))))", "let expects a binding list and a body",
+         "let"),
+        ("(assert (let ((c)) c))", "malformed let binding", "(c)"),
+        ("(assert (not a b))", "not is unary", "not"),
+        ("(assert (=> a))", "=> needs at least two arguments", "=>"),
+        ("(assert (xor a))", "xor needs at least two arguments", "xor"),
+        ("(assert (iff a))", "iff needs at least two arguments", "iff"),
+        ("(assert (< x))", "'<' needs at least two arguments", "<"),
+        ("(assert (<= (* x) 0))", "* needs at least two arguments", "*"),
+        ("(assert (<= (/ x 1 2) 0))", "/ is binary", "/"),
+        ("(assert (= a x))", "'=' cannot mix Bool and Real arguments", "x"),
+        ("(assert (<= (+ x a) 0))", "'+' needs Real arguments", "a)"),
+        ("(assert (<= (+) 0))", "+ needs at least one argument", "+"),
+        ("(assert (<= (-) 0))", "- needs at least one argument", "-"),
+    ])
+    def test_malformed_script_is_reported_and_exits_2(self, tmp_path, capsys,
+                                                      line, message, marker):
+        where = "line 5, column %d: " % (line.index(marker) + 1)
+        with pytest.raises(SmtParseError) as e:
+            parse(DECLS + line)
+        assert str(e.value) == where + message
+        src = tmp_path / "bad.smt2"
+        src.write_text(DECLS + line, encoding="utf-8")
+        assert main(["oracle", "co", "--input", str(src)]) == 2
+        assert capsys.readouterr().err == "error: %s%s\n" % (where, message)
 
 
 class TestWriter:

@@ -24,8 +24,6 @@ from kcmt import theory
 from kcmt.formulas import REL_EQ, REL_LE, REL_LT, Atom, AtomError
 from kcmt.lemmas import enumerate_lemmas
 from kcmt.theory import (
-    BooleanBackend,
-    ConflictCore,
     Literal,
     LraBackend,
     TheoryError,
@@ -33,8 +31,9 @@ from kcmt.theory import (
     TheoryVerdict,
     _complementary_pair,
     evaluate_literal,
-    holds_at,
+    holds_at_scaled,
     minimize_conflict,
+    scaled_point,
 )
 
 from conftest import X_EQ_1, X_GE_2, X_LE_0, random_atoms
@@ -401,7 +400,7 @@ class TestLraVerdicts:
         assert not v.is_sat
         assert v.conflict == frozenset({(X_LE_0, True), (X_LE_0, False)})
         b = Atom.boolean("b")
-        v = BooleanBackend().check_conjunction([(b, True), (b, False)])
+        v = self.check([(b, True), (b, False)])
         assert v.conflict == frozenset({(b, True), (b, False)})
 
     def test_strict_weak_boundary(self):
@@ -511,9 +510,11 @@ class TestLraVerdicts:
 
     def test_holds_at_reads_absent_variables_as_zero(self):
         atom = lin({"x": 1, "y": 1}, "<", 1)
-        assert holds_at(atom, True, {"x": Fraction(1, 2)})
-        assert not holds_at(atom, True, {"x": Fraction(1)})
-        assert holds_at(atom, False, {"x": Fraction(1)})
+        half = scaled_point({"x": Fraction(1, 2)})
+        one = scaled_point({"x": Fraction(1)})
+        assert holds_at_scaled(atom, True, half)
+        assert not holds_at_scaled(atom, True, one)
+        assert holds_at_scaled(atom, False, one)
 
 
 @pytest.fixture
@@ -575,21 +576,19 @@ class TestMinimizeConflict:
         lits = [(X_LE_0, True), (X_GE_1, True), (X_GE_2, True)]
         core = minimize_conflict(self.backend, lits, lits,
                                  index_of=index.__getitem__)
-        assert core.minimal
-        assert core.literals == frozenset({(X_LE_0, True), (X_GE_1, True)})
+        assert core == frozenset({(X_LE_0, True), (X_GE_1, True)})
 
     def test_structural_order_without_index(self):
         lits = [(X_LE_0, True), (X_GE_1, True), (X_GE_2, True)]
         core = minimize_conflict(self.backend, lits, lits)
-        assert core.minimal
-        assert len(core.literals) == 2
-        assert (X_LE_0, True) in core.literals
-        assert not self.backend.check_conjunction(core.literals).is_sat
+        assert len(core) == 2
+        assert (X_LE_0, True) in core
+        assert not self.backend.check_conjunction(core).is_sat
 
     def test_three_literal_minimal_core_survives(self):
         lits = [(X_LE_0, True), (X_GE_0, True), (X_EQ_0, False)]
         core = minimize_conflict(self.backend, lits, lits)
-        assert core.literals == frozenset(lits)
+        assert core == frozenset(lits)
 
     def test_conflict_must_be_subset(self):
         with pytest.raises(TheoryError):
@@ -604,7 +603,7 @@ class TestMinimizeConflict:
     def test_pair_conflict_returned_as_is(self):
         lits = [(X_LE_0, True), (X_GE_1, True)]
         core = minimize_conflict(self.backend, lits, lits)
-        assert core == ConflictCore(literals=frozenset(lits), minimal=True)
+        assert core == frozenset(lits)
 
 
 # -- randomized cross-check --------------------------------------------------
@@ -644,7 +643,7 @@ class TestRandomizedAgainstSweep:
             v = backend.check_conjunction(lits)
             if v.is_sat:
                 continue
-            core = minimize_conflict(backend, lits, v.conflict).literals
+            core = minimize_conflict(backend, lits, v.conflict)
             checked += 1
             for lp in core:
                 assert backend.check_conjunction(core - {lp}).is_sat, (
