@@ -19,7 +19,6 @@ import csv
 import json
 import random
 import time
-from multiprocessing import Pool
 
 from .compiler import build_tred
 from .formulas import Dag
@@ -253,6 +252,8 @@ def bench_run(config: dict, out_path: str | None, jobs: int = 1,
     tasks = [(i, entry, cfg) for i, entry in enumerate(cfg["instances"])]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here, so that `import kcmt` does not load it.
+        from multiprocessing import Pool
         with Pool(workers) as pool:
             per_instance = pool.map(_run_instance, tasks, chunksize=1)
     else:

@@ -101,7 +101,7 @@ def select_literal(pdag: Dag, node: int) -> int:
     return pdag.lit(best, True)
 
 
-def compile_ddnnf(pdag: Dag, node: int, use_cache: bool = True) -> int:
+def compile_ddnnf(pdag: Dag, node: int) -> int:
     """Compile an NNF node into a decision-DNNF in the same arena.
 
     Branching order: assert a literal conjunct when one exists, or decide
@@ -111,8 +111,7 @@ def compile_ddnnf(pdag: Dag, node: int, use_cache: bool = True) -> int:
     the dual of the conjunct rule: without it, the complement of a CNF, a
     DNF, is decided one selected variable at a time and grows
     exponentially. Residuals are hash-consed, so the cache is keyed on
-    node handles; `use_cache=False` disables it (the result must stay
-    equivalent, only slower to build).
+    node handles.
     """
     if not pdag.is_nnf(node):
         raise CompileError("compilation input must be in negation normal form")
@@ -140,7 +139,7 @@ def compile_ddnnf(pdag: Dag, node: int, use_cache: bool = True) -> int:
         return pdag.or_([pdag.and_([pdag.lit(var, True), hi]),
                          pdag.and_([pdag.lit(var, False), lo])])
 
-    return fold(node, step, {} if use_cache else None)
+    return fold(node, step, {})
 
 
 def smooth(pdag: Dag, node: int, nvars: int) -> int:

@@ -610,24 +610,35 @@ class Dag:
         are memoised per assignment for the life of the arena, so the
         sub-DAGs that many residuals share are walked once per assignment.
         """
-        payload, keys_of = self._payload, self.keys_of
-
-        def visit(n: int) -> Generator:
-            p = payload[n]
-            if p[0] == LIT:
-                return self.TRUE if values[p[1]] == p[2] else self.FALSE
-            kids = []
-            for c in self.children(n):
-                kids.append(c if keys_of(c).isdisjoint(values)
-                            else (yield c))
-            return self._rebuild(p[0], kids)
-
         # Under hash-consing, rebuilding a node that mentions no assigned
         # key gives the node itself, so such a node is kept as it is.
-        if keys_of(node).isdisjoint(values):
+        if self.keys_of(node).isdisjoint(values):
             return node
         memo = self._residual_memo.setdefault(frozenset(values.items()), {})
-        return fold(node, visit, memo)
+        if node in memo:
+            return memo[node]
+        # The nodes below `node` that mention an assigned key and have no
+        # residual yet, rebuilt in ascending handle order: a node is
+        # interned after its children, so each child is done before its
+        # parents. `keys_of(node)` cached the keys of every node below it.
+        keys = self._keys
+        todo = {node}
+        stack = [node]
+        while stack:
+            for c in self.children(stack.pop()):
+                if not keys[c].isdisjoint(values) and c not in memo and \
+                        c not in todo:
+                    todo.add(c)
+                    stack.append(c)
+        payload = self._payload
+        for n in sorted(todo):
+            p = payload[n]
+            if p[0] == LIT:
+                memo[n] = self.TRUE if values[p[1]] == p[2] else self.FALSE
+            else:
+                memo[n] = self._rebuild(p[0], [memo.get(c, c)
+                                               for c in self.children(n)])
+        return memo[node]
 
     def evaluate(self, node: int, values: Mapping[Hashable, bool]) -> bool:
         payload = self._payload

@@ -28,17 +28,25 @@ prefix. Residuals, `blocked` and the learned clauses never read a witness,
 so witnesses decide only which prefixes reach the backend, never the
 lemmas.
 
+A node's prefix is the values of the first k arithmetic atoms, so one int
+code names it: decision j (the value of the j-th arithmetic atom) at bit j,
+and a leading 1 at bit k above the decisions. A child's code is its
+parent's plus one shifted term: the leading 1 moves up one bit, and the
+new value takes its place. The code serves the walk three ways. It keys
+the shared outcomes below, it is the one record of the path's values, and
+`blocked` tests a learned clause against it with one mask, since each
+clause is stored as the bits that falsify it.
+
 Every run over one `AtomSet` object with one backend (the formula run and
 the negation run of a compile, say) shares those outcomes: the witness
 (moved or the backend's) of a checked sat prefix, the minimized core of an
-unsat one. A prefix is the values of the first k arithmetic atoms, so an
-int code names it: a leading 1 bit, then one bit per decision. A node's
-witness depends on its prefix alone (the parent's, the parent's moved, or
-the backend's for the prefix), so every run reaches the same checked
-prefixes with the same witnesses, and a shared core is again exactly what
-the backend returns for that prefix. Lemma sets are the same as with a
-fresh atom set for each run. Nothing is shared between backends or atom set
-objects, however equal their atoms.
+unsat one, keyed by the prefix's code. A node's witness depends on its
+prefix alone (the parent's, the parent's moved, or the backend's for the
+prefix), so every run reaches the same checked prefixes with the same
+witnesses, and a shared core is again exactly what the backend returns for
+that prefix. Lemma sets are the same as with a fresh atom set for each
+run. Nothing is shared between backends or atom set objects, however
+equal their atoms.
 
 A witness is kept in `scaled_point` form, converted once per sat verdict:
 one common denominator and an integer numerator per variable. Testing an
@@ -178,11 +186,15 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
 
     learned: list[TLemma] = []
     learned_keys: set[tuple] = set()
-    # (index, value) -> the other literals, as (index, polarity), of every
-    # learned clause whose highest-index literal is falsified by giving atom
-    # `index` that value. A conflict found while assigning atom i always
-    # involves atom i, since the prefix without it was sat, so i is the
-    # clause's highest index and the clause is stored under it.
+    # Atom index -> position: the decision on atom lra[k] is bit k of a code.
+    position = {i: k for k, i in enumerate(lra)}
+    # (position, value) -> (mask, bits) of every learned clause whose
+    # highest-position literal is falsified by giving the atom at that
+    # position that value: `mask` has the positions of its other literals,
+    # and `bits` the values that falsify them. A conflict found while
+    # assigning the atom at position k always involves it, since the prefix
+    # without it was sat, so k is the clause's highest position and the
+    # clause is stored under k.
     by_last: dict[tuple, list[tuple]] = {}
 
     def learn(core: frozenset) -> None:
@@ -191,23 +203,31 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
         if key not in learned_keys:
             learned_keys.add(key)
             learned.append(lemma)
+            mask = bits = 0
+            for i, p in key[:-1]:
+                bit = 1 << position[i]
+                mask |= bit
+                if not p:
+                    bits |= bit
             last, pol = key[-1]
-            by_last.setdefault((last, not pol), []).append(key[:-1])
+            by_last.setdefault((position[last], not pol), []).append(
+                (mask, bits))
 
-    def blocked(i: int, val: bool) -> bool:
-        # Exact although only the clauses stored under (i, val) are scanned.
-        # A clause with highest index j < i that is falsified here was
-        # learned at a conflict node deciding atom j. That node has no
-        # children, so it is not this path's node for atom j, and it lies
-        # outside that node's subtree: it was learned before this path
-        # assigned atom j. The scan at atom j then saw it falsified and
-        # pruned the path.
-        for rest in by_last.get((i, val), ()):
-            if all(values[j] != p for j, p in rest):
+    def blocked(k: int, val: bool, code: int) -> bool:
+        # `code` holds this path's value at every position up to k, so a
+        # clause stored under (k, val) is falsified here iff `code` has its
+        # bits under its mask. Exact although only those clauses are
+        # scanned, since the scan runs first at every node, whatever the
+        # residual. A clause with highest position j < k that is falsified
+        # here was learned at a conflict node deciding position j. That node
+        # has no children, so it is not this path's node at position j, and
+        # it lies outside that node's subtree: it was learned before this
+        # path assigned position j. The scan at position j then saw it
+        # falsified and pruned the path.
+        for mask, bits in by_last.get((k, val), ()):
+            if code & mask == bits:
                 return True
         return False
-
-    values: dict[int, bool] = {}
 
     def outcome(lits: tuple, prefix: tuple):
         """The witness in `scaled_point` form (or None) of a sat prefix
@@ -221,40 +241,39 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
         point = verdict.witness
         return scaled_point(point) if point is not None else None
 
-    # One loop over pending children: (depth, value, and the parent's code,
-    # prefix, residual and witness). The false child is pushed first, so the
-    # true child's subtree is walked first; a child's residual, `blocked`
-    # scan and check wait until it is popped, as in a recursive walk. Since
-    # a child is popped right after its ancestors or their true children's
-    # subtrees, `values` holds the current path at every lower atom index.
-    stack = [(0, v, 1, (), pid, ({}, 1)) for v in (False, True) if lra]
+    # One loop over pending children: (position, value, code, and the
+    # parent's prefix, residual and witness). The false child is pushed
+    # first, so the true child's subtree is walked first; a child's
+    # `blocked` scan, residual and check wait until it is popped, as in a
+    # recursive walk.
+    stack = [(0, v, 2 | v, (), pid, ({}, 1)) for v in (False, True) if lra]
     while stack:
         k, val, code, prefix, residual, witness = stack.pop()
+        if blocked(k, val, code):
+            continue
         i = lra[k]
         res = pdag.residual(residual, {i: val})
         if res == pdag.FALSE:
             continue
-        values[i] = val
-        if blocked(i, val):
-            continue
         atom = amap.atom(i)
         lits, point = prefix + ((atom, val),), witness
-        child = code << 1 | val
         # The witness satisfies the prefix; variables it lacks occur in no
         # prefix literal, so reading them as 0 keeps it a witness of the
         # extension whenever the new literal holds there.
         if point is None or not holds_at_scaled(atom, val, point):
-            if child in outcomes:
-                point = outcomes[child]
+            if code in outcomes:
+                point = outcomes[code]
             else:
                 moved = point and moved_point(atom, val, prefix, point)
-                point = outcomes[child] = moved or outcome(lits, prefix)
+                point = outcomes[code] = moved or outcome(lits, prefix)
             if isinstance(point, frozenset):
                 learn(point)
                 continue
-        if k + 1 < len(lra):
-            stack.append((k + 1, False, child, lits, res, point))
-            stack.append((k + 1, True, child, lits, res, point))
+        k += 1
+        if k < len(lra):
+            # The leading 1 moves from bit k to bit k + 1.
+            stack.append((k, False, code + (1 << k), lits, res, point))
+            stack.append((k, True, code + (2 << k), lits, res, point))
 
     ordered = sorted(
         learned,

@@ -260,11 +260,12 @@ class _Parser:
         if s == "false":
             return ("bool", self.fdag.FALSE)
         if _is_numeral(s):
-            try:
-                k = Fraction(s)
-            except ValueError:
+            # SMT-LIB numerals are ASCII. `str.isdigit` also takes other
+            # digits, such as superscripts, and `Fraction` reads any decimal
+            # digit; an ASCII numeral always reads.
+            if not s.isascii():
                 raise _err("malformed numeral %r" % s, tok)
-            return ("arith", {}, k)
+            return ("arith", {}, Fraction(s))
         sort = self.sorts.get(s)
         if sort is None:
             raise _err("undeclared symbol %r" % s, tok)

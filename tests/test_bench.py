@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kcmt
 from kcmt.bench import COLUMNS, BenchError, bench_run, load_config, validate_config
 from kcmt.cli import main
 
@@ -208,7 +212,7 @@ class TestRows:
             def map(self, fn, tasks, chunksize=1):
                 return [fn(t) for t in tasks]
 
-        monkeypatch.setattr("kcmt.bench.Pool", InProcessPool)
+        monkeypatch.setattr("multiprocessing.Pool", InProcessPool)
         two = {"instances": [{"smt2": UNSAT_SMT2}, {"smt2": UNSAT_SMT2}],
                "clauses": 1}
         serial = stable(bench_run(two, None))
@@ -268,3 +272,14 @@ class TestRows:
         cfg = {"instances": [{"name": "oops", "smt2": "(assert (foo x))"}]}
         with pytest.raises(BenchError, match="oops"):
             bench_run(cfg, None)
+
+
+def test_import_kcmt_does_not_load_multiprocessing():
+    """Only a bench run with more than one worker needs a process pool."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kcmt.__file__)))
+    code = ("import sys, kcmt\n"
+            "print('multiprocessing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -190,17 +190,6 @@ class TestCompileDdnnf:
             order = list(range(1, nvars + 1))
             assert p.truth_bits(out, order) == p.truth_bits(node, order)
 
-    def test_cache_soundness(self):
-        rng = random.Random(71003)
-        for _ in range(25):
-            nvars = rng.randint(1, 5)
-            p = Dag()
-            node = p.to_nnf(random_prop(p, rng, nvars, 3))
-            cached = compile_ddnnf(p, node, use_cache=True)
-            uncached = compile_ddnnf(p, node, use_cache=False)
-            order = list(range(1, nvars + 1))
-            assert p.truth_bits(cached, order) == p.truth_bits(uncached, order)
-
 
 class TestChainComplement:
     """The complement of a CNF is a DNF, with no literal conjunct to
@@ -283,14 +272,13 @@ class TestDeepInput:
         return (p, p.to_nnf(chain(p, DEEP, lits)),
                 p.to_nnf(chain(p, shallow_depth(DEEP), lits)))
 
-    def test_compile_with_and_without_cache(self, chain):
+    def test_compile(self, chain):
         p, deep, shallow = self.nnf_pair(chain)
         want = p.truth_bits(compile_ddnnf(p, shallow), self.ORDER)
-        for use_cache in (True, False):
-            out = compile_ddnnf(p, deep, use_cache=use_cache)
-            report = validate(p, out)
-            assert report.decomposable and report.deterministic
-            assert p.truth_bits(out, self.ORDER) == want
+        out = compile_ddnnf(p, deep)
+        report = validate(p, out)
+        assert report.decomposable and report.deterministic
+        assert p.truth_bits(out, self.ORDER) == want
 
     def test_smooth(self, chain):
         p, deep, shallow = self.nnf_pair(chain)

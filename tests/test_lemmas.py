@@ -737,3 +737,23 @@ class TestMovedWitness:
             for target in (node, dag.negate(node)):
                 enumerate_lemmas(dag, target, alpha, backend=counting)
         assert counting.checks < limit, counting.checks
+
+
+class TestWalkWork:
+    def test_a_blocked_node_builds_no_residual(self, monkeypatch):
+        # Formula plus negation. With each residual built before the node's
+        # `blocked` scan, the walk makes 8,954 calls here, 2,974 of them
+        # for nodes that a learned clause then prunes.
+        calls = []
+        residual = Dag.residual
+
+        def counted(self, node, values):
+            calls.append(node)
+            return residual(self, node, values)
+
+        monkeypatch.setattr(Dag, "residual", counted)
+        for seed in (1000, 1004):
+            dag, node, alpha = _family(seed)
+            for target in (node, dag.negate(node)):
+                enumerate_lemmas(dag, target, alpha)
+        assert len(calls) <= 6000, len(calls)

@@ -263,6 +263,10 @@ class TestRareConstructs:
          "declare-fun expects (declare-fun name () Sort)", "declare"),
         ("(assert a b)", "assert expects exactly one term", "assert"),
         ("(assert (<= x \u00b2))", "malformed numeral '\u00b2'", "\u00b2"),
+        ("(assert (<= x \u0661\u0662))",
+         "malformed numeral '\u0661\u0662'", "\u0661"),
+        ("(assert (<= x \uff11.\uff15))",
+         "malformed numeral '\uff11.\uff15'", "\uff11"),
         ("(assert (let ((c a))))", "let expects a binding list and a body",
          "let"),
         ("(assert (let ((c)) c))", "malformed let binding", "(c)"),
