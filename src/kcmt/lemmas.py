@@ -12,21 +12,21 @@ satisfies: every theory-inconsistent total model of the target falsifies
 some member of L, while theory-consistent assignments satisfy all of L
 (lemmas are theory-valid, so they cannot cut those).
 
-The walk is incremental. Each node carries a witness of its arithmetic
-prefix: the backend contract is that a sat verdict's witness, when present,
-satisfies every queried literal (variables it omits read as 0). An
-extension that already holds at the parent's witness is therefore sat
-without a backend call, and keeps that witness. Otherwise the parent's
-witness is first moved onto the new literal (`moved_point`): one variable of
-the new atom is freed, in name order, and set inside the bounds that the
-prefix puts on it. A point that satisfies the extension makes it sat, as
-the backend would say (see `TheoryVerdict`), and becomes its witness. Only
-a prefix that no moved point satisfies is decided by one backend call.
-Each node has its own prefix, and no point satisfies an unsat one, so each
-unsat verdict and conflict is exactly what the backend returns for that
-prefix. Residuals, `blocked` and the learned clauses never read a witness,
-so witnesses decide only which prefixes reach the backend, never the
-lemmas.
+The walk is incremental, but only as far as the backend's witnesses let
+it: which point is a model is the theory's knowledge, not the walk's. Each
+node carries a witness of its arithmetic prefix, starting from the
+backend's witness of the empty prefix. A witness that can take steps (an
+`LraBackend` one gives its `scaled()` point) is asked two things. Does the
+new literal hold at it? Then the extension is sat without a backend call,
+and keeps that witness. If not, its `moved` point, one moved onto the new
+literal, may satisfy the extension and become its witness. Only a prefix
+that neither settles is decided by one backend call. A witness without
+steps (a plain dict, or None) leaves every extension to the backend, which
+is right for any theory. Each node has its own prefix, and no point
+satisfies an unsat one, so each unsat verdict and conflict is exactly what
+the backend returns for that prefix. Residuals, `blocked` and the learned
+clauses never read a witness, so witnesses decide only which prefixes
+reach the backend, never the lemmas.
 
 A node's prefix is the values of the first k arithmetic atoms, so one int
 code names it: decision j (the value of the j-th arithmetic atom) at bit j,
@@ -40,21 +40,18 @@ clause is stored as the bits that falsify it.
 Every run over one `AtomSet` object with one backend (the formula run and
 the negation run of a compile, say) shares those outcomes: the witness
 (moved or the backend's) of a checked sat prefix, the minimized core of an
-unsat one, keyed by the prefix's code. A node's witness depends on its
-prefix alone (the parent's, the parent's moved, or the backend's for the
-prefix), so every run reaches the same checked prefixes with the same
-witnesses, and a shared core is again exactly what the backend returns for
-that prefix. Lemma sets are the same as with a fresh atom set for each
-run. Nothing is shared between backends or atom set objects, however
-equal their atoms.
+unsat one, keyed by the prefix's code; the root's witness is kept under
+code 1. A node's witness depends on its prefix alone (the parent's, the
+parent's moved, or the backend's for the prefix), so every run reaches the
+same checked prefixes with the same witnesses, and a shared core is again
+exactly what the backend returns for that prefix. Lemma sets are the same
+as with a fresh atom set for each run. Nothing is shared between backends
+or atom set objects, however equal their atoms.
 
-A witness is kept in `scaled_point` form, converted once per sat verdict:
-one common denominator and an integer numerator per variable. Testing an
-extension is then an integer dot product (`holds_at_scaled`), with no
-`Fraction` arithmetic. A conflict found at atom i contains atom i's literal,
-the highest index, so the first deletion trial of its minimization is the
-parent prefix with the rest of the core, which is sat; `minimize_conflict`
-answers it from `sat_within` without a backend call.
+A conflict found at atom i contains atom i's literal, the highest index,
+so the first deletion trial of its minimization is the parent prefix with
+the rest of the core, which is sat; `minimize_conflict` answers it from
+`sat_within` without a backend call.
 """
 
 from __future__ import annotations
@@ -62,8 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import AbstractionMap, Assignment, AtomSet, Dag, abstract
-from .theory import (LraBackend, holds_at_scaled, minimize_conflict,
-                     moved_point, scaled_point)
+from .theory import LraBackend, minimize_conflict
 
 TARGET_FORMULA = "forFormula"
 TARGET_NEGATION = "forNegation"
@@ -184,8 +180,7 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
         pid = pdag.TRUE
     lra = [i for i in range(1, len(alpha) + 1) if amap.atom(i).kind == "lra"]
 
-    learned: list[TLemma] = []
-    learned_keys: set[tuple] = set()
+    learned: dict[tuple, TLemma] = {}  # keyed by (index, polarity) pairs
     # Atom index -> position: the decision on atom lra[k] is bit k of a code.
     position = {i: k for k, i in enumerate(lra)}
     # (position, value) -> (mask, bits) of every learned clause whose
@@ -200,9 +195,8 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
     def learn(core: frozenset) -> None:
         lemma = canonical_lemma(((a, not p) for a, p in core), alpha)
         key = tuple((amap.index(a), p) for a, p in lemma.literals)
-        if key not in learned_keys:
-            learned_keys.add(key)
-            learned.append(lemma)
+        if key not in learned:
+            learned[key] = lemma
             mask = bits = 0
             for i, p in key[:-1]:
                 bit = 1 << position[i]
@@ -230,23 +224,29 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
         return False
 
     def outcome(lits: tuple, prefix: tuple):
-        """The witness in `scaled_point` form (or None) of a sat prefix
-        `lits`, or the minimized core of an unsat one."""
+        """The witness point of a sat prefix `lits`, or None if its witness
+        takes no steps, or the minimized core of an unsat one."""
         verdict = backend.check_conjunction(frozenset(lits))
         if not verdict.is_sat:
             # The parent prefix is sat, so every trial inside it is.
             return minimize_conflict(backend, lits, verdict.conflict,
                                      index_of=amap.index,
                                      sat_within=frozenset(prefix))
-        point = verdict.witness
-        return scaled_point(point) if point is not None else None
+        try:
+            scaled = verdict.witness.scaled
+        except AttributeError:  # a plain dict or None takes no steps
+            return None
+        return scaled()
 
     # One loop over pending children: (position, value, code, and the
     # parent's prefix, residual and witness). The false child is pushed
     # first, so the true child's subtree is walked first; a child's
     # `blocked` scan, residual and check wait until it is popped, as in a
     # recursive walk.
-    stack = [(0, v, 2 | v, (), pid, ({}, 1)) for v in (False, True) if lra]
+    if lra and 1 not in outcomes:
+        outcomes[1] = outcome((), ())
+    stack = [(0, v, 2 | v, (), pid, outcomes[1]) for v in (False, True)
+             if lra]
     while stack:
         k, val, code, prefix, residual, witness = stack.pop()
         if blocked(k, val, code):
@@ -257,14 +257,11 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
             continue
         atom = amap.atom(i)
         lits, point = prefix + ((atom, val),), witness
-        # The witness satisfies the prefix; variables it lacks occur in no
-        # prefix literal, so reading them as 0 keeps it a witness of the
-        # extension whenever the new literal holds there.
-        if point is None or not holds_at_scaled(atom, val, point):
+        if point is None or not point.holds(atom, val):
             if code in outcomes:
                 point = outcomes[code]
             else:
-                moved = point and moved_point(atom, val, prefix, point)
+                moved = point and point.moved(atom, val, prefix)
                 point = outcomes[code] = moved or outcome(lits, prefix)
             if isinstance(point, frozenset):
                 learn(point)
@@ -275,7 +272,5 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
             stack.append((k, False, code + (1 << k), lits, res, point))
             stack.append((k, True, code + (2 << k), lits, res, point))
 
-    ordered = sorted(
-        learned,
-        key=lambda lm: tuple((amap.index(a), p) for a, p in lm.literals))
-    return LemmaSet(lemmas=tuple(ordered), target=target, alpha=alpha)
+    return LemmaSet(lemmas=tuple(learned[key] for key in sorted(learned)),
+                    target=target, alpha=alpha)

@@ -141,8 +141,9 @@ def count_models_assume(artifact: CompiledArtifact,
 
 
 def enumerate_models(artifact: CompiledArtifact) -> Iterator[Assignment]:
-    """ME: all theory-consistent total assignments, lexicographic in atom
-    index with true before false."""
+    """ME: an iterator over all theory-consistent total assignments,
+    lexicographic in atom index with true before false. The call itself
+    checks the mode and computes the models."""
     _require(artifact, MODE_T_REDUCED, "enumerateModels")
     n = artifact.nvars
     # The partial assignments of each node, bottom-up in handle order, as
@@ -196,9 +197,9 @@ def enumerate_models(artifact: CompiledArtifact) -> Iterator[Assignment]:
     atoms = sorted((amap.atom(i) for i in range(1, n + 1)), key=Atom.sort_key)
     literals = [(1 << (n - amap.index(a)), (a, True), (a, False))
                 for a in atoms]
-    for model in models:
-        yield Assignment._sorted(tuple(pos if model & bit else neg
-                                       for bit, pos, neg in literals))
+    return (Assignment._sorted(tuple(pos if model & bit else neg
+                                     for bit, pos, neg in literals))
+            for model in models)
 
 
 def _matching_obdds(a: CompiledArtifact, b: CompiledArtifact,

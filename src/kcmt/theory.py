@@ -43,14 +43,9 @@ class TheoryVerdict:
     """Outcome of one consistency check.
 
     Backend contract: a sat verdict's witness, when present, satisfies every
-    queried literal, reading any variable it omits as 0. Lemma enumeration
-    relies on this: it carries the witness down its search and skips the
-    backend for every extension that already holds there, or at the witness
-    moved onto it (`moved_point`). A backend therefore treats every
-    conjunction that some rational point satisfies as sat: a moved point
-    is a model that no backend produced. A sat verdict may leave the
-    witness as None; an unsat verdict always has a conflict that is a
-    subset of the queried literals.
+    queried literal, reading any variable it omits as 0. A sat verdict may
+    leave the witness as None; an unsat verdict always has a conflict that
+    is a subset of the queried literals.
     """
 
     status: str  # "sat" | "unsat"
@@ -259,7 +254,14 @@ class LraBackend:
     Boolean atoms are theory-free: they only matter through the
     complementary-pair check (`_complementary_pair`). Every sat verdict
     carries a witness that assigns each variable of the queried literals
-    and satisfies all of them (see `TheoryVerdict`).
+    and satisfies all of them (see `TheoryVerdict`). The witness is a dict
+    of variable -> Fraction whose `scaled()` is the same point as a
+    `_ScaledPoint`. Lemma enumeration asks that point whether a new literal
+    `holds` there, or for the point `moved` onto it, and takes a point that
+    satisfies the extended conjunction (variables it omits occur in no
+    queried literal, so they read as 0) as proof that it is sat, without a
+    check. That is sound only because this backend decides over the
+    rationals: every conjunction that some rational point satisfies is sat.
 
     Disequalities are independent (Lassez & McAloon, "A Canonical Form for
     Generalized Linear Constraints", JSC 1992): over the rationals,
@@ -338,60 +340,77 @@ class LraBackend:
         for atom, _ in lits:
             for v, _a in atom.coeffs:
                 point.setdefault(v, Fraction(0))
-        return TheoryVerdict("sat", witness=point)
+        return TheoryVerdict("sat", witness=_Witness(point))
 
 
 def evaluate_literal(atom: Atom, pol: bool, witness: dict) -> bool:
     """Exact truth of an LRA literal at a rational point that assigns every
-    variable of the atom: `holds_at_scaled` on the point's `scaled_point`
-    form. A Boolean atom or an unassigned variable raises TheoryError."""
+    variable of the atom, tested on the point's `scaled_point` form. A
+    Boolean atom or an unassigned variable raises TheoryError."""
     if atom.kind != "lra":
         raise TheoryError("cannot evaluate a Boolean atom at a point")
     for v, _a in atom.coeffs:
         if v not in witness:
             raise TheoryError("the point assigns no value to variable %r of %s"
                               % (v, atom))
-    return holds_at_scaled(atom, pol, scaled_point(witness))
+    return scaled_point(witness).holds(atom, pol)
 
 
-def scaled_point(point: dict) -> tuple[dict, int]:
-    """A point of int or Fraction values as (numerators, d): one common
-    denominator d > 0 and each variable's value times d, an integer."""
+class _ScaledPoint(tuple):
+    """A point as (numerators, d): one common denominator d > 0 and each
+    variable's value times d, an integer; absent variables read as 0."""
+
+    __slots__ = ()
+
+    def holds(self, atom: Atom, pol: bool) -> bool:
+        """Exact truth of an LRA literal here, in integers only:
+        coeffs . (nums / d) rel p/q iff q * (coeffs . nums) rel p * d."""
+        nums, den = self
+        total = sum(a * nums.get(v, 0) for v, a in atom.coeffs)
+        total *= atom.const.denominator
+        bound = atom.const.numerator * den
+        if atom.rel == REL_LE:
+            holds = total <= bound
+        elif atom.rel == REL_LT:
+            holds = total < bound
+        else:
+            holds = total == bound
+        return holds == pol
+
+    def moved(self, atom: Atom, pol: bool, literals: Iterable[Literal]):
+        """`moved_point` from here."""
+        return moved_point(atom, pol, literals, self)
+
+
+def scaled_point(point: dict) -> _ScaledPoint:
+    """A point of int or Fraction values in `_ScaledPoint` form."""
     den = 1
     for x in point.values():
         den = den * x.denominator // gcd(den, x.denominator)
-    return {v: x.numerator * (den // x.denominator)
-            for v, x in point.items()}, den
+    return _ScaledPoint(({v: x.numerator * (den // x.denominator)
+                          for v, x in point.items()}, den))
 
 
-def holds_at_scaled(atom: Atom, pol: bool, scaled: tuple[dict, int]) -> bool:
-    """Exact truth of an LRA literal at a point in `scaled_point` form,
-    absent variables read as 0, in integers only:
-    coeffs . (nums / d) rel p/q iff q * (coeffs . nums) rel p * d."""
-    nums, den = scaled
-    total = sum(a * nums.get(v, 0) for v, a in atom.coeffs)
-    total *= atom.const.denominator
-    bound = atom.const.numerator * den
-    if atom.rel == REL_LE:
-        holds = total <= bound
-    elif atom.rel == REL_LT:
-        holds = total < bound
-    else:
-        holds = total == bound
-    return holds == pol
+class _Witness(dict):
+    """`LraBackend`'s sat witness, variable -> Fraction; `scaled()` is its
+    `scaled_point` form, built only when asked for."""
+
+    __slots__ = ()
+    scaled = scaled_point
 
 
 def moved_point(atom: Atom, pol: bool, literals: Iterable[Literal],
-                scaled: tuple[dict, int]) -> Optional[tuple[dict, int]]:
+                scaled: tuple[dict, int]) -> Optional[_ScaledPoint]:
     """A point in `scaled_point` form where `(atom, pol)` holds, made from
-    `scaled` by moving one variable of the atom; None when none gives one.
+    `scaled`, any (numerators, d) pair, by moving one variable of the atom;
+    None when none gives one.
 
     The variables are freed in name order, the others held at their values
     (absent ones at 0). The LRA literals of `literals` and the new one that
     mention the freed variable bound it to an interval: its midpoint, the
     value itself when the ends meet, or the bound -/+ 1 when one side is
     open. A disequality bounds nothing. The point is then checked with
-    `holds_at_scaled` on every literal that mentions the variable; one that
+    `_ScaledPoint.holds` on every literal that mentions the variable; one that
     lands on a disequality fails. A literal without it keeps its truth
     value, so a point `scaled` that satisfies `literals` moves to one that
     satisfies them and `(atom, pol)`.
@@ -452,8 +471,9 @@ def moved_point(atom: Atom, pol: bool, literals: Iterable[Literal],
         moved = {w: n * xd for w, n in nums.items()}
         moved[var] = x
         g = gcd(den * xd, *moved.values())
-        point = {w: n // g for w, n in moved.items()}, den * xd // g
-        if all(holds_at_scaled(at, p, point) for at, p in touching):
+        point = _ScaledPoint(({w: n // g for w, n in moved.items()},
+                              den * xd // g))
+        if all(point.holds(at, p) for at, p in touching):
             return point
     return None
 

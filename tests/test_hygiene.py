@@ -1,6 +1,7 @@
 """Source hygiene: every name a kcmt module imports is used or exported,
-no walker over a compiled circuit or a lemma walk calls itself, and every
-text file is opened as UTF-8."""
+lemma enumeration imports no theory arithmetic, no walker over a compiled
+circuit or a lemma walk calls itself, and every text file is opened as
+UTF-8."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,23 @@ def test_the_walk_sees_a_self_call():
                                   "obdd.py", "queries.py"])
 def test_no_circuit_walker_calls_itself(name):
     assert self_calls((PACKAGE / name).read_text()) == []
+
+
+def test_lemma_enumeration_imports_no_theory_arithmetic():
+    # Which point is a model is the theory's business: the walk asks the
+    # backend's witness, so it works for any theory.
+    imported = set()
+    source = (PACKAGE / "lemmas.py").read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if (node.module or "").endswith("theory"):
+                imported |= names
+            else:
+                assert "theory" not in names
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.endswith("theory") for a in node.names)
+    assert imported == {"LraBackend", "minimize_conflict"}
 
 
 def text_opens_without_utf8(source: str) -> list[str]:

@@ -2,12 +2,13 @@
 (validity, completeness, conservativity, determinism)."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from kcmt.compiler import KIND_OBDD, build_text, build_tred
+from kcmt.compiler import KIND_DDNNF, KIND_OBDD, build_text, build_tred
 from kcmt.formulas import (
     AbstractionError,
     AbstractionMap,
@@ -36,7 +37,6 @@ from kcmt.smtlib import parse_smt2, write_smt2
 from kcmt.theory import (
     LraBackend,
     TheoryVerdict,
-    holds_at_scaled,
     minimize_conflict,
     moved_point,
     scaled_point,
@@ -588,7 +588,7 @@ class TestIntegerWitnessTest:
                     for atom in atoms:
                         for pol in (True, False):
                             want = _fraction_holds(atom, pol, point)
-                            assert holds_at_scaled(atom, pol, scaled) == want
+                            assert scaled.holds(atom, pol) == want
                     points += 1
         assert points >= 1000, points
 
@@ -600,7 +600,7 @@ class TestIntegerWitnessTest:
         for point in ({}, {"x": 0, "y": 0}, {"x": 1}, {"y": -1},
                       {"x": Fraction(5, 21)}, {"x": Fraction(5, 21) + 1}):
             for pol in (True, False):
-                assert holds_at_scaled(atom, pol, scaled_point(point)) == \
+                assert scaled_point(point).holds(atom, pol) == \
                     _fraction_holds(atom, pol, point)
 
 
@@ -642,7 +642,7 @@ class TestMovedWitness:
             moves.append(point)
             return point
 
-        monkeypatch.setattr("kcmt.lemmas.moved_point", recording)
+        monkeypatch.setattr("kcmt.theory.moved_point", recording)
         for dag, node, alpha in _corpus(52001, 60):
             for target in (node, dag.negate(node)):
                 enumerate_lemmas(dag, target, alpha)
@@ -707,13 +707,13 @@ class TestMovedWitness:
             moved_point(X_LT_0, False, prefix[1:], ({"x": -1}, 1))
 
     def test_a_none_witness_is_not_moved(self, monkeypatch):
-        # Without witnesses only the root's empty point and the points moved
-        # from it are moved on; the lemmas stay the same.
+        # Without witnesses the root has no point either, so nothing is
+        # moved; the lemmas stay the same.
         def recording(atom, pol, literals, scaled):
             assert scaled is not None
             return moved_point(atom, pol, literals, scaled)
 
-        monkeypatch.setattr("kcmt.lemmas.moved_point", recording)
+        monkeypatch.setattr("kcmt.theory.moved_point", recording)
         dag, node, alpha = _family(1000)
         plain = _CountingBackend(keep_witness=False)
         for target in (node, dag.negate(node)):
@@ -757,3 +757,69 @@ class TestWalkWork:
             for target in (node, dag.negate(node)):
                 enumerate_lemmas(dag, target, alpha)
         assert len(calls) <= 6000, len(calls)
+
+
+class _IntegerBoxBackend:
+    """A theory other than LRA: a conjunction is sat iff some integer point
+    with every coordinate in [-bound, bound] satisfies it, found by brute
+    force. Its sat witness is a plain dict; its conflict is every LRA
+    literal of an unsat conjunction, or a complementary pair."""
+
+    def __init__(self, bound=4):
+        self.bound = bound
+
+    def check_conjunction(self, literals):
+        lits = frozenset(literals)
+        for atom, pol in lits:
+            if (atom, not pol) in lits:
+                return TheoryVerdict("unsat", conflict=frozenset(
+                    ((atom, True), (atom, False))))
+        lra = [(a, p) for a, p in lits if a.kind == "lra"]
+        names = sorted({v for a, _ in lra for v, _c in a.coeffs})
+        for values in itertools.product(range(-self.bound, self.bound + 1),
+                                        repeat=len(names)):
+            point = dict(zip(names, map(Fraction, values)))
+            if all(_fraction_holds(a, p, point) for a, p in lra):
+                return TheoryVerdict("sat", witness=point)
+        return TheoryVerdict("unsat", conflict=frozenset(lra))
+
+
+def _box_answers(dag, node, alpha, box):
+    """(tred CT, text VA) of the d-DNNF and OBDD targets under `box`."""
+    return [(count_models(build_tred(dag, node, alpha, backend=box,
+                                     kind=kind)),
+             is_valid(build_text(dag, node, alpha, backend=box, kind=kind)))
+            for kind in (KIND_DDNNF, KIND_OBDD)]
+
+
+class TestAnyTheory:
+    """Lemma enumeration takes a step at a witness only when the witness
+    offers it, so a backend for another theory gets its own answers."""
+
+    def test_an_interval_without_an_integer(self):
+        box = _IntegerBoxBackend()
+        dag, node, alpha = parse_smt2("(declare-fun x () Real)"
+                                      "(assert (and (> x 0) (< x 1)))")
+        assert Oracle(box).query("ct", dag, node, alpha) == 0
+        assert Oracle().query("ct", dag, node, alpha) == 1
+        assert count_models(build_tred(dag, node, alpha, backend=box)) == 0
+
+    def test_compiled_answers_match_the_oracle(self):
+        box = _IntegerBoxBackend()
+        kept = differs = 0
+        for seed in range(60):
+            dag = Dag()
+            node, alpha = generate(dag, InstanceSpec(
+                num_lra_atoms=5, num_rational_vars=2, dag_depth=3, seed=seed))
+            # A literal that is unsat alone would be a 1-literal core,
+            # which the framework rules out.
+            if not all(box.check_conjunction([(a, p)]).is_sat
+                       for a in alpha for p in (True, False)):
+                continue
+            kept += 1
+            want = [(oracle.query("ct", dag, node, alpha),
+                     oracle.query("va", dag, node, alpha))
+                    for oracle in (Oracle(box), Oracle())]
+            assert _box_answers(dag, node, alpha, box) == [want[0]] * 2, seed
+            differs += want[0] != want[1]
+        assert kept >= 20 and differs >= 10, (kept, differs)

@@ -327,6 +327,11 @@ class TestGuards:
         with pytest.raises(ModeError):
             list(enumerate_models(text_phi1))
 
+    def test_model_enumeration_rejects_at_the_call(self, text_phi1):
+        # Nothing is iterated: the call itself must refuse the mode.
+        with pytest.raises(ModeError):
+            enumerate_models(text_phi1)
+
     def test_extended_queries_reject_reduced_artifacts(self, tred_phi1):
         with pytest.raises(ModeError):
             is_valid(tred_phi1)

@@ -31,7 +31,6 @@ from kcmt.theory import (
     TheoryVerdict,
     _complementary_pair,
     evaluate_literal,
-    holds_at_scaled,
     minimize_conflict,
     scaled_point,
 )
@@ -512,9 +511,9 @@ class TestLraVerdicts:
         atom = lin({"x": 1, "y": 1}, "<", 1)
         half = scaled_point({"x": Fraction(1, 2)})
         one = scaled_point({"x": Fraction(1)})
-        assert holds_at_scaled(atom, True, half)
-        assert not holds_at_scaled(atom, True, one)
-        assert holds_at_scaled(atom, False, one)
+        assert half.holds(atom, True)
+        assert not one.holds(atom, True)
+        assert one.holds(atom, False)
 
 
 @pytest.fixture
