@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
@@ -370,6 +371,18 @@ class TestHandWrittenFiles:
                       "x = 1\nlemmas 0\n")
         art = read_nnf(str(nnf), str(mp))
         assert count_models(art) == 3
+
+    @pytest.mark.parametrize("mode,target", [
+        ("tReduced", "forTop"), ("tExtended-complement", "forTop"),
+        ("tExtended-complement", "forNegation")])
+    def test_lemma_targets_each_mode_takes(self, tmp_path, mode, target):
+        nnf = tmp_path / "t.nnf"
+        mp = tmp_path / "t.map"
+        nnf.write_text("nnf 1 0 1\nL 1\n")
+        mp.write_text(self.MAP_ONE.replace("mode tReduced", "mode " + mode)
+                      .replace("target forFormula", "target " + target))
+        art = read_nnf(str(nnf), str(mp))
+        assert art.lemmas.target == target
 
     def test_lemma_clause_read_in_canonical_order(self, tmp_path):
         nnf = tmp_path / "h.nnf"
@@ -1040,9 +1053,10 @@ def _reference_mask(pdag, node, disjunction, masks, path, lineno):
     return mask
 
 
-def _reference_ddnnf(nnf, mp, map_text, n_atoms):
-    """The arena and root of a d-DNNF file, each line folded through
-    `and_`/`or_` and each new node checked by `_reference_mask`."""
+def _reference_body(nnf, map_text, n_atoms, literal, junction):
+    """The root of a circuit file, with every check the two kinds share:
+    the map hash, the header and each line's syntax and ids. An `L` line is
+    `literal(v)` and an `A` or `O` line `junction(tag, kids, lineno)`."""
     raw = Path(nnf).read_text().splitlines()
     header, body_start = None, 0
     for i, line in enumerate(raw):
@@ -1071,8 +1085,6 @@ def _reference_ddnnf(nnf, mp, map_text, n_atoms):
     if n_vars != n_atoms:
         raise NnfIoError("%s: circuit ranges over %d variables but the map "
                          "lists %d atoms" % (nnf, n_vars, n_atoms))
-    pdag = Dag()
-    masks = {pdag.TRUE: 0, pdag.FALSE: 0}
     nodes, edges = [], 0
     for i in range(body_start, len(raw)):
         toks = raw[i].split()
@@ -1087,8 +1099,7 @@ def _reference_ddnnf(nnf, mp, map_text, n_atoms):
             if not 1 <= abs(v) <= n_vars:
                 raise nnf_io._fail(nnf, lineno, "literal variable %d outside "
                                    "1..%d" % (v, n_vars))
-            nodes.append(pdag.lit(abs(v), v > 0))
-            masks[nodes[-1]] = 1 << abs(v)
+            nodes.append(literal(v))
             continue
         if tag == "A" and ntoks >= 2:
             try:
@@ -1119,11 +1130,7 @@ def _reference_ddnnf(nnf, mp, map_text, n_atoms):
         if len(kids) != k:
             raise nnf_io._bad_child(toks[start:], len(nodes), nnf, lineno)
         edges += k
-        node = pdag.and_(kids) if tag == "A" else pdag.or_(kids)
-        if node not in masks:
-            masks[node] = _reference_mask(pdag, node, tag == "O", masks, nnf,
-                                          lineno)
-        nodes.append(node)
+        nodes.append(junction(tag, kids, lineno))
     if not nodes:
         raise NnfIoError("%s: circuit has no nodes" % nnf)
     if len(nodes) != n_nodes:
@@ -1132,14 +1139,69 @@ def _reference_ddnnf(nnf, mp, map_text, n_atoms):
     if edges != n_edges:
         raise NnfIoError("%s: header announces %d edges but the body has %d"
                          % (nnf, n_edges, edges))
-    return pdag._payload, nodes[-1]
+    return nodes[-1]
+
+
+def _reference_ddnnf(nnf, map_text, n_atoms):
+    """The arena and root of a d-DNNF file, each line folded through
+    `and_`/`or_` and each new node checked by `_reference_mask`."""
+    pdag = Dag()
+    masks = {pdag.TRUE: 0, pdag.FALSE: 0}
+
+    def literal(v):
+        node = pdag.lit(abs(v), v > 0)
+        masks[node] = 1 << abs(v)
+        return node
+
+    def junction(tag, kids, lineno):
+        node = pdag.and_(kids) if tag == "A" else pdag.or_(kids)
+        if node not in masks:
+            masks[node] = _reference_mask(pdag, node, tag == "O", masks, nnf,
+                                          lineno)
+        return node
+
+    root = _reference_body(nnf, map_text, n_atoms, literal, junction)
+    return pdag._payload, root
+
+
+def _reference_obdd(nnf, map_text, n_atoms, order):
+    """The root of an OBDD file, each line folded through the literal,
+    `and_` and `or_` of a manager under the map's order."""
+    m = ObddManager(order)
+
+    def junction(tag, kids, lineno):
+        if tag == "A":
+            return reduce(m.and_, kids, m.TRUE)
+        return reduce(m.or_, kids, m.FALSE)
+
+    return m.ref(_reference_body(nnf, map_text, n_atoms,
+                                 lambda v: m.literal(abs(v), v > 0), junction))
+
+
+class _Diagram:
+    """An OBDD root, equal to another one when both copy into the same node
+    of one shared manager, whatever manager each was built in."""
+
+    def __init__(self, ref):
+        self.ref = ref
+
+    def __eq__(self, other):
+        if not isinstance(other, _Diagram) or \
+                other.ref.manager.order != self.ref.manager.order:
+            return False
+        shared = ObddManager(self.ref.manager.order)
+        return copy_into(self.ref, shared) == copy_into(other.ref, shared)
+
+    def __repr__(self):
+        return "_Diagram(satcount %d under order %r)" % (
+            self.ref.manager.satcount(self.ref.node), self.ref.manager.order)
 
 
 def _loaded(art):
-    """What a load must reproduce: the arena and root of a d-DNNF (the root
-    node of an OBDD), and the lemmas."""
+    """What a load must reproduce: the arena and root of a d-DNNF (the
+    diagram of an OBDD), and the lemmas."""
     if art.dag is None:
-        return art.root.node, art.lemmas.lemmas
+        return _Diagram(art.root), art.lemmas.lemmas
     return art.dag._payload, art.root, art.lemmas.lemmas
 
 
@@ -1150,10 +1212,12 @@ def _reference_outcome(nnf, mp):
     map_text = Path(mp).read_text()
     with mock.patch.object(nnf_io, "_literal_table", lambda atoms: {}):
         try:
-            kind, _, _, alpha, _, lemma_set = nnf_io._parse_map(map_text, mp)
-            if kind == KIND_OBDD:  # its body is read as before
-                return _loaded(read_nnf(nnf, mp))
-            return _reference_ddnnf(nnf, mp, map_text, len(alpha)) + (
+            kind, _, order, alpha, _, lemma_set = nnf_io._parse_map(
+                map_text, mp)
+            if kind == KIND_OBDD:
+                return (_Diagram(_reference_obdd(nnf, map_text, len(alpha),
+                                                 order)), lemma_set.lemmas)
+            return _reference_ddnnf(nnf, map_text, len(alpha)) + (
                 lemma_set.lemmas,)
         except NnfIoError as e:
             return str(e)
@@ -1215,6 +1279,39 @@ def test_hand_written_shapes_read_as_the_reference(tmp_path, body):
                         "target forFormula\natoms 2\nx <= 0\nx = 1\n"
                         "lemmas 2\n1 -2 0\n-2 1 0\n")
     assert _reader_outcome(nnf, mp) == _reference_outcome(nnf, mp)
+
+
+@pytest.mark.parametrize("order", ["1 2", "2 1"])
+@pytest.mark.parametrize("body", [
+    "nnf 3 2 2\nL 1\nL 2\nA 2 0 1\n",  # two literals, an arm or not
+    "nnf 3 2 2\nL 2\nL 1\nA 2 0 1\n",
+    "nnf 3 2 2\nL 1\nL -1\nA 2 0 1\n",  # an arm over its own level
+    # an arm over TRUE is a literal; then a literal second
+    "nnf 5 4 2\nL 2\nA 0\nA 2 0 1\nL 1\nA 2 3 2\n",
+    "nnf 7 6 2\nL 1\nL 2\nA 2 0 1\nL -1\nL -2\nA 2 3 4\nO 1 2 2 5\n",
+    # arms of one polarity, of two levels, and three of them
+    "nnf 6 6 2\nL 1\nL 2\nA 2 0 1\nL -2\nA 2 0 3\nO 1 2 2 4\n",
+    "nnf 5 4 2\nL 1\nL -2\nO 0 0\nA 2 1 2\nO 0 2 0 3\n",
+    "nnf 8 9 2\nL 1\nL 2\nA 2 0 1\nL -1\nL -2\nA 2 3 4\nA 2 3 1\n"
+    "O 1 3 2 5 6\n",
+    # one decision's arms reused, and a three-way conjunction
+    "nnf 9 11 2\nL 2\nO 0 0\nL 1\nA 2 2 0\nL -1\nA 2 4 1\nO 1 2 3 5\n"
+    "A 2 4 0\nA 3 6 7 0\n",
+    "nnf 4 1 2\nA 0\nO 0 0\nL -1\nA 1 2\n",
+    "nnf 1 0 2\nL -2\n",
+])
+def test_hand_written_obdd_shapes_read_as_the_reference(tmp_path, body,
+                                                        order):
+    """Lines that are not the writer's arms or decisions, under both orders,
+    load as the manager folds them."""
+    nnf, mp = paths(tmp_path)
+    Path(nnf).write_text(body)
+    Path(mp).write_text("kcmt-map 1\nkind obdd\nmode tReduced\n"
+                        "target forFormula\norder %s\natoms 2\nx <= 0\n"
+                        "x = 1\nlemmas 1\n-1 2 0\n" % order)
+    got = _reader_outcome(nnf, mp)
+    assert not isinstance(got, str)
+    assert got == _reference_outcome(nnf, mp)
 
 
 def test_benchmark_corpus_reads_as_the_reference(tmp_path):
