@@ -399,22 +399,27 @@ class Dag:
         `zero` child absorbing, a child of kind `op` replaced by its own
         children, and repeats dropped after their first place. Two or more
         distinct children, none a constant and none of kind `op`, are
-        interned as given, in their order."""
+        interned as given, in their order. The children are gathered as
+        the keys of a dict, which keeps each at its first place, and a new
+        node is interned here rather than by a call to `_intern`."""
         payload = self._payload
-        flat: list[int] = []
+        flat: dict[int, None] = {}
         for c in children:
             p = payload[c]
             if p[0] == op:
-                flat.extend(p[1])
+                flat.update(dict.fromkeys(p[1]))
             elif c == zero:
                 return zero
             elif c != unit:
-                flat.append(c)
-        if len(set(flat)) < len(flat):
-            flat = list(dict.fromkeys(flat))
+                flat[c] = None
         if len(flat) > 1:
-            return self._intern((op, tuple(flat)))
-        return flat[0] if flat else unit
+            key = (op, tuple(flat))
+            node = self._table.get(key)
+            if node is None:
+                node = self._table[key] = len(payload)
+                payload.append(key)
+            return node
+        return next(iter(flat), unit)
 
     def and_(self, children: Iterable[int]) -> int:
         return self._junction(AND, children, self.TRUE, self.FALSE)

@@ -25,7 +25,8 @@ strings in index order, the artifact's kind and mode, the lemma clauses
 (signed atom indices, DIMACS style), and the variable order for OBDD
 backed artifacts. The mode line names the form the circuit stores:
 `tReduced`, or `tExtended-complement` for a tExtended artifact, whose
-circuit is the complement of the tExtended form. A map that names
+circuit is the complement of the tExtended form; the lemma target must be
+one that mode compiles with (`_TARGETS`). A map that names
 `tExtended` itself was written for a circuit of the uncomplemented form
 and is refused, so neither form is ever read as the other. The circuit
 file's first comment records the sha-256 of the map text, so a circuit
@@ -43,16 +44,18 @@ disjunction. So any NNF over the atoms is accepted, the loaded diagram
 is canonical, and a file the writer made loads into exactly the nodes
 its root reaches.
 
-The reader does only the work a check needs. A map atom is taken as
-printed and checked to be in normal form, not renormalised. A lemma
-clause printed as the writer prints it, known literals in ascending
-index, is read by table lookups; any other clause is parsed and checked
-number by number. A d-DNNF line is interned through `Dag.and_`/`or_`,
-which keep a line whose children are distinct, non-constant and not of
-its own operator, as every written line is, as it stands, and fold any
-other shape. Each new node keeps one record, its variable mask and the
-literals it asserts, and both checks are bit operations on its
-children's records.
+The reader does only the work a check needs, in one loop per file. The
+map's atom and lemma sections are read by index after their count lines.
+A map atom is taken as printed and checked to be in normal form, not
+renormalised. A lemma clause printed as the writer prints it, known
+literals in ascending index, is read by table lookups; any other clause
+is parsed and checked number by number. A d-DNNF line is interned
+through `Dag.and_`/`or_`, which keep a line whose children are distinct,
+non-constant and not of its own operator, as every written line is, as
+it stands, and fold any other shape. The loop gives each new node one
+record from its payload, its variable mask and the literals it asserts;
+both checks are bit operations on its children's records. A written
+OBDD arm line is one pending tuple, and its decision one `decide`.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ MAP_HEADER = "kcmt-map 1"
 # Artifact mode -> the map's name for the form its circuit stores.
 _MAP_MODES = {MODE_T_REDUCED: "tReduced",
               MODE_T_EXTENDED: "tExtended-complement"}
-_TARGETS = (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP)
+# Artifact mode -> the lemma targets its circuit is compiled with.
+_TARGETS = {MODE_T_REDUCED: (TARGET_FORMULA, TARGET_TOP),
+            MODE_T_EXTENDED: (TARGET_NEGATION, TARGET_TOP)}
 
 
 class NnfIoError(ValueError):
@@ -225,74 +230,81 @@ def _map_text(artifact: CompiledArtifact) -> str:
 
 def _parse_map(text: str, path: str):
     lines = text.splitlines()
-    pos = 0
+    end = len(lines)
 
-    def take(what: str) -> tuple[str, int]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise _fail(path, len(lines) + 1, "missing %s" % what)
-        pos += 1
-        return lines[pos - 1].strip(), pos
-
-    def keyed(key: str, what: str) -> tuple[str, int]:
+    def keyed(pos: int, key: str, what: str) -> str:
         # A key with no value reads as "": the order of a 0-atom OBDD is
         # written as a bare `order`.
-        line, no = take(what)
-        parts = line.split(None, 1)
+        if pos >= end:
+            raise _fail(path, end + 1, "missing %s" % what)
+        parts = lines[pos].split(None, 1)
         if not parts or parts[0] != key:
-            raise _fail(path, no, "expected '%s <%s>'" % (key, what))
-        return (parts[1] if len(parts) == 2 else ""), no
+            raise _fail(path, pos + 1, "expected '%s <%s>'" % (key, what))
+        return parts[1].strip() if len(parts) == 2 else ""
 
-    line, no = take("header")
-    if line != MAP_HEADER:
-        raise _fail(path, no, "not a map file (missing '%s')" % MAP_HEADER)
-    kind, no = keyed("kind", "kind")
+    def count(pos: int, key: str, what: str) -> int:
+        raw = keyed(pos, key, what + " count")
+        try:
+            n = int(raw)
+        except ValueError:
+            raise _fail(path, pos + 1, "%s count must be an integer" % what)
+        if n < 0:
+            raise _fail(path, pos + 1,
+                        "%s count must be a non-negative integer" % what)
+        return n
+
+    if not lines:
+        raise _fail(path, 1, "missing header")
+    if lines[0].strip() != MAP_HEADER:
+        raise _fail(path, 1, "not a map file (missing '%s')" % MAP_HEADER)
+    kind = keyed(1, "kind", "kind")
     if kind not in (KIND_DDNNF, KIND_OBDD):
-        raise _fail(path, no, "unknown kind %r" % kind)
-    stored, no = keyed("mode", "mode")
+        raise _fail(path, 2, "unknown kind %r" % kind)
+    stored = keyed(2, "mode", "mode")
     if stored == MODE_T_EXTENDED:
-        raise _fail(path, no, "mode tExtended names a circuit of the "
+        raise _fail(path, 3, "mode tExtended names a circuit of the "
                     "uncomplemented form, which is no longer read; recompile "
                     "the artifact")
     mode = next((m for m, name in _MAP_MODES.items() if name == stored), None)
     if mode is None:
-        raise _fail(path, no, "unknown mode %r" % stored)
-    target, no = keyed("target", "target")
-    if target not in _TARGETS:
-        raise _fail(path, no, "unknown lemma target %r" % target)
+        raise _fail(path, 3, "unknown mode %r" % stored)
+    target = keyed(3, "target", "target")
+    if target not in (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP):
+        raise _fail(path, 4, "unknown lemma target %r" % target)
+    if target not in _TARGETS[mode]:
+        raise _fail(path, 4, "lemma target %r does not fit mode %s, "
+                    "expected one of %s"
+                    % (target, stored, ", ".join(_TARGETS[mode])))
     order = None
+    pos = 4
     if kind == KIND_OBDD:
-        raw, no = keyed("order", "order")
+        raw = keyed(4, "order", "order")
         try:
             order = tuple(int(t) for t in raw.split())
         except ValueError:
-            raise _fail(path, no, "order must be a list of integers")
-    raw, no = keyed("atoms", "atom count")
-    try:
-        natoms = int(raw)
-    except ValueError:
-        raise _fail(path, no, "atom count must be an integer")
+            raise _fail(path, 5, "order must be a list of integers")
+        pos = 5
+    # Each section is its count line and that many lines after it.
+    natoms = count(pos, "atoms", "atom")
+    pos += 1 + natoms
     alpha = AtomSet()
-    for _ in range(natoms):
-        line, no = take("atom string")
+    for i in range(pos - natoms, min(pos, end)):
         try:
-            atom = _atom_from_string(line)
+            atom = _atom_from_string(lines[i].strip())
         except (AtomError, ValueError) as e:
-            raise _fail(path, no, "bad atom string: %s" % e)
+            raise _fail(path, i + 1, "bad atom string: %s" % e)
         if atom in alpha:
-            raise _fail(path, no, "duplicate atom %s" % atom)
+            raise _fail(path, i + 1, "duplicate atom %s" % atom)
         alpha.add(atom)
-    raw, no = keyed("lemmas", "lemma count")
-    try:
-        nlemmas = int(raw)
-    except ValueError:
-        raise _fail(path, no, "lemma count must be an integer")
+    if pos > end:
+        raise _fail(path, end + 1, "missing atom string")
+    nlemmas = count(pos, "lemmas", "lemma")
+    pos += 1 + nlemmas
     atoms = list(alpha)
     table = _literal_table(atoms)
     lemmas = []
-    for _ in range(nlemmas):
-        line, no = take("lemma clause")
-        toks = line.split()
+    for i in range(pos - nlemmas, min(pos, end)):
+        toks = lines[i].split()
         # A clause as the writer prints it: known literals in strictly
         # ascending index, then 0, which is already its canonical lemma.
         if len(toks) > 1 and toks[-1] == "0":
@@ -307,18 +319,20 @@ def _parse_map(text: str, path: str):
                 lemmas.append(TLemma(tuple(lits)))
                 continue
         if not toks or toks[-1] != "0":
-            raise _fail(path, no, "lemma clause must end with 0")
+            raise _fail(path, i + 1, "lemma clause must end with 0")
         try:
             ids = [int(t) for t in toks[:-1]]
         except ValueError:
-            raise _fail(path, no, "lemma clause must be signed integers")
+            raise _fail(path, i + 1, "lemma clause must be signed integers")
         if not ids:
-            raise _fail(path, no, "empty lemma clause")
+            raise _fail(path, i + 1, "empty lemma clause")
         try:
             lemmas.append(_lemma_from_ids(ids, atoms))
         except LemmaError as e:
-            raise _fail(path, no, "bad lemma clause: %s" % e)
-    if pos != len(lines):
+            raise _fail(path, i + 1, "bad lemma clause: %s" % e)
+    if pos > end:
+        raise _fail(path, end + 1, "missing lemma clause")
+    if pos < end:
         raise _fail(path, pos + 1, "unexpected trailing content")
     if order is not None and sorted(order) != list(range(1, natoms + 1)):
         raise NnfIoError(
@@ -413,37 +427,6 @@ def _bad_child(toks: list[str], count: int, path: str,
     raise AssertionError("every child id is valid")
 
 
-def _ddnnf_record(rec: list, conjunction: bool, kids: tuple, path: str,
-                  lineno: int) -> tuple[int, int, int]:
-    """The record of a new AND or OR node of a d-DNNF file over `kids`, its
-    children as interned, from theirs (see `read_nnf`).
-
-    Rejects the two shapes that would make counting wrong: a conjunction
-    whose conjuncts share a variable, and a disjunction that is not a
-    binary decision, one whose branches assert no opposite literals. No
-    conjunction has a conjunction child, so a conjunction asserts the
-    literals its children assert.
-    """
-    mask = pos = neg = 0
-    if conjunction:
-        for c in kids:
-            below, p, n = rec[c]
-            if mask & below:
-                raise _fail(path, lineno,
-                            "conjuncts share variable %d, so the circuit is "
-                            "not decomposable"
-                            % ((mask & below).bit_length() - 1))
-            mask, pos, neg = mask | below, pos | p, neg | n
-        return mask, pos, neg
-    if len(kids) == 2:
-        (ma, pa, na), (mb, pb, nb) = rec[kids[0]], rec[kids[1]]
-        if pa & nb | na & pb:
-            return ma | mb, 0, 0
-    raise _fail(path, lineno,
-                "O node is not a binary decision on one variable, so "
-                "the circuit is not deterministic")
-
-
 # An OBDD file spells each decision node (v, hi, lo) as `A 2 <v> <hi>`,
 # `A 2 <-v> <lo>` and the `O` line over those two arms. The reader keeps a
 # literal, and a conjunction of a literal with a node below it, as a pending
@@ -459,31 +442,6 @@ def _obdd_built(m: ObddManager, x) -> int:
     level, positive, below = x
     return m.decide(level, below, m.FALSE) if positive else \
         m.decide(level, m.FALSE, below)
-
-
-def _is_literal(x) -> bool:
-    """A pending literal: an arm that guards the TRUE node."""
-    return type(x) is tuple and x[2] == ObddManager.TRUE
-
-
-def _obdd_line(m: ObddManager, conjunction: bool, kids: list):
-    """The node, or the pending arm, of an `A` or `O` line over `kids`."""
-    if len(kids) == 2:
-        a, b = kids
-        if conjunction and (_is_literal(a) or _is_literal(b)):
-            if not _is_literal(a):
-                a, b = b, a
-            b = _obdd_built(m, b)
-            if m.level_of(b) > a[0]:
-                return (a[0], a[1], b)
-        elif not conjunction and type(a) is tuple and type(b) is tuple \
-                and a[0] == b[0] and a[1] != b[1]:
-            return m.decide(a[0], a[2], b[2]) if a[1] else \
-                m.decide(a[0], b[2], a[2])
-    kids = [_obdd_built(m, x) for x in kids]
-    if conjunction:
-        return reduce(m.and_, kids) if kids else m.TRUE
-    return reduce(m.or_, kids) if kids else m.FALSE
 
 
 # -- public entry points ------------------------------------------------------
@@ -583,6 +541,8 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
     ddnnf = kind == KIND_DDNNF
     if ddnnf:
         pdag = Dag()
+        # A junction node's payload is (op, children as interned).
+        payload = pdag._payload
         # Handle -> (variable mask, positive and negative literal masks the
         # node asserts: itself if a literal, else its literal conjuncts).
         # Every node of `pdag` is made by one line, so the list stays in
@@ -591,6 +551,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
     else:
         manager = ObddManager(order)
         level = {v: i for i, v in enumerate(order)}
+        level_of, decide = manager.level_of, manager.decide
 
     nodes: list = []
     edges = 0
@@ -651,11 +612,55 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
         if ddnnf:
             node = pdag.and_(kids) if conjunction else pdag.or_(kids)
             if node == len(rec):
-                rec.append(_ddnnf_record(rec, conjunction,
-                                         pdag.children(node), path, lineno))
+                # A new node's record, from its children's. Counting
+                # would go wrong on conjuncts that share a variable, or on
+                # a disjunction that is not two branches asserting opposite
+                # literals. A conjunction has no conjunction child, so it
+                # asserts the literals its children assert.
+                kids = payload[node][1]
+                mask = pos = neg = 0
+                if conjunction:
+                    for c in kids:
+                        below, p, n = rec[c]
+                        if mask & below:
+                            raise _fail(path, lineno,
+                                        "conjuncts share variable %d, so the "
+                                        "circuit is not decomposable"
+                                        % ((mask & below).bit_length() - 1))
+                        mask, pos, neg = mask | below, pos | p, neg | n
+                else:
+                    (mask, pa, na), (mb, pb, nb) = rec[kids[0]], rec[kids[-1]]
+                    if len(kids) > 2 or not pa & nb | na & pb:
+                        raise _fail(path, lineno,
+                                    "O node is not a binary decision on one "
+                                    "variable, so the circuit is not "
+                                    "deterministic")
+                    mask |= mb
+                rec.append((mask, pos, neg))
+            nodes.append(node)
+            continue
+        if k == 2:
+            # An arm, or a decision over two opposite arms of one level.
+            a, b = kids
+            if conjunction:
+                if type(a) is not tuple or a[2] != manager.TRUE:
+                    a, b = b, a
+                if type(a) is tuple and a[2] == manager.TRUE:
+                    if type(b) is tuple:
+                        b = _obdd_built(manager, b)
+                    if level_of(b) > a[0]:
+                        nodes.append((a[0], a[1], b))
+                        continue
+            elif type(a) is tuple and type(b) is tuple and a[0] == b[0] \
+                    and a[1] != b[1]:
+                nodes.append(decide(a[0], a[2], b[2]) if a[1] else
+                             decide(a[0], b[2], a[2]))
+                continue
+        kids = [_obdd_built(manager, x) for x in kids]
+        if conjunction:
+            nodes.append(reduce(manager.and_, kids) if kids else manager.TRUE)
         else:
-            node = _obdd_line(manager, conjunction, kids)
-        nodes.append(node)
+            nodes.append(reduce(manager.or_, kids) if kids else manager.FALSE)
     if not nodes:
         raise NnfIoError("%s: circuit has no nodes" % path)
     if len(nodes) != n_nodes:

@@ -502,6 +502,22 @@ class TestFormatErrors:
                      "bad atom string", id="2*x <= 2"),
         pytest.param(lambda t: t.replace("x <= 0", "- <= 1"),
                      "bad atom string", id="- <= 1"),
+        pytest.param(lambda t: t.replace("lemmas 1\n-1 -2 0\n",
+                                         "lemmas -1\n"),
+                     "lemma count must be a non-negative integer",
+                     id="lemmas -1"),
+        pytest.param(lambda t: t.replace("target forFormula",
+                                         "target forNegation"),
+                     "line 4: lemma target 'forNegation' does not fit mode "
+                     "tReduced", id="forNegation under tReduced"),
+        pytest.param(lambda t: t.replace("mode tReduced",
+                                         "mode tExtended-complement"),
+                     "lemma target 'forFormula' does not fit mode "
+                     "tExtended-complement",
+                     id="forFormula under tExtended-complement"),
+        pytest.param(lambda t: t.replace("atoms 2", "atoms -3"),
+                     "line 5: atom count must be a non-negative integer",
+                     id="atoms -3"),
     ])
     def test_malformed_maps(self, tmp_path, mutate, err):
         art, nnf, mp = self._written(tmp_path)
@@ -1206,7 +1222,7 @@ def _loaded(art):
 
 
 def _reference_outcome(nnf, mp):
-    """The NnfIoError text or the `_loaded` triple of the reference reader.
+    """The NnfIoError text or the `_loaded` tuple of the reference reader.
     With no literal table, every lemma clause takes the reader's checked
     path, signed integers sorted by index."""
     map_text = Path(mp).read_text()
