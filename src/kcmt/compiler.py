@@ -7,18 +7,18 @@ binary decisions on one variable. Smoothing pads decision branches so
 every OR ranges over the same atoms; its `v or not v` gadgets are
 decisions too, so the result is still a decision-DNNF.
 
-One pipeline, in two modes over one abstraction of the input, conjoins
-clausal lemmas with the formula (`build_tred`) or with its negation
-(`build_text`) before compiling. `build_tred` keeps exactly the
-theory-consistent models of the formula. `build_text` stands for the
-paper's tExtended form, formula or negated lemmas, which adds every
-inconsistent total assignment to them; it stores that form's
-complement, the negation conjoined with its own lemmas, which means the
-same model set and compiles to a far smaller circuit. A d-DNNF cannot
-be negated in polytime, so the complement is compiled, not derived.
-The input's arena is read, never written. The pipeline can also target
-a reduced ordered BDD backend, whose canonicity gives constant-time
-equivalence checks downstream.
+One pipeline, in two modes over one abstraction of the input (variable
+i is the atom set's i-th atom), conjoins clausal lemmas with the formula
+(`build_tred`) or with its negation (`build_text`) before compiling.
+`build_tred` keeps exactly the theory-consistent models of the formula.
+`build_text` stands for the paper's tExtended form, formula or negated
+lemmas, which adds every inconsistent total assignment to them; it
+stores that form's complement, the negation conjoined with its own
+lemmas, which means the same model set and compiles to a far smaller
+circuit. A d-DNNF cannot be negated in polytime, so the complement is
+compiled, not derived. The input's arena is read, never written. The
+pipeline can also target a reduced ordered BDD backend, whose
+canonicity gives constant-time equivalence checks downstream.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator
 
-from .formulas import (AND, FALSE_KIND, LIT, OR, TRUE_KIND, AbstractionMap,
-                       AtomSet, Dag, abstract, atoms_of, fold, gather,
-                       translate)
+from .formulas import (AND, FALSE_KIND, LIT, OR, TRUE_KIND, AtomSet, Dag,
+                       abstract, atoms_of, fold, gather, translate)
 from .lemmas import (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP, LemmaSet,
                      abstract_clauses, lemmas_of)
 from .obdd import ObddManager, ObddRef, from_formula
@@ -38,6 +37,10 @@ MODE_T_EXTENDED = "tExtended"
 
 KIND_DDNNF = "ddnnf"
 KIND_OBDD = "obdd"
+
+# Artifact mode -> the lemma targets its circuit is compiled with.
+LEMMA_TARGETS = {MODE_T_REDUCED: (TARGET_FORMULA, TARGET_TOP),
+                 MODE_T_EXTENDED: (TARGET_NEGATION, TARGET_TOP)}
 
 
 class CompileError(ValueError):
@@ -270,7 +273,7 @@ def validate(pdag: Dag, node: int, nvars: int | None = None) -> ValidationReport
 class CompiledArtifact:
     """A compiled formula plus everything queries need to interpret it.
 
-    `kind` picks the backend: "ddnnf" roots live in `dag`, "obdd" roots
+    Variable i of the circuit is atom `alpha.atom_at(i)`. `kind` picks the backend: "ddnnf" roots live in `dag`, "obdd" roots
     in `manager`, which is the root's own manager, filled from the root
     when omitted. `mode` records which lemma transformation produced the
     circuit and therefore which queries it can answer soundly; the root of
@@ -281,7 +284,6 @@ class CompiledArtifact:
     kind: str
     mode: str
     alpha: AtomSet
-    amap: AbstractionMap
     lemmas: LemmaSet
     root: int | ObddRef
     dag: Dag | None = None
@@ -339,7 +341,7 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
     if lemmas is not None:
         # a precomputed set must have been enumerated for the same pipeline
         # and the same atom ordering, or the mode guarantee is lost
-        targets = (TARGET_FORMULA if reduced else TARGET_NEGATION, TARGET_TOP)
+        targets = LEMMA_TARGETS[mode]
         if lemmas.target not in targets:
             raise CompileError("lemma set targets %r, expected one of %s"
                                % (lemmas.target, ", ".join(targets)))
@@ -347,20 +349,20 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
             raise CompileError(
                 "lemma set was built against a different atom set")
     pdag = Dag()
-    prop, amap = abstract(fdag, node, alpha, pdag)
+    prop = abstract(fdag, node, alpha, pdag)
     # tExtended stores the tReduced form of the negation: its complement.
     target = prop if reduced else pdag.negate(prop)
     if lemmas is None:
         label = None if reduced or scope != "formula" else TARGET_NEGATION
-        lemmas = lemmas_of(pdag, target, amap, scope, backend, label)
-    combined = pdag.and_([target, abstract_clauses(lemmas, amap, pdag)])
+        lemmas = lemmas_of(pdag, target, alpha, scope, backend, label)
+    combined = pdag.and_([target, abstract_clauses(lemmas, alpha, pdag)])
     if kind == KIND_OBDD:
         root = from_formula(pdag, combined, manager)
-        return CompiledArtifact(kind, mode, alpha, amap, lemmas, root)
+        return CompiledArtifact(kind, mode, alpha, lemmas, root)
     root = compile_ddnnf(pdag, pdag.to_nnf(combined))
     circuit = Dag()
     root = translate(pdag, root, circuit, lambda key: key)
-    return CompiledArtifact(kind, mode, alpha, amap, lemmas, root, dag=circuit)
+    return CompiledArtifact(kind, mode, alpha, lemmas, root, dag=circuit)
 
 
 def build_tred(fdag: Dag, node: int, alpha: AtomSet | None = None, *,

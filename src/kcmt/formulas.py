@@ -5,7 +5,8 @@ arbitrary hashable keys with a polarity, so the same engine serves three roles:
 
 * T-formulas: leaves are `Atom` objects (Boolean propositions or normalized
   linear-rational constraints);
-* Boolean abstractions: leaves are 1-based variable indices;
+* Boolean abstractions: leaves are the variables 1..n that an `AtomSet`
+  numbers its atoms with;
 * compiled circuits: the compiler's output lives in the same propositional
   arena as its input, so residual handles double as exact cache keys.
 
@@ -175,11 +176,13 @@ def _not_normal(row: tuple, rel: str, const) -> AtomError:
 
 
 class AtomSet:
-    """Ordered, duplicate-free set of atoms; order fixes abstraction indices."""
+    """Ordered, duplicate-free set of atoms, and the one numbering of the
+    Boolean abstraction: the i-th atom added is variable i, for i in 1..n
+    (`index_of`, `atom_at`). `alpha[i]` is the 0-based sequence lookup."""
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: list[Atom] = []
-        self._index: dict[Atom, int] = {}
+        self._index: dict[Atom, int] = {}  # atom -> its variable, 1-based
         # backend -> theory outcomes of lemma enumerations; see `outcomes`
         self._outcomes: dict = {}
         for a in atoms:
@@ -187,8 +190,8 @@ class AtomSet:
 
     def add(self, atom: Atom) -> None:
         if atom not in self._index:
-            self._index[atom] = len(self._atoms)
             self._atoms.append(atom)
+            self._index[atom] = len(self._atoms)
 
     def union(self, other: "AtomSet") -> "AtomSet":
         out = AtomSet(self._atoms)
@@ -211,8 +214,19 @@ class AtomSet:
     def __eq__(self, other) -> bool:
         return isinstance(other, AtomSet) and self._atoms == other._atoms
 
-    def position(self, atom: Atom) -> int:
-        return self._index[atom]
+    def index_of(self, atom: Atom) -> int:
+        """The variable of `atom`, in 1..n."""
+        try:
+            return self._index[atom]
+        except KeyError:
+            raise AbstractionError("atom not in the atom set: %s" % atom) \
+                from None
+
+    def atom_at(self, index: int) -> Atom:
+        """The atom of variable `index`; nothing outside 1..n has one."""
+        if 1 <= index <= len(self._atoms):
+            return self._atoms[index - 1]
+        raise AbstractionError("no atom with index %d" % index)
 
     def outcomes(self, backend) -> dict:
         """The theory outcomes that every lemma enumeration over this object
@@ -222,33 +236,6 @@ class AtomSet:
 
     def __repr__(self) -> str:
         return "AtomSet([%s])" % ", ".join(str(a) for a in self._atoms)
-
-
-class AbstractionMap:
-    """Dense 1-based bijection between atoms and propositional variables."""
-
-    def __init__(self, alpha: AtomSet):
-        self.alpha = alpha
-        self._by_atom = {a: i + 1 for i, a in enumerate(alpha)}
-        self._by_index = {i + 1: a for i, a in enumerate(alpha)}
-
-    def index(self, atom: Atom) -> int:
-        try:
-            return self._by_atom[atom]
-        except KeyError:
-            raise AbstractionError("atom not in the abstraction: %s" % atom)
-
-    def atom(self, index: int) -> Atom:
-        try:
-            return self._by_index[index]
-        except KeyError:
-            raise AbstractionError("no atom with index %d" % index)
-
-    def __len__(self) -> int:
-        return len(self._by_atom)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AbstractionMap) and self.alpha == other.alpha
 
 
 class Assignment:
@@ -759,21 +746,15 @@ def atoms_of(dag: Dag, node: int) -> AtomSet:
     return out
 
 
-def abstract(fdag: Dag, node: int, alpha: AtomSet, pdag: Dag) -> tuple[int, AbstractionMap]:
-    """Boolean abstraction: same DAG shape, atoms replaced by their index."""
-    amap = AbstractionMap(alpha)
-
-    def index(a: Atom) -> int:
-        if a not in alpha:
-            raise AbstractionError("formula atom missing from the atom set: %s" % a)
-        return amap.index(a)
-
-    return translate(fdag, node, pdag, index), amap
+def abstract(fdag: Dag, node: int, alpha: AtomSet, pdag: Dag) -> int:
+    """Boolean abstraction: same DAG shape, atoms replaced by their index
+    in `alpha`, which must hold every atom of the formula."""
+    return translate(fdag, node, pdag, alpha.index_of)
 
 
-def refine(pdag: Dag, node: int, amap: AbstractionMap, fdag: Dag) -> int:
+def refine(pdag: Dag, node: int, alpha: AtomSet, fdag: Dag) -> int:
     """Inverse of abstract: indices replaced by their atoms."""
-    return translate(pdag, node, fdag, amap.atom)
+    return translate(pdag, node, fdag, alpha.atom_at)
 
 
 def translate(src: Dag, node: int, dst: Dag, leaf) -> int:

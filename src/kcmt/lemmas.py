@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import AbstractionMap, Assignment, AtomSet, Dag, abstract
+from .formulas import Assignment, AtomSet, Dag, abstract
 from .theory import LraBackend, minimize_conflict
 
 TARGET_FORMULA = "forFormula"
@@ -94,7 +94,7 @@ def canonical_lemma(literals, alpha: AtomSet) -> TLemma:
     for a in atoms:
         if a not in alpha:
             raise LemmaError("lemma literal outside the atom set: %s" % a)
-    lits.sort(key=lambda lp: (alpha.position(lp[0]), lp[1]))
+    lits.sort(key=lambda lp: (alpha.index_of(lp[0]), lp[1]))
     return TLemma(literals=tuple(lits))
 
 
@@ -129,10 +129,11 @@ def rules_out(lemma_set: LemmaSet, assignments) -> bool:
     return True
 
 
-def abstract_clauses(lemma_set: LemmaSet, amap: AbstractionMap, pdag: Dag) -> int:
-    """Conjunction of the lemmas as a propositional formula over amap."""
+def abstract_clauses(lemma_set: LemmaSet, alpha: AtomSet, pdag: Dag) -> int:
+    """Conjunction of the lemmas as a propositional formula over the
+    variables of `alpha`."""
     return pdag.and_([
-        pdag.or_([pdag.lit(amap.index(a), p) for a, p in lemma.literals])
+        pdag.or_([pdag.lit(alpha.index_of(a), p) for a, p in lemma.literals])
         for lemma in lemma_set.lemmas
     ])
 
@@ -148,15 +149,15 @@ def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
     atoms lie in alpha, and `lemmas_of` walks that abstraction.
     """
     pdag = Dag()
-    pid, amap = abstract(dag, node, alpha, pdag)
-    return lemmas_of(pdag, pid, amap, scope, backend, label)
+    pid = abstract(dag, node, alpha, pdag)
+    return lemmas_of(pdag, pid, alpha, scope, backend, label)
 
 
-def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
+def lemmas_of(pdag: Dag, pid: int, alpha: AtomSet,
               scope: str = "formula", backend=None,
               label: str | None = None) -> LemmaSet:
     """`enumerate_lemmas` on an abstraction `pid` already built in `pdag`,
-    which keeps the residuals of the walk.
+    which keeps the residuals of the walk, over the variables of `alpha`.
 
     Decisions run over the arithmetic atoms only, in ascending atom index,
     true branch first; Boolean atoms stay open in the residual. Conflicts are
@@ -169,7 +170,6 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
         target = label or TARGET_TOP
     else:
         raise LemmaError("unknown enumeration scope %r" % scope)
-    alpha = amap.alpha
     try:
         outcomes = alpha.outcomes(backend)
     except TypeError:  # an unhashable backend shares no outcomes
@@ -178,7 +178,7 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
 
     if scope == "top":
         pid = pdag.TRUE
-    lra = [i for i in range(1, len(alpha) + 1) if amap.atom(i).kind == "lra"]
+    lra = [alpha.index_of(a) for a in alpha if a.kind == "lra"]
 
     learned: dict[tuple, TLemma] = {}  # keyed by (index, polarity) pairs
     # Atom index -> position: the decision on atom lra[k] is bit k of a code.
@@ -194,7 +194,7 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
 
     def learn(core: frozenset) -> None:
         lemma = canonical_lemma(((a, not p) for a, p in core), alpha)
-        key = tuple((amap.index(a), p) for a, p in lemma.literals)
+        key = tuple((alpha.index_of(a), p) for a, p in lemma.literals)
         if key not in learned:
             learned[key] = lemma
             mask = bits = 0
@@ -230,7 +230,7 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
         if not verdict.is_sat:
             # The parent prefix is sat, so every trial inside it is.
             return minimize_conflict(backend, lits, verdict.conflict,
-                                     index_of=amap.index,
+                                     index_of=alpha.index_of,
                                      sat_within=frozenset(prefix))
         try:
             scaled = verdict.witness.scaled
@@ -255,7 +255,7 @@ def lemmas_of(pdag: Dag, pid: int, amap: AbstractionMap,
         res = pdag.residual(residual, {i: val})
         if res == pdag.FALSE:
             continue
-        atom = amap.atom(i)
+        atom = alpha.atom_at(i)
         lits, point = prefix + ((atom, val),), witness
         if point is None or not point.holds(atom, val):
             if code in outcomes:

@@ -21,12 +21,13 @@ reader checks both on each line and judges a decision by its branches
 alone.
 
 The sidecar map file carries everything the circuit cannot: the atom
-strings in index order, the artifact's kind and mode, the lemma clauses
-(signed atom indices, DIMACS style), and the variable order for OBDD
-backed artifacts. The mode line names the form the circuit stores:
+strings in index order, which is the artifact's `AtomSet` and so its
+numbering of variables 1..n, the artifact's kind and mode, the lemma
+clauses (signed atom indices, DIMACS style), and the variable order for
+OBDD backed artifacts. The mode line names the form the circuit stores:
 `tReduced`, or `tExtended-complement` for a tExtended artifact, whose
 circuit is the complement of the tExtended form; the lemma target must be
-one that mode compiles with (`_TARGETS`). A map that names
+one that mode compiles with (`compiler.LEMMA_TARGETS`). A map that names
 `tExtended` itself was written for a circuit of the uncomplemented form
 and is refused, so neither form is ever read as the other. The circuit
 file's first comment records the sha-256 of the map text, so a circuit
@@ -49,13 +50,16 @@ map's atom and lemma sections are read by index after their count lines.
 A map atom is taken as printed and checked to be in normal form, not
 renormalised. A lemma clause printed as the writer prints it, known
 literals in ascending index, is read by table lookups; any other clause
-is parsed and checked number by number. A d-DNNF line is interned
-through `Dag.and_`/`or_`, which keep a line whose children are distinct,
-non-constant and not of its own operator, as every written line is, as
-it stands, and fold any other shape. The loop gives each new node one
-record from its payload, its variable mask and the literals it asserts;
-both checks are bit operations on its children's records. A written
-OBDD arm line is one pending tuple, and its decision one `decide`.
+is parsed and checked number by number, and built by `canonical_lemma`.
+The map's counts, order and clause ids, and the circuit's header counts
+and literals, are ASCII digits with at most a leading `-`. A d-DNNF line
+is interned through `Dag.and_`/`or_`, which keep a line whose children
+are distinct, non-constant and not of its own operator, as every written
+line is, as it stands, and fold any other shape. The loop gives each new
+node one record from its payload, its variable mask and the literals it
+asserts; both checks are bit operations on its children's records. A
+written OBDD arm line is one pending tuple, and its decision one
+`decide`.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from functools import reduce
 from .compiler import (
     KIND_DDNNF,
     KIND_OBDD,
+    LEMMA_TARGETS,
     MODE_T_EXTENDED,
     MODE_T_REDUCED,
     CompiledArtifact,
@@ -78,29 +83,18 @@ from .formulas import (
     LIT,
     OR,
     TRUE_KIND,
-    AbstractionMap,
     Atom,
     AtomError,
     AtomSet,
     Dag,
 )
-from .lemmas import (
-    TARGET_FORMULA,
-    TARGET_NEGATION,
-    TARGET_TOP,
-    LemmaError,
-    LemmaSet,
-    TLemma,
-)
+from .lemmas import LemmaError, LemmaSet, TLemma, canonical_lemma
 from .obdd import ObddManager, ObddRef
 
 MAP_HEADER = "kcmt-map 1"
 # Artifact mode -> the map's name for the form its circuit stores.
 _MAP_MODES = {MODE_T_REDUCED: "tReduced",
               MODE_T_EXTENDED: "tExtended-complement"}
-# Artifact mode -> the lemma targets its circuit is compiled with.
-_TARGETS = {MODE_T_REDUCED: (TARGET_FORMULA, TARGET_TOP),
-            MODE_T_EXTENDED: (TARGET_NEGATION, TARGET_TOP)}
 
 
 class NnfIoError(ValueError):
@@ -109,6 +103,16 @@ class NnfIoError(ValueError):
 
 def _fail(path: str, lineno: int, msg: str) -> NnfIoError:
     return NnfIoError("%s, line %d: %s" % (path, lineno, msg))
+
+
+def _integer(tok: str) -> int:
+    """The value of a token of ASCII digits with an optional leading `-`.
+    Any other token raises ValueError, such as `+3`, `1_0` or `３`, which
+    `int` alone would read."""
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if digits.isdigit() and digits.isascii():
+        return int(tok)
+    raise ValueError("not an integer: %r" % tok)
 
 
 # -- atom strings ------------------------------------------------------------
@@ -183,31 +187,17 @@ def _lemma_lines(artifact: CompiledArtifact) -> list[str]:
     """One `<signed atom indices> 0` line per lemma, DIMACS style."""
     alpha = artifact.alpha
     return ["%s 0" % " ".join(
-                str((alpha.position(a) + 1) * (1 if p else -1))
+                str(alpha.index_of(a) * (1 if p else -1))
                 for a, p in lemma.literals)
             for lemma in artifact.lemmas]
 
 
-def _lemma_from_ids(ids: list[int], atoms: list[Atom]) -> TLemma:
-    """The canonical lemma of a clause of signed 1-based atom indices.
-
-    Sorting by index gives `canonical_lemma`'s order, since no index may
-    repeat.
-    """
-    ids.sort(key=abs)
-    for i in (ids[0], ids[-1]):
-        if not 1 <= abs(i) <= len(atoms):
-            raise LemmaError("no atom with index %d" % abs(i))
-    if len(set(map(abs, ids))) != len(ids):
-        raise LemmaError("duplicate or complementary literals in a lemma")
-    return TLemma(tuple([(atoms[abs(i) - 1], i > 0) for i in ids]))
-
-
-def _literal_table(atoms: list[Atom]) -> dict[str, tuple]:
+def _literal_table(alpha: AtomSet) -> dict[str, tuple]:
     """Each printed lemma literal, `"3"` or `"-3"`, to its atom index and
     its (atom, polarity) pair."""
     table = {}
-    for i, atom in enumerate(atoms, 1):
+    for atom in alpha:
+        i = alpha.index_of(atom)
         table[str(i)] = (i, (atom, True))
         table[str(-i)] = (i, (atom, False))
     return table
@@ -245,7 +235,7 @@ def _parse_map(text: str, path: str):
     def count(pos: int, key: str, what: str) -> int:
         raw = keyed(pos, key, what + " count")
         try:
-            n = int(raw)
+            n = _integer(raw)
         except ValueError:
             raise _fail(path, pos + 1, "%s count must be an integer" % what)
         if n < 0:
@@ -269,18 +259,18 @@ def _parse_map(text: str, path: str):
     if mode is None:
         raise _fail(path, 3, "unknown mode %r" % stored)
     target = keyed(3, "target", "target")
-    if target not in (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP):
+    if not any(target in fit for fit in LEMMA_TARGETS.values()):
         raise _fail(path, 4, "unknown lemma target %r" % target)
-    if target not in _TARGETS[mode]:
+    if target not in LEMMA_TARGETS[mode]:
         raise _fail(path, 4, "lemma target %r does not fit mode %s, "
                     "expected one of %s"
-                    % (target, stored, ", ".join(_TARGETS[mode])))
+                    % (target, stored, ", ".join(LEMMA_TARGETS[mode])))
     order = None
     pos = 4
     if kind == KIND_OBDD:
         raw = keyed(4, "order", "order")
         try:
-            order = tuple(int(t) for t in raw.split())
+            order = tuple(_integer(t) for t in raw.split())
         except ValueError:
             raise _fail(path, 5, "order must be a list of integers")
         pos = 5
@@ -300,8 +290,7 @@ def _parse_map(text: str, path: str):
         raise _fail(path, end + 1, "missing atom string")
     nlemmas = count(pos, "lemmas", "lemma")
     pos += 1 + nlemmas
-    atoms = list(alpha)
-    table = _literal_table(atoms)
+    table = _literal_table(alpha)
     lemmas = []
     for i in range(pos - nlemmas, min(pos, end)):
         toks = lines[i].split()
@@ -321,13 +310,18 @@ def _parse_map(text: str, path: str):
         if not toks or toks[-1] != "0":
             raise _fail(path, i + 1, "lemma clause must end with 0")
         try:
-            ids = [int(t) for t in toks[:-1]]
+            ids = [_integer(t) for t in toks[:-1]]
         except ValueError:
             raise _fail(path, i + 1, "lemma clause must be signed integers")
         if not ids:
             raise _fail(path, i + 1, "empty lemma clause")
+        low, high = min(map(abs, ids)), max(map(abs, ids))
+        if not low or high > natoms:
+            raise _fail(path, i + 1, "bad lemma clause: no atom with index %d"
+                        % (high if low else 0))
         try:
-            lemmas.append(_lemma_from_ids(ids, atoms))
+            lemmas.append(canonical_lemma(
+                [(alpha.atom_at(abs(j)), j > 0) for j in ids], alpha))
         except LemmaError as e:
             raise _fail(path, i + 1, "bad lemma clause: %s" % e)
     if pos > end:
@@ -338,7 +332,7 @@ def _parse_map(text: str, path: str):
         raise NnfIoError(
             "%s: order must be a permutation of 1..%d" % (path, natoms))
     lemma_set = LemmaSet(tuple(lemmas), target, alpha)
-    return kind, mode, order, alpha, AbstractionMap(alpha), lemma_set
+    return kind, mode, order, alpha, lemma_set
 
 
 # -- circuit body ------------------------------------------------------------
@@ -487,7 +481,7 @@ def read_map(map_path) -> AtomSet:
     artifact's atoms without loading the circuit itself.
     """
     map_text = _read_text(map_path)
-    _, _, _, alpha, _, _ = _parse_map(map_text, str(map_path))
+    _, _, _, alpha, _ = _parse_map(map_text, str(map_path))
     return alpha
 
 
@@ -501,8 +495,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
     order as they are read, each written decision as one node.
     """
     map_text = _read_text(map_path)
-    kind, mode, order, alpha, amap, lemma_set = _parse_map(
-        map_text, str(map_path))
+    kind, mode, order, alpha, lemma_set = _parse_map(map_text, str(map_path))
 
     raw = _read_text(nnf_path).splitlines()
     path = str(nnf_path)
@@ -530,7 +523,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
     if len(toks) != 4 or toks[0] != "nnf":
         raise _fail(path, body_start, "expected 'nnf <nodes> <edges> <vars>'")
     try:
-        n_nodes, n_edges, n_vars = int(toks[1]), int(toks[2]), int(toks[3])
+        n_nodes, n_edges, n_vars = map(_integer, toks[1:])
     except ValueError:
         raise _fail(path, body_start, "nnf header needs three integers")
     if n_vars != len(alpha):
@@ -563,7 +556,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
         tag, ntoks = toks[0], len(toks)
         if tag == "L" and ntoks == 2:
             try:
-                v = int(toks[1])
+                v = _integer(toks[1])
             except ValueError:
                 raise _fail(path, lineno, "bad literal %r" % toks[1])
             if not 1 <= abs(v) <= n_vars:
@@ -673,7 +666,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
             % (path, n_edges, edges))
 
     if ddnnf:
-        return CompiledArtifact(kind, mode, alpha, amap, lemma_set, nodes[-1],
+        return CompiledArtifact(kind, mode, alpha, lemma_set, nodes[-1],
                                 dag=pdag)
-    return CompiledArtifact(kind, mode, alpha, amap, lemma_set,
+    return CompiledArtifact(kind, mode, alpha, lemma_set,
                             manager.ref(_obdd_built(manager, nodes[-1])))

@@ -66,7 +66,7 @@ def _indexed(artifact: CompiledArtifact,
     out: dict[int, bool] = {}
     for atom, positive in literals:
         try:
-            idx = artifact.amap.index(atom)
+            idx = artifact.alpha.index_of(atom)
         except AbstractionError:
             raise QueryError("atom %s is outside the artifact's atom set"
                              % atom) from None
@@ -193,10 +193,9 @@ def enumerate_models(artifact: CompiledArtifact) -> Iterator[Assignment]:
     # Atom 1 is the top bit, so descending order is lexicographic, true first.
     models.sort(reverse=True)
     # An Assignment keeps its items in the atoms' sort-key order.
-    amap = artifact.amap
-    atoms = sorted((amap.atom(i) for i in range(1, n + 1)), key=Atom.sort_key)
-    literals = [(1 << (n - amap.index(a)), (a, True), (a, False))
-                for a in atoms]
+    alpha = artifact.alpha
+    literals = [(1 << (n - alpha.index_of(a)), (a, True), (a, False))
+                for a in sorted(alpha, key=Atom.sort_key)]
     return (Assignment._sorted(tuple(pos if model & bit else neg
                                      for bit, pos, neg in literals))
             for model in models)

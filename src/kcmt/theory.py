@@ -113,10 +113,11 @@ def _check_ground(con: _Constraint) -> bool:
     return True
 
 
-def _solved(con: _Constraint, var: str, values: dict) -> tuple[int, int]:
+def _solved(con: _Constraint, var: str, values: dict) -> tuple:
     """The value (num, den), den > 0 and reduced, that makes `con` tight
-    when solved for `var`; other variables take `values`, absent ones 0.
-    `var` itself has no value yet."""
+    when solved for `var`, as a `_between` bound (num, den, strict, lower);
+    other variables take `values`, absent ones 0. `var` itself has no value
+    yet."""
     num, den = con.const, 1
     for w, c in con.coeffs.items():
         x = values.get(w)
@@ -124,11 +125,41 @@ def _solved(con: _Constraint, var: str, values: dict) -> tuple[int, int]:
             n, d = x
             num, den = num * d - c * n * den, den * d
     a = con.coeffs[var]
-    if a < 0:
+    lower = a < 0
+    if lower:
         num, a = -num, -a
     den *= a
     g = gcd(num, den)
-    return num // g, den // g
+    return num // g, den // g, con.rel == REL_LT, lower
+
+
+def _between(bounds: Iterable[tuple], unit: int) -> Optional[tuple[int, int]]:
+    """A value (num, den) between the tightest lower and upper bound, each
+    (num, den, strict, lower) with den > 0, a strict one winning a tie:
+    their midpoint, the one bound -/+ `unit` (1 for a value, d for a
+    numerator over d) when the other side is open, or the bound itself when
+    the two meet and neither is strict; else None."""
+    lo = hi = None
+    for bound in bounds:
+        num, den, strict, lower = bound
+        if lower:
+            if lo is None or num * lo[1] > lo[0] * den or (
+                    strict and num * lo[1] == lo[0] * den):
+                lo = bound
+        elif hi is None or num * hi[1] < hi[0] * den or (
+                strict and num * hi[1] == hi[0] * den):
+            hi = bound
+    if lo is None:
+        return None if hi is None else (hi[0] - unit * hi[1], hi[1])
+    if hi is None:
+        return lo[0] + unit * lo[1], lo[1]
+    if lo[0] * hi[1] < hi[0] * lo[1]:
+        num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        g = gcd(num, den)
+        return num // g, den // g
+    if lo[0] * hi[1] == hi[0] * lo[1] and not (lo[2] or hi[2]):
+        return lo[0], lo[1]
+    return None
 
 
 def _solve_core(constraints: list[_Constraint]) -> dict:
@@ -192,35 +223,13 @@ def _solve_core(constraints: list[_Constraint]) -> dict:
     # exact (num, den) pairs.
     values: dict[str, tuple[int, int]] = {}
     for var, lowers, uppers in reversed(eliminations):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for c in lowers:
-            v = _solved(c, var, values)
-            if lo is None or v[0] * lo[1] > lo[0] * v[1]:
-                lo, lo_strict = v, c.rel == REL_LT
-            elif v == lo and c.rel == REL_LT:
-                lo_strict = True
-        for c in uppers:
-            v = _solved(c, var, values)
-            if hi is None or v[0] * hi[1] < hi[0] * v[1]:
-                hi, hi_strict = v, c.rel == REL_LT
-            elif v == hi and c.rel == REL_LT:
-                hi_strict = True
-        if lo is None:
-            values[var] = (hi[0] - hi[1], hi[1])
-        elif hi is None:
-            values[var] = (lo[0] + lo[1], lo[1])
-        elif lo[0] * hi[1] < hi[0] * lo[1]:
-            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
-            g = gcd(num, den)
-            values[var] = (num // g, den // g)
-        else:
-            if lo != hi or lo_strict or hi_strict:
-                raise TheoryInternalError(
-                    "empty interval for %s survived elimination" % var)
-            values[var] = lo
+        value = _between([_solved(c, var, values) for c in lowers + uppers], 1)
+        if value is None:
+            raise TheoryInternalError(
+                "empty interval for %s survived elimination" % var)
+        values[var] = value
     for var, eq in reversed(pivots):
-        values[var] = _solved(eq, var, values)
+        values[var] = _solved(eq, var, values)[:2]
     return {v: Fraction(n, d) for v, (n, d) in values.items()}
 
 
@@ -407,13 +416,13 @@ def moved_point(atom: Atom, pol: bool, literals: Iterable[Literal],
 
     The variables are freed in name order, the others held at their values
     (absent ones at 0). The LRA literals of `literals` and the new one that
-    mention the freed variable bound it to an interval: its midpoint, the
-    value itself when the ends meet, or the bound -/+ 1 when one side is
-    open. A disequality bounds nothing. The point is then checked with
-    `_ScaledPoint.holds` on every literal that mentions the variable; one that
-    lands on a disequality fails. A literal without it keeps its truth
-    value, so a point `scaled` that satisfies `literals` moves to one that
-    satisfies them and `(atom, pol)`.
+    mention the freed variable bound it to an interval, and `_between`
+    picks its value: the midpoint, the value itself when the ends meet, or
+    the bound -/+ 1 when one side is open. A disequality bounds nothing.
+    The point is then checked with `_ScaledPoint.holds` on every literal
+    that mentions the variable; one that lands on a disequality fails. A
+    literal without it keeps its truth value, so a point `scaled` that
+    satisfies `literals` moves to one that satisfies them and `(atom, pol)`.
 
     All in integers: a variable's value is kept as its numerator over the
     point's denominator d, and each bound on that numerator as an exact
@@ -422,7 +431,7 @@ def moved_point(atom: Atom, pol: bool, literals: Iterable[Literal],
     nums, den = scaled
     literals = ((atom, pol), *literals)  # a Boolean atom has no coeffs
     for var, _a in atom.coeffs:
-        lo = hi = None  # (num, den, strict)
+        bounds = []  # (num, den, strict, lower)
         touching = []
         for at, p in literals:
             a = rest = 0
@@ -434,38 +443,21 @@ def moved_point(atom: Atom, pol: bool, literals: Iterable[Literal],
             if not a:
                 continue
             touching.append((at, p))
-            # rest/d + a*X/d rel P/Q, times Q*d: a*Q*X rel P*d - Q*rest.
-            rel = at.rel
-            if rel == REL_EQ:
-                if not p:
-                    continue
-                upper = lower = True
-                strict = False
-            else:
-                upper, lower = p, not p
-                strict = (rel == REL_LT) == p
+            # rest/d + a*X/d rel P/Q, times Q*d: a*Q*X rel P*d - Q*rest, a
+            # lower bound on X when a < 0 and the literal holds, or a > 0
+            # and it does not.
             q = at.const.denominator
             t, b = at.const.numerator * den - q * rest, a * q
             if b < 0:
-                t, b, upper, lower = -t, -b, lower, upper
-            if lower and (lo is None or t * lo[1] > lo[0] * b
-                          or (strict and t * lo[1] == lo[0] * b)):
-                lo = (t, b, strict)
-            if upper and (hi is None or t * hi[1] < hi[0] * b
-                          or (strict and t * hi[1] == hi[0] * b)):
-                hi = (t, b, strict)
-        if lo is None and hi is None:
+                t, b = -t, -b
+            if at.rel != REL_EQ:
+                bounds.append((t, b, (at.rel == REL_LT) == p, (a < 0) == p))
+            elif p:  # a disequality bounds nothing
+                bounds += ((t, b, False, True), (t, b, False, False))
+        value = _between(bounds, den)
+        if value is None:
             continue
-        if lo is None:
-            x, xd = hi[0] - den * hi[1], hi[1]
-        elif hi is None:
-            x, xd = lo[0] + den * lo[1], lo[1]
-        elif lo[0] * hi[1] < hi[0] * lo[1]:
-            x, xd = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
-        elif lo[0] * hi[1] == hi[0] * lo[1] and not (lo[2] or hi[2]):
-            x, xd = lo[0], lo[1]
-        else:
-            continue
+        x, xd = value
         # The value x/xd of the numerator over d: every numerator times xd,
         # over d*xd, reduced by the gcd of them all.
         moved = {w: n * xd for w, n in nums.items()}

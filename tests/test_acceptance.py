@@ -168,20 +168,20 @@ def test_criterion_2_naive_compilation_admits_spurious_model():
 
         # Compile the bare abstraction, no lemma clauses conjoined.
         pdag = Dag()
-        prop, amap = abstract(fdag, node, alpha, pdag)
+        prop = abstract(fdag, node, alpha, pdag)
         naive = compile_ddnnf(pdag, pdag.to_nnf(prop))
 
         # mu1 sets both lower bounds and x1>=1 but not x2>=1; it satisfies
         # both clauses propositionally yet (x1<=0) and (x1>=1) clash.
         mu1 = {
-            amap.index(X1_LE_0): True,
-            amap.index(X2_LE_0): True,
-            amap.index(X1_GE_1): True,
-            amap.index(X2_GE_1): False,
+            alpha.index_of(X1_LE_0): True,
+            alpha.index_of(X2_LE_0): True,
+            alpha.index_of(X1_GE_1): True,
+            alpha.index_of(X2_GE_1): False,
         }
         assert pdag.evaluate(naive, mu1)
         assert not oracle.consistent(
-            [(amap.atom(i), v) for i, v in mu1.items()])
+            [(alpha.atom_at(i), v) for i, v in mu1.items()])
 
         # Census over all 16 totals: the naive circuit keeps 9 of them,
         # only 2 of which survive the theory.
@@ -193,7 +193,8 @@ def test_criterion_2_naive_compilation_admits_spurious_model():
         assert len(naive_models) == 9
         consistent = [
             v for v in naive_models
-            if oracle.consistent([(amap.atom(i), p) for i, p in v.items()])]
+            if oracle.consistent([(alpha.atom_at(i), p)
+                                  for i, p in v.items()])]
         assert len(consistent) == 2
 
         tred = build_tred(fdag, node, alpha)
@@ -337,14 +338,14 @@ def test_criterion_5_conditioning_preserves_modes():
             for _ in range(LITS_PER_FORMULA):
                 atom = rng.choice(atoms)
                 pol = rng.random() < 0.5
-                idx = tred.amap.index(atom)
+                idx = alpha.index_of(atom)
 
                 # Conditioning the lemma-conjoined circuit on a literal
                 # leaves a circuit whose refinement, conjoined with that
                 # literal, still has no theory-inconsistent model.
                 res = refine(tred.dag,
                              tred.dag.residual(tred.root, {idx: pol}),
-                             tred.amap, fdag)
+                             alpha, fdag)
                 assert oracle.check_treduced(
                     fdag, fdag.and_([res, fdag.lit(atom, pol)]), alpha)
 
@@ -353,7 +354,7 @@ def test_criterion_5_conditioning_preserves_modes():
                 # text circuit stores the complement of that form.
                 res2 = fdag.not_(refine(
                     text.dag, text.dag.residual(text.root, {idx: pol}),
-                    text.amap, fdag))
+                    alpha, fdag))
                 assert oracle.check_textended(
                     fdag, fdag.or_([fdag.lit(atom, not pol), res2]), alpha)
 

@@ -389,7 +389,7 @@ class TestBuildText:
         assert art.mode == MODE_T_EXTENDED
         assert art.lemmas.target == TARGET_NEGATION
         assert len(art.lemmas) == 0
-        prop, _ = abstract(fdag, node, art.alpha, art.dag)
+        prop = abstract(fdag, node, art.alpha, art.dag)
         # The circuit stores the complement of the model set.
         assert ~art.dag.truth_bits(art.root, [1, 2]) & 0b1111 == \
             art.dag.truth_bits(prop, [1, 2])
@@ -487,8 +487,8 @@ class TestObddArtifacts:
         assert count_models(moved) == count_models(art) == 9
         assert equivalent(moved, build_tred(fdag, node, alpha, kind=KIND_OBDD,
                                             manager=shared))
-        filled = CompiledArtifact(art.kind, art.mode, art.alpha, art.amap,
-                                  art.lemmas, copied)
+        filled = CompiledArtifact(art.kind, art.mode, art.alpha, art.lemmas,
+                                  copied)
         assert filled.manager is shared and filled.order == art.order
         assert build_tred(fdag, node, alpha).order is None
 
@@ -558,22 +558,21 @@ class TestTheoremSuite:
                 assert report.decomposable and report.deterministic, \
                     report.first_violation
 
-            tred_back = refine(tred.dag, tred.root, tred.amap, fdag)
+            tred_back = refine(tred.dag, tred.root, alpha, fdag)
             # The text artifact stores the complement of its model set.
-            text_back = fdag.not_(refine(text.dag, text.root, text.amap,
-                                         fdag))
+            text_back = fdag.not_(refine(text.dag, text.root, alpha, fdag))
             assert oracle.check_treduced(fdag, tred_back, alpha)
             assert oracle.check_textended(fdag, text_back, alpha)
             assert oracle.query("eq", fdag, tred_back, alpha, node)
             assert oracle.query("eq", fdag, text_back, alpha, node)
 
-            prop, _ = abstract(fdag, node, alpha, tred.dag)
+            prop = abstract(fdag, node, alpha, tred.dag)
             mask = (1 << (1 << len(alpha))) - 1
             tred_bits = tred.dag.truth_bits(tred.root, order)
             prop_bits = tred.dag.truth_bits(prop, order)
             assert tred_bits & ~prop_bits & mask == 0
 
-            prop2, _ = abstract(fdag, node, alpha, text.dag)
+            prop2 = abstract(fdag, node, alpha, text.dag)
             text_bits = ~text.dag.truth_bits(text.root, order) & mask
             prop2_bits = text.dag.truth_bits(prop2, order)
             assert prop2_bits & ~text_bits & mask == 0
@@ -587,16 +586,16 @@ class TestTheoremSuite:
             text = build_text(fdag, node, alpha, backend=backend)
             idx = rng.randint(1, len(alpha))
             pol = rng.random() < 0.5
-            atom = tred.amap.atom(idx)
+            atom = alpha.atom_at(idx)
             lit = fdag.lit(atom, pol)
 
             res = refine(tred.dag, tred.dag.residual(tred.root, {idx: pol}),
-                         tred.amap, fdag)
+                         alpha, fdag)
             assert oracle.check_treduced(fdag, fdag.and_([res, lit]), alpha)
 
             res2 = fdag.not_(refine(
                 text.dag, text.dag.residual(text.root, {idx: pol}),
-                text.amap, fdag))
+                alpha, fdag))
             assert oracle.check_textended(
                 fdag, fdag.or_([fdag.lit(atom, not pol), res2]), alpha)
             checked += 1
@@ -606,10 +605,10 @@ class TestTheoremSuite:
         oracle = Oracle()
         for rng, fdag, node, alpha in self._corpus(71007, 10):
             tred = build_tred(fdag, node, alpha, scope="top")
-            back = refine(tred.dag, tred.root, tred.amap, fdag)
+            back = refine(tred.dag, tred.root, alpha, fdag)
             assert oracle.check_treduced(fdag, back, alpha)
             assert oracle.query("eq", fdag, back, alpha, node)
             text = build_text(fdag, node, alpha, scope="top")
-            back2 = fdag.not_(refine(text.dag, text.root, text.amap, fdag))
+            back2 = fdag.not_(refine(text.dag, text.root, alpha, fdag))
             assert oracle.check_textended(fdag, back2, alpha)
             assert oracle.query("eq", fdag, back2, alpha, node)

@@ -20,7 +20,6 @@ from kcmt.formulas import (
     OR,
     TRUE_KIND,
     AbstractionError,
-    AbstractionMap,
     Assignment,
     Atom,
     AtomError,
@@ -138,27 +137,34 @@ class TestAtomContainers:
         s = AtomSet([X_LE_0, X_EQ_1, X_LE_0])
         assert len(s) == 2
         assert list(s) == [X_LE_0, X_EQ_1]
-        assert s.position(X_EQ_1) == 1
+        assert s.index_of(X_EQ_1) == 2
         assert X_GE_2 not in s
 
     def test_atom_set_union_keeps_left_order(self):
         s = AtomSet([X_LE_0]).union(AtomSet([X_EQ_1, X_LE_0, X_GE_2]))
         assert list(s) == [X_LE_0, X_EQ_1, X_GE_2]
 
-    def test_abstraction_map_dense_one_based(self):
-        amap = AbstractionMap(alpha_phi1())
-        assert amap.index(X_LE_0) == 1
-        assert amap.index(X_EQ_1) == 2
-        assert amap.atom(1) == X_LE_0
-        assert amap.atom(2) == X_EQ_1
-        assert len(amap) == 2
+    def test_atom_set_numbers_atoms_one_based(self):
+        alpha = alpha_phi1()
+        assert alpha.index_of(X_LE_0) == 1
+        assert alpha.index_of(X_EQ_1) == 2
+        assert alpha.atom_at(1) == X_LE_0
+        assert alpha.atom_at(2) == X_EQ_1
+        assert len(alpha) == 2
+        # alpha[i] is the 0-based sequence lookup.
+        mixed = AtomSet([X_GE_2, X_LE_0, X_EQ_1, X_LE_0])
+        assert [mixed.index_of(a) for a in mixed] == [1, 2, 3]
+        for atom in mixed:
+            assert mixed[mixed.index_of(atom) - 1] is atom
 
-    def test_abstraction_map_misses_raise(self):
-        amap = AbstractionMap(alpha_phi1())
+    def test_atom_set_numbering_misses_raise(self):
+        alpha = alpha_phi1()
         with pytest.raises(AbstractionError):
-            amap.index(X_GE_2)
-        with pytest.raises(AbstractionError):
-            amap.atom(3)
+            alpha.index_of(X_GE_2)
+        # 0 and -1 would wrap as list indices.
+        for index in (0, -1, len(alpha) + 1):
+            with pytest.raises(AbstractionError):
+                alpha.atom_at(index)
 
     def test_assignment_basics(self):
         eta = Assignment({X_LE_0: True, X_EQ_1: False})
@@ -541,10 +547,8 @@ class TestAbstraction:
     def test_abstract_worked_example(self, fdag):
         phi1 = build_phi1(fdag)
         pdag = Dag()
-        pid, amap = abstract(fdag, phi1, alpha_phi1(), pdag)
+        pid = abstract(fdag, phi1, alpha_phi1(), pdag)
         assert pid == pdag.or_([pdag.lit(1), pdag.lit(2)])
-        assert amap.index(X_LE_0) == 1
-        assert amap.index(X_EQ_1) == 2
 
     def test_abstract_requires_covering_atom_set(self, fdag):
         phi1 = build_phi1(fdag)
@@ -559,8 +563,8 @@ class TestAbstraction:
             node = random_formula(fdag, rng, atoms, depth=3)
             alpha = AtomSet(atoms)
             pdag = Dag()
-            pid, amap = abstract(fdag, node, alpha, pdag)
-            assert refine(pdag, pid, amap, fdag) == node
+            pid = abstract(fdag, node, alpha, pdag)
+            assert refine(pdag, pid, alpha, fdag) == node
 
     def test_abstraction_preserves_truth_tables(self):
         rng = random.Random(901)
@@ -569,8 +573,9 @@ class TestAbstraction:
             atoms = random_atoms(rng, 1, 3, 2)
             node = random_formula(fdag, rng, atoms, depth=3)
             pdag = Dag()
-            pid, amap = abstract(fdag, node, AtomSet(atoms), pdag)
-            indices = [amap.index(a) for a in atoms]
+            alpha = AtomSet(atoms)
+            pid = abstract(fdag, node, alpha, pdag)
+            indices = [alpha.index_of(a) for a in atoms]
             assert fdag.truth_bits(node, atoms) == pdag.truth_bits(pid, indices)
 
     def test_structural_equality_across_arenas(self):
@@ -632,10 +637,11 @@ class TestDeepFormulas:
     def test_abstract_refine_and_structural_equality(self, deep_pair):
         dag, deep, shallow = deep_pair
         pdag = Dag()
-        pid, amap = abstract(dag, deep, AtomSet(DEEP_ATOMS), pdag)
+        alpha = AtomSet(DEEP_ATOMS)
+        pid = abstract(dag, deep, alpha, pdag)
         assert pdag.truth_bits(pid, [1, 2, 3]) == \
             dag.truth_bits(shallow, DEEP_ATOMS)
         copy = Dag()
-        back = refine(pdag, pid, amap, copy)
+        back = refine(pdag, pid, alpha, copy)
         assert dag.structurally_equal(deep, copy, back)
         assert not dag.structurally_equal(deep, copy, copy.not_(back))

@@ -11,7 +11,6 @@ import pytest
 from kcmt.compiler import KIND_DDNNF, KIND_OBDD, build_text, build_tred
 from kcmt.formulas import (
     AbstractionError,
-    AbstractionMap,
     Assignment,
     Atom,
     AtomSet,
@@ -150,11 +149,10 @@ class TestWorkedEnumerations:
     def test_abstract_clauses_builds_the_conjunction(self, fdag):
         lset = enumerate_lemmas(fdag, build_phi1(fdag), alpha_phi1())
         pdag = Dag()
-        amap = AbstractionMap(alpha_phi1())
-        node = abstract_clauses(lset, amap, pdag)
+        node = abstract_clauses(lset, alpha_phi1(), pdag)
         assert node == pdag.or_([pdag.lit(1, False), pdag.lit(2, False)])
         empty = LemmaSet((), TARGET_FORMULA, alpha_phi1())
-        assert abstract_clauses(empty, amap, pdag) == pdag.TRUE
+        assert abstract_clauses(empty, alpha_phi1(), pdag) == pdag.TRUE
 
 
 def _corpus(seed, count):

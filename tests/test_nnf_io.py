@@ -1,7 +1,9 @@
 """Artifact serialization round-trip and format-validation tests."""
 
+import dataclasses
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from kcmt import nnf_io
 from kcmt.cli import main
 from kcmt.compiler import (
+    KIND_DDNNF,
     KIND_OBDD,
     MODE_T_EXTENDED,
     build_text,
@@ -21,6 +24,7 @@ from kcmt.compiler import (
     decision_var,
 )
 from kcmt.formulas import AND, LIT, OR, Atom, AtomError, AtomSet, Dag, atoms_of
+from kcmt.generate import InstanceSpec, generate
 from kcmt.lemmas import canonical_lemma
 from kcmt.obdd import ObddManager, copy_into, from_formula
 from kcmt.nnf_io import (
@@ -33,6 +37,7 @@ from kcmt.nnf_io import (
 )
 from kcmt.queries import (
     count_models,
+    count_models_assume,
     enumerate_models,
     equivalent,
     is_consistent,
@@ -257,6 +262,26 @@ def nnf_dag(nnf_path):
         else:
             nodes.append(pdag.or_([nodes[int(t)] for t in toks[3:]]))
     return pdag, nodes[-1]
+
+
+@pytest.mark.parametrize("kind", [KIND_DDNNF, KIND_OBDD])
+def test_relabelled_artifact_answers_alike_after_a_round_trip(tmp_path,
+                                                              kind):
+    # The atom set is the artifact's one numbering: with its atoms listed
+    # in another order, variable i names another atom in memory and in the
+    # written map alike.
+    fdag = Dag()
+    node, alpha = generate(fdag, InstanceSpec(
+        num_lra_atoms=6, num_rational_vars=2, dag_depth=3, seed=5))
+    art = dataclasses.replace(build_tred(fdag, node, alpha, kind=kind),
+                              alpha=AtomSet(reversed(list(alpha))))
+    nnf, mp = paths(tmp_path)
+    write_nnf(art, nnf, mp)
+    back = read_nnf(nnf, mp)
+    for atom in alpha:
+        for pol in (True, False):
+            assert count_models_assume(back, [(atom, pol)]) == \
+                count_models_assume(art, [(atom, pol)])
 
 
 class TestObddFold:
@@ -523,6 +548,28 @@ class TestFormatErrors:
         art, nnf, mp = self._written(tmp_path)
         text = mutate(Path(mp).read_text())
         Path(mp).write_text(text)
+        with pytest.raises(NnfIoError, match=err):
+            read_nnf(nnf, mp)
+
+    # Python's `int` reads each shape, so without the digit check every
+    # pair loads.
+    @pytest.mark.parametrize("map_lines,body,err", [
+        ("atoms 2\nx <= 0\nx = 1\nlemmas 0\n", "nnf 1 0 2\nL +2\n",
+         "line 2: bad literal '\\+2'"),
+        ("atoms 2\nx <= 0\nx = 1\nlemmas 1_0\n" + "-1 -2 0\n" * 10,
+         "nnf 1 0 2\nL 1\n", "line 8: lemma count must be an integer"),
+        ("atoms \uff12\nx <= 0\nx = 1\nlemmas 0\n", "nnf 1 0 2\nL 1\n",
+         "line 5: atom count must be an integer"),
+        ("atoms 2\nx <= 0\nx = 1\nlemmas 0\n",
+         "nnf \u0663 2 2\nL 1\nL 2\nA 2 0 1\n",
+         "line 1: nnf header needs three integers"),
+    ], ids=["+2", "1_0", "fullwidth 2", "arabic-indic 3"])
+    def test_numbers_are_ascii_digits(self, tmp_path, map_lines, body, err):
+        nnf, mp = paths(tmp_path)
+        Path(nnf).write_text(body, encoding="utf-8")
+        Path(mp).write_text("kcmt-map 1\nkind ddnnf\nmode tReduced\n"
+                            "target forFormula\n" + map_lines,
+                            encoding="utf-8")
         with pytest.raises(NnfIoError, match=err):
             read_nnf(nnf, mp)
 
@@ -1069,6 +1116,13 @@ def _reference_mask(pdag, node, disjunction, masks, path, lineno):
     return mask
 
 
+def _reference_integer(tok):
+    """A header count or literal: ASCII digits, at most a leading minus."""
+    if re.fullmatch("-?[0-9]+", tok) is None:
+        raise ValueError(tok)
+    return int(tok)
+
+
 def _reference_body(nnf, map_text, n_atoms, literal, junction):
     """The root of a circuit file, with every check the two kinds share:
     the map hash, the header and each line's syntax and ids. An `L` line is
@@ -1095,7 +1149,7 @@ def _reference_body(nnf, map_text, n_atoms, literal, junction):
         raise nnf_io._fail(nnf, body_start,
                            "expected 'nnf <nodes> <edges> <vars>'")
     try:
-        n_nodes, n_edges, n_vars = map(int, toks[1:])
+        n_nodes, n_edges, n_vars = map(_reference_integer, toks[1:])
     except ValueError:
         raise nnf_io._fail(nnf, body_start, "nnf header needs three integers")
     if n_vars != n_atoms:
@@ -1109,7 +1163,7 @@ def _reference_body(nnf, map_text, n_atoms, literal, junction):
         lineno, tag, ntoks = i + 1, toks[0], len(toks)
         if tag == "L" and ntoks == 2:
             try:
-                v = int(toks[1])
+                v = _reference_integer(toks[1])
             except ValueError:
                 raise nnf_io._fail(nnf, lineno, "bad literal %r" % toks[1])
             if not 1 <= abs(v) <= n_vars:
@@ -1228,7 +1282,7 @@ def _reference_outcome(nnf, mp):
     map_text = Path(mp).read_text()
     with mock.patch.object(nnf_io, "_literal_table", lambda atoms: {}):
         try:
-            kind, _, order, alpha, _, lemma_set = nnf_io._parse_map(
+            kind, _, order, alpha, lemma_set = nnf_io._parse_map(
                 map_text, mp)
             if kind == KIND_OBDD:
                 return (_Diagram(_reference_obdd(nnf, map_text, len(alpha),

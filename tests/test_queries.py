@@ -17,8 +17,7 @@ from kcmt.compiler import (
     build_tred,
     validate,
 )
-from kcmt.formulas import (AbstractionMap, Assignment, Atom, AtomSet, Dag,
-                           atoms_of, refine)
+from kcmt.formulas import Assignment, Atom, AtomSet, Dag, atoms_of, refine
 from kcmt.generate import InstanceSpec, generate
 from kcmt.nnf_io import read_nnf, write_nnf
 from kcmt.obdd import ObddManager
@@ -231,7 +230,7 @@ class TestEnumeration:
             alpha = AtomSet(random_atoms(rng, n_bool, nvars - n_bool, 2))
             pdag, fdag = Dag(), Dag()
             node = refine(pdag, random_prop(pdag, rng, nvars, depth=3),
-                          AbstractionMap(alpha), fdag)
+                          alpha, fdag)
             want = oracle.query("me", fdag, node, alpha)
             for order in (range(1, nvars + 1), range(nvars, 0, -1)):
                 art = build_tred(fdag, node, alpha, kind=KIND_OBDD,
@@ -251,7 +250,7 @@ class TestEnumeration:
             pdag, fdag = Dag(), Dag()
             node = refine(pdag, random_prop(pdag, rng, rng.randint(1, nvars),
                                             depth=3),
-                          AbstractionMap(alpha), fdag)
+                          alpha, fdag)
             free += len(atoms_of(fdag, node)) < nvars
             want = oracle.query("me", fdag, node, alpha)
             assert list(enumerate_models(build_tred(fdag, node, alpha))) == \
@@ -479,7 +478,7 @@ class TestOracleAgreement:
                 extending = [b for b in range(1 << n)
                              if all((b >> (i - 1) & 1) == pol
                                     for i, pol in cube)]
-                atoms = [(tred.amap.atom(i), pol) for i, pol in cube]
+                atoms = [(tred.alpha.atom_at(i), pol) for i, pol in cube]
                 assert count_models_assume(tred, atoms) == sum(
                     tred_bits >> b & 1 for b in extending)
                 assert is_implicant(text, atoms) == all(
