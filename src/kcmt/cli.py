@@ -28,8 +28,10 @@ from .compiler import (
 )
 from .generate import GenerateError, InstanceSpec, generate
 from .formulas import Dag
-from .lemmas import LemmaError
-from .nnf_io import NnfIoError, read_map, read_nnf, write_lemmas, write_nnf
+from .lemmas import TARGET_TOP, LemmaError, enumerate_lemmas
+from .nnf_io import (NnfIoError, _integer, read_map, read_nnf, write_lemmas,
+                     write_nnf)
+from .obdd import ObddError, ObddManager
 from .oracle import Oracle, OracleBoundError, OracleTimeout
 from .queries import (
     ModeError,
@@ -50,8 +52,8 @@ from .theory import TheoryError
 __all__ = ["cli", "main"]
 
 _USAGE_ERRORS = (SmtParseError, NnfIoError, QueryError, TheoryError,
-                 CompileError, LemmaError, GenerateError, BenchError,
-                 OracleBoundError, OSError)
+                 CompileError, LemmaError, ObddError, GenerateError,
+                 BenchError, OracleBoundError, OSError)
 
 
 @click.group(name="kcmt")
@@ -109,7 +111,7 @@ def _print_answer(answer, alpha) -> int:
 
 def _read_order(path: str) -> tuple:
     try:
-        return tuple(int(tok) for tok in _read(path).split())
+        return tuple(_integer(tok) for tok in _read(path).split())
     except ValueError as exc:
         raise click.UsageError(
             "order file %s must hold whitespace-separated integers" % path
@@ -144,9 +146,10 @@ def compile_cmd(input_path, mode, target, lemmas_scope, order_path,
     build = build_tred if mode == "tred" else build_text
     artifact = build(
         fdag, node, alpha,
-        scope=lemmas_scope,
         kind=KIND_DDNNF if target == "ddnnf" else KIND_OBDD,
-        order=_read_order(order_path) if order_path else None,
+        manager=ObddManager(_read_order(order_path)) if order_path else None,
+        lemmas=enumerate_lemmas(fdag, node, alpha, TARGET_TOP)
+        if lemmas_scope == "top" else None,
     )
     if smooth:
         artifact.root = artifact.smooth_root()

@@ -18,7 +18,8 @@ lemmas, which means the same model set and compiles to a far smaller
 circuit. A d-DNNF cannot be negated in polytime, so the complement is
 compiled, not derived. The input's arena is read, never written. The
 pipeline can also target a reduced ordered BDD backend, whose
-canonicity gives constant-time equivalence checks downstream.
+canonicity gives constant-time equivalence checks downstream. Its
+variable order is its manager's, and an artifact's kind is its root's.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ LEMMA_TARGETS = {MODE_T_REDUCED: (TARGET_FORMULA, TARGET_TOP),
 
 
 class CompileError(ValueError):
-    """Unusable compiler input (non-NNF node, bad order, bad scope)."""
+    """Unusable compiler input (non-NNF node, bad kind, order or lemmas)."""
 
 
 def partition(pdag: Dag, node: int) -> list[int]:
@@ -155,7 +156,7 @@ def smooth(pdag: Dag, node: int, nvars: int) -> int:
         raise CompileError("smoothing input must be in negation normal form")
     target = frozenset(range(1, nvars + 1))
     if not pdag.keys_of(node) <= target:
-        raise CompileError("smoothing scope must cover the node's variables")
+        raise CompileError("smoothing must cover the node's variables")
 
     def pad(n: int, missing) -> int:
         if not missing:
@@ -273,15 +274,15 @@ def validate(pdag: Dag, node: int, nvars: int | None = None) -> ValidationReport
 class CompiledArtifact:
     """A compiled formula plus everything queries need to interpret it.
 
-    Variable i of the circuit is atom `alpha.atom_at(i)`. `kind` picks the backend: "ddnnf" roots live in `dag`, "obdd" roots
-    in `manager`, which is the root's own manager, filled from the root
-    when omitted. `mode` records which lemma transformation produced the
+    Variable i of the circuit is atom `alpha.atom_at(i)`. A d-DNNF root is
+    a handle in `dag`; an `ObddRef` root lives in `manager`, which is the
+    root's own manager, filled from the root when omitted; `kind` is read
+    from the root. `mode` records which lemma transformation produced the
     circuit and therefore which queries it can answer soundly; the root of
     a tExtended artifact is the complement of the tExtended form. A d-DNNF
     artifact's `dag` holds only its circuit, as built or loaded. Queries
     read the circuit as it is and add no node to `dag` or `manager`.
     """
-    kind: str
     mode: str
     alpha: AtomSet
     lemmas: LemmaSet
@@ -296,6 +297,11 @@ class CompiledArtifact:
             elif self.manager is not self.root.manager:
                 raise CompileError("the artifact's manager is not its "
                                    "root's manager")
+
+    @property
+    def kind(self) -> str:
+        """KIND_OBDD for an `ObddRef` root, else KIND_DDNNF."""
+        return KIND_OBDD if isinstance(self.root, ObddRef) else KIND_DDNNF
 
     @property
     def order(self) -> tuple | None:
@@ -313,9 +319,8 @@ class CompiledArtifact:
         return smooth(self.dag, self.root, self.nvars)
 
 
-def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
-           backend, kind, order, manager,
-           lemmas: LemmaSet | None) -> CompiledArtifact:
+def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, kind,
+           manager, lemmas: LemmaSet | None) -> CompiledArtifact:
     """Both pipelines: abstract the formula once, into a working arena,
     find the lemmas of the abstraction (tReduced) or of its negation
     (tExtended) there unless `lemmas` is given, conjoin them with the
@@ -323,25 +328,20 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
     of its own. The d-DNNF is left unsmoothed; `smooth_root` pads it."""
     if alpha is None:
         alpha = atoms_of(fdag, node)
-    reduced = mode == MODE_T_REDUCED
     if kind == KIND_OBDD:
-        identity = tuple(range(1, len(alpha) + 1))
-        if manager is not None and order is not None and \
-                tuple(order) != manager.order:
-            raise CompileError(
-                "order conflicts with the shared manager's order")
-        order = manager.order if manager is not None else \
-            tuple(order if order is not None else identity)
-        if sorted(order) != list(identity):
-            raise CompileError("order must be a permutation of variables 1..%d"
-                               % len(identity))
-        manager = manager if manager is not None else ObddManager(order)
+        if manager is None:
+            manager = ObddManager(range(1, len(alpha) + 1))
+        elif len(manager.order) != len(alpha):
+            raise CompileError("the manager orders %d variables, the atom "
+                               "set has %d" % (len(manager.order), len(alpha)))
     elif kind != KIND_DDNNF:
         raise CompileError("unknown artifact kind %r" % kind)
+    elif manager is not None:
+        raise CompileError("a manager applies to the obdd kind only")
+    targets = LEMMA_TARGETS[mode]
     if lemmas is not None:
         # a precomputed set must have been enumerated for the same pipeline
         # and the same atom ordering, or the mode guarantee is lost
-        targets = LEMMA_TARGETS[mode]
         if lemmas.target not in targets:
             raise CompileError("lemma set targets %r, expected one of %s"
                                % (lemmas.target, ", ".join(targets)))
@@ -351,23 +351,21 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, scope,
     pdag = Dag()
     prop = abstract(fdag, node, alpha, pdag)
     # tExtended stores the tReduced form of the negation: its complement.
-    target = prop if reduced else pdag.negate(prop)
+    target = prop if mode == MODE_T_REDUCED else pdag.negate(prop)
     if lemmas is None:
-        label = None if reduced or scope != "formula" else TARGET_NEGATION
-        lemmas = lemmas_of(pdag, target, alpha, scope, backend, label)
+        lemmas = lemmas_of(pdag, target, alpha, targets[0])
     combined = pdag.and_([target, abstract_clauses(lemmas, alpha, pdag)])
     if kind == KIND_OBDD:
         root = from_formula(pdag, combined, manager)
-        return CompiledArtifact(kind, mode, alpha, lemmas, root)
+        return CompiledArtifact(mode, alpha, lemmas, root)
     root = compile_ddnnf(pdag, pdag.to_nnf(combined))
     circuit = Dag()
     root = translate(pdag, root, circuit, lambda key: key)
-    return CompiledArtifact(kind, mode, alpha, lemmas, root, dag=circuit)
+    return CompiledArtifact(mode, alpha, lemmas, root, dag=circuit)
 
 
 def build_tred(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
-               scope: str = "formula", backend=None, kind: str = KIND_DDNNF,
-               order=None, manager: ObddManager | None = None,
+               kind: str = KIND_DDNNF, manager: ObddManager | None = None,
                lemmas: LemmaSet | None = None) -> CompiledArtifact:
     """Compile the conjunction of a formula with its lemma clauses.
 
@@ -375,17 +373,17 @@ def build_tred(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
     consistency, clausal entailment, counting, and model enumeration
     answer the theory-level question by purely propositional means.
 
-    A caller that already enumerated (to time or dump the set) can pass
-    `lemmas` to skip re-enumeration; target and atom set must match. A
-    d-DNNF is built unsmoothed; `smooth_root` pads it over all of alpha.
+    Without `lemmas`, the formula's own set is enumerated with the default
+    backend; any other set (⊤, another backend) comes from
+    `enumerate_lemmas` with a matching target and atom set. An OBDD is
+    built in `manager`, or a fresh identity-order one. A d-DNNF takes no
+    manager and is built unsmoothed; `smooth_root` pads it over alpha.
     """
-    return _build(MODE_T_REDUCED, fdag, node, alpha, scope, backend, kind,
-                  order, manager, lemmas)
+    return _build(MODE_T_REDUCED, fdag, node, alpha, kind, manager, lemmas)
 
 
 def build_text(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
-               scope: str = "formula", backend=None, kind: str = KIND_DDNNF,
-               order=None, manager: ObddManager | None = None,
+               kind: str = KIND_DDNNF, manager: ObddManager | None = None,
                lemmas: LemmaSet | None = None) -> CompiledArtifact:
     """Compile the tExtended form of a formula, stored as its complement.
 
@@ -398,10 +396,7 @@ def build_text(fdag: Dag, node: int, alpha: AtomSet | None = None, *,
     no model of the complement extends it, so both queries are one
     propositional count.
 
-    A precomputed `lemmas` set must target the negation (or the full
-    assignment space) over the same atom set. A d-DNNF is built
-    unsmoothed; `smooth_root` pads it over all of alpha.
+    Without `lemmas`, the negation's set is enumerated; a given set must
+    target the negation or ⊤. The rest is as for `build_tred`.
     """
-    return _build(MODE_T_EXTENDED, fdag, node, alpha, scope, backend, kind,
-                  order, manager, lemmas)
-
+    return _build(MODE_T_EXTENDED, fdag, node, alpha, kind, manager, lemmas)

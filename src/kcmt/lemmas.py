@@ -139,23 +139,22 @@ def abstract_clauses(lemma_set: LemmaSet, alpha: AtomSet, pdag: Dag) -> int:
 
 
 def enumerate_lemmas(dag: Dag, node: int, alpha: AtomSet,
-                     scope: str = "formula", backend=None,
-                     label: str | None = None) -> LemmaSet:
+                     label: str = TARGET_FORMULA, backend=None) -> LemmaSet:
     """Lemma set ruling out the theory-inconsistent total models of the
-    target: the formula itself (scope="formula") or the full assignment
-    space (scope="top").
+    target that `label` names: the given node (TARGET_FORMULA, or
+    TARGET_NEGATION for a node that is a formula's negation) or the full
+    assignment space (TARGET_TOP).
 
     The formula is abstracted into a scratch arena, which checks that its
     atoms lie in alpha, and `lemmas_of` walks that abstraction.
     """
     pdag = Dag()
     pid = abstract(dag, node, alpha, pdag)
-    return lemmas_of(pdag, pid, alpha, scope, backend, label)
+    return lemmas_of(pdag, pid, alpha, label, backend)
 
 
 def lemmas_of(pdag: Dag, pid: int, alpha: AtomSet,
-              scope: str = "formula", backend=None,
-              label: str | None = None) -> LemmaSet:
+              label: str = TARGET_FORMULA, backend=None) -> LemmaSet:
     """`enumerate_lemmas` on an abstraction `pid` already built in `pdag`,
     which keeps the residuals of the walk, over the variables of `alpha`.
 
@@ -164,20 +163,16 @@ def lemmas_of(pdag: Dag, pid: int, alpha: AtomSet,
     minimized in descending index order, so a fixed formula and atom order
     always yield the same lemmas.
     """
-    if scope == "formula":
-        target = label or TARGET_FORMULA
-    elif scope == "top":
-        target = label or TARGET_TOP
-    else:
-        raise LemmaError("unknown enumeration scope %r" % scope)
+    if label == TARGET_TOP:
+        pid = pdag.TRUE
+    elif label not in (TARGET_FORMULA, TARGET_NEGATION):
+        raise LemmaError("unknown lemma target %r" % (label,))
     try:
         outcomes = alpha.outcomes(backend)
     except TypeError:  # an unhashable backend shares no outcomes
         outcomes = {}
     backend = backend if backend is not None else LraBackend()
 
-    if scope == "top":
-        pid = pdag.TRUE
     lra = [alpha.index_of(a) for a in alpha if a.kind == "lra"]
 
     learned: dict[tuple, TLemma] = {}  # keyed by (index, polarity) pairs
@@ -273,4 +268,4 @@ def lemmas_of(pdag: Dag, pid: int, alpha: AtomSet,
             stack.append((k, True, code + (2 << k), lits, res, point))
 
     return LemmaSet(lemmas=tuple(learned[key] for key in sorted(learned)),
-                    target=target, alpha=alpha)
+                    target=label, alpha=alpha)

@@ -51,8 +51,8 @@ A map atom is taken as printed and checked to be in normal form, not
 renormalised. A lemma clause printed as the writer prints it, known
 literals in ascending index, is read by table lookups; any other clause
 is parsed and checked number by number, and built by `canonical_lemma`.
-The map's counts, order and clause ids, and the circuit's header counts
-and literals, are ASCII digits with at most a leading `-`. A d-DNNF line
+The map's counts, order and clause ids, and every number of the circuit,
+are ASCII digits with at most a leading `-`. A d-DNNF line
 is interned through `Dag.and_`/`or_`, which keep a line whose children
 are distinct, non-constant and not of its own operator, as every written
 line is, as it stands, and fold any other shape. The loop gives each new
@@ -412,7 +412,7 @@ def _bad_child(toks: list[str], count: int, path: str,
     in 0..count-1, the ids of the lines read so far."""
     for tok in toks:
         try:
-            j = int(tok)
+            j = _integer(tok)
         except ValueError:
             return _fail(path, lineno, "node id %r is not an integer" % tok)
         if not 0 <= j < count:
@@ -497,7 +497,12 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
     map_text = _read_text(map_path)
     kind, mode, order, alpha, lemma_set = _parse_map(map_text, str(map_path))
 
-    raw = _read_text(nnf_path).splitlines()
+    text = _read_text(nnf_path)
+    # On ASCII text with no `+` or `_`, `int` reads a token exactly as
+    # `_integer` does, so only other text pays for the strict rule.
+    number = int if text.isascii() and "+" not in text and "_" not in text \
+        else _integer
+    raw = text.splitlines()
     path = str(nnf_path)
     header = None
     body_start = 0
@@ -573,13 +578,13 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
             continue
         if tag == "A" and ntoks >= 2:
             try:
-                k = int(toks[1])
+                k = number(toks[1])
             except ValueError:
                 raise _fail(path, lineno, "bad child count %r" % toks[1])
             start = 2
         elif tag == "O" and ntoks >= 3:
             try:
-                v, k = int(toks[1]), int(toks[2])
+                v, k = number(toks[1]), number(toks[2])
             except ValueError:
                 raise _fail(path, lineno, "bad O node header")
             if not 0 <= v <= n_vars:
@@ -595,7 +600,7 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
         # A negative id is dropped and one past the end raises, so either
         # leaves fewer than k children.
         try:
-            kids = [nodes[j] for j in map(int, toks[start:]) if j >= 0]
+            kids = [nodes[j] for j in map(number, toks[start:]) if j >= 0]
         except (ValueError, IndexError):
             kids = []
         if len(kids) != k:
@@ -666,7 +671,6 @@ def read_nnf(nnf_path, map_path) -> CompiledArtifact:
             % (path, n_edges, edges))
 
     if ddnnf:
-        return CompiledArtifact(kind, mode, alpha, lemma_set, nodes[-1],
-                                dag=pdag)
-    return CompiledArtifact(kind, mode, alpha, lemma_set,
+        return CompiledArtifact(mode, alpha, lemma_set, nodes[-1], dag=pdag)
+    return CompiledArtifact(mode, alpha, lemma_set,
                             manager.ref(_obdd_built(manager, nodes[-1])))

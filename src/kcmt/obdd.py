@@ -40,8 +40,9 @@ class ObddManager:
 
     def __init__(self, order: Sequence[int]):
         order = tuple(order)
-        if len(set(order)) != len(order):
-            raise ObddError("variable order contains duplicates")
+        if sorted(order) != list(range(1, len(order) + 1)):
+            raise ObddError("variable order must be a permutation of 1..%d"
+                            % len(order))
         self.order = order
         self._level = {v: i for i, v in enumerate(order)}
         # nodes[i] = (level, hi, lo); terminals sit at a pseudo-level past

@@ -146,6 +146,21 @@ class TestCompile:
         assert code == 2
         assert "must hold whitespace-separated integers" in err
 
+    # `int` alone reads each as the order 2 1; the file is read as the
+    # map's order line is.
+    @pytest.mark.parametrize("order", ["\u0662 \u0661", "+2 1"],
+                             ids=["arabic-indic", "plus"])
+    def test_order_outside_the_digit_rule_exits_two(self, ws, tmp_path,
+                                                    capsys, order):
+        (tmp_path / "ord.txt").write_text(order + "\n", encoding="utf-8")
+        code, _, err = run(
+            capsys, "compile", "--input", str(ws / "phi1.smt2"),
+            "--mode", "tred", "--target", "obdd",
+            "--order", str(tmp_path / "ord.txt"),
+            "--out", str(tmp_path / "x.nnf"), "--map", str(tmp_path / "x.map"))
+        assert code == 2
+        assert "must hold whitespace-separated integers" in err
+
     def test_name_a_map_cannot_carry_exits_two(self, tmp_path, capsys):
         src = tmp_path / "f.smt2"
         src.write_text("(declare-const -x Real)\n(assert (<= -x 0))\n")

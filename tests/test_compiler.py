@@ -7,6 +7,7 @@ import random
 import pytest
 
 from kcmt.compiler import (
+    KIND_DDNNF,
     KIND_OBDD,
     MODE_T_EXTENDED,
     MODE_T_REDUCED,
@@ -23,10 +24,11 @@ from kcmt.compiler import (
 )
 from kcmt.formulas import AtomSet, Dag, abstract, atoms_of, refine
 from kcmt.generate import InstanceSpec, generate
-from kcmt.lemmas import TARGET_FORMULA, TARGET_NEGATION, enumerate_lemmas
-from kcmt.obdd import ObddManager, copy_into
+from kcmt.lemmas import (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP,
+                         enumerate_lemmas)
+from kcmt.obdd import ObddError, ObddManager, copy_into
 from kcmt.oracle import Oracle
-from kcmt.queries import count_models, equivalent
+from kcmt.queries import count_models, equivalent, is_valid
 from kcmt.theory import LraBackend
 
 from conftest import (
@@ -376,8 +378,9 @@ class TestBuildTred:
 
     def test_top_scope_keeps_the_count(self, fdag):
         node = build_phi1(fdag)
-        by_formula = build_tred(fdag, node, scope="formula")
-        by_top = build_tred(fdag, node, scope="top")
+        by_formula = build_tred(fdag, node)
+        by_top = build_tred(fdag, node, lemmas=enumerate_lemmas(
+            fdag, node, atoms_of(fdag, node), TARGET_TOP))
         assert popcount_over(by_formula.dag, by_formula.root, 2) == \
             popcount_over(by_top.dag, by_top.root, 2)
 
@@ -434,6 +437,18 @@ class TestPrecomputedLemmas:
         with pytest.raises(CompileError, match="different atom set"):
             build_tred(fdag, node, widened, lemmas=lemmas)
 
+    def test_top_label_walks_top(self):
+        # A set labelled top must rule out every inconsistent assignment,
+        # not only those of the formula, or VA answers false on a valid
+        # formula.
+        fdag = Dag()
+        node, alpha = generate(fdag, InstanceSpec(
+            num_lra_atoms=6, num_rational_vars=2, dag_depth=3, seed=8))
+        lemmas = enumerate_lemmas(fdag, node, alpha, label=TARGET_TOP)
+        art = build_text(fdag, node, alpha, lemmas=lemmas)
+        assert is_valid(art) == Oracle().query("va", fdag, node, alpha)
+        assert lemmas.target == TARGET_TOP and len(lemmas) == 6
+
 
 class TestObddArtifacts:
     def test_worked_disjunction_counts_two(self, fdag):
@@ -461,15 +476,21 @@ class TestObddArtifacts:
 
     def test_order_validation(self, fdag):
         node = build_phi1(fdag)
-        art = build_tred(fdag, node, kind=KIND_OBDD, order=(2, 1))
+        art = build_tred(fdag, node, kind=KIND_OBDD,
+                         manager=ObddManager((2, 1)))
         assert art.order == (2, 1)
-        with pytest.raises(CompileError):
-            build_tred(fdag, node, kind=KIND_OBDD, order=(1, 3))
-        with pytest.raises(CompileError):
-            build_tred(fdag, node, kind=KIND_OBDD, order=(1,))
-        with pytest.raises(CompileError):
-            build_tred(fdag, node, kind=KIND_OBDD, order=(2, 1),
-                       manager=ObddManager((1, 2)))
+        with pytest.raises(CompileError, match="orders 1 variables"):
+            build_tred(fdag, node, kind=KIND_OBDD, manager=ObddManager((1,)))
+
+    def test_ddnnf_build_takes_no_manager(self, fdag):
+        with pytest.raises(CompileError, match="obdd kind only"):
+            build_tred(fdag, build_phi1(fdag), manager=ObddManager((1, 2)))
+
+    def test_kind_is_read_from_the_root(self, fdag):
+        art = build_tred(fdag, build_phi1(fdag))
+        with pytest.raises(TypeError):
+            dataclasses.replace(art, kind=KIND_OBDD)
+        assert art.kind == KIND_DDNNF
 
     def test_manager_is_the_roots_own(self):
         fdag = Dag()
@@ -487,16 +508,15 @@ class TestObddArtifacts:
         assert count_models(moved) == count_models(art) == 9
         assert equivalent(moved, build_tred(fdag, node, alpha, kind=KIND_OBDD,
                                             manager=shared))
-        filled = CompiledArtifact(art.kind, art.mode, art.alpha, art.lemmas,
-                                  copied)
+        filled = CompiledArtifact(art.mode, art.alpha, art.lemmas, copied)
         assert filled.manager is shared and filled.order == art.order
         assert build_tred(fdag, node, alpha).order is None
 
     @pytest.mark.parametrize("order", [(1, 1), (1, 2, 2)],
                              ids=["1-1", "1-2-2"])
-    def test_repeated_order_index_is_a_compile_error(self, fdag, order):
-        with pytest.raises(CompileError, match="permutation"):
-            build_tred(fdag, build_phi1(fdag), kind=KIND_OBDD, order=order)
+    def test_repeated_order_index_is_refused(self, order):
+        with pytest.raises(ObddError, match="permutation"):
+            ObddManager(order)
 
 
 class TestInputUnwritten:
@@ -582,8 +602,10 @@ class TestTheoremSuite:
         backend = LraBackend()
         checked = 0
         for rng, fdag, node, alpha in self._corpus(71006, 25):
-            tred = build_tred(fdag, node, alpha, backend=backend)
-            text = build_text(fdag, node, alpha, backend=backend)
+            tred = build_tred(fdag, node, alpha, lemmas=enumerate_lemmas(
+                fdag, node, alpha, backend=backend))
+            text = build_text(fdag, node, alpha, lemmas=enumerate_lemmas(
+                fdag, fdag.negate(node), alpha, TARGET_NEGATION, backend))
             idx = rng.randint(1, len(alpha))
             pol = rng.random() < 0.5
             atom = alpha.atom_at(idx)
@@ -604,11 +626,12 @@ class TestTheoremSuite:
     def test_top_scope_pipelines_agree_with_oracle(self):
         oracle = Oracle()
         for rng, fdag, node, alpha in self._corpus(71007, 10):
-            tred = build_tred(fdag, node, alpha, scope="top")
+            top = enumerate_lemmas(fdag, node, alpha, TARGET_TOP)
+            tred = build_tred(fdag, node, alpha, lemmas=top)
             back = refine(tred.dag, tred.root, alpha, fdag)
             assert oracle.check_treduced(fdag, back, alpha)
             assert oracle.query("eq", fdag, back, alpha, node)
-            text = build_text(fdag, node, alpha, scope="top")
+            text = build_text(fdag, node, alpha, lemmas=top)
             back2 = fdag.not_(refine(text.dag, text.root, alpha, fdag))
             assert oracle.check_textended(fdag, back2, alpha)
             assert oracle.query("eq", fdag, back2, alpha, node)

@@ -122,8 +122,8 @@ class TestWorkedEnumerations:
         # not(x<=0) never explores the half-space where both atoms can clash.
         node = fdag.lit(X_LE_0, False)
         alpha = alpha_phi1()
-        assert enumerate_lemmas(fdag, node, alpha, scope="formula").lemmas == ()
-        top = enumerate_lemmas(fdag, node, alpha, scope="top")
+        assert enumerate_lemmas(fdag, node, alpha).lemmas == ()
+        top = enumerate_lemmas(fdag, node, alpha, TARGET_TOP)
         assert top.target == TARGET_TOP
         assert [lm.literals for lm in top.lemmas] == [
             ((X_LE_0, False), (X_EQ_1, False))]
@@ -140,11 +140,12 @@ class TestWorkedEnumerations:
             enumerate_lemmas(fdag, build_phi1(fdag), AtomSet([X_LE_0]))
         with pytest.raises(AbstractionError):
             enumerate_lemmas(fdag, build_phi1(fdag), AtomSet([X_LE_0]),
-                             scope="top")
+                             TARGET_TOP)
 
-    def test_unknown_scope_rejected(self, fdag):
-        with pytest.raises(LemmaError):
-            enumerate_lemmas(fdag, build_phi1(fdag), alpha_phi1(), scope="all")
+    def test_unknown_label_rejected(self, fdag):
+        with pytest.raises(LemmaError, match="unknown lemma target"):
+            enumerate_lemmas(fdag, build_phi1(fdag), alpha_phi1(),
+                             label="garbage")
 
     def test_abstract_clauses_builds_the_conjunction(self, fdag):
         lset = enumerate_lemmas(fdag, build_phi1(fdag), alpha_phi1())
@@ -191,7 +192,7 @@ class TestCorpusProperties:
     def test_scope_top_rules_out_every_inconsistency(self):
         oracle = Oracle()
         for dag, node, alpha in _corpus(52002, 15):
-            lset = enumerate_lemmas(dag, node, alpha, scope="top")
+            lset = enumerate_lemmas(dag, node, alpha, TARGET_TOP)
             everything = oracle.ctta_itta(dag, dag.TRUE, alpha)
             assert rules_out(lset, everything.itta)
 
@@ -308,10 +309,10 @@ def _family(seed):
 
 
 def _runs(dag, node):
-    """(target, scope, label) of the formula, negation and top runs."""
-    return ((node, "formula", None),
-            (dag.negate(node), "formula", TARGET_NEGATION),
-            (node, "top", None))
+    """(target, label) of the formula, negation and top runs."""
+    return ((node, TARGET_FORMULA),
+            (dag.negate(node), TARGET_NEGATION),
+            (node, TARGET_TOP))
 
 
 def _lines(lset):
@@ -328,13 +329,12 @@ class TestSharedOutcomes:
             # The first run finds no outcomes to share, so it is the fresh
             # run of its target; each later run is checked against one.
             assert alpha.outcomes(None) == {}
-            for k, (target, scope, label) in enumerate(_runs(dag, node)):
-                shared = enumerate_lemmas(dag, target, alpha, scope=scope,
-                                          label=label)
+            for k, (target, label) in enumerate(_runs(dag, node)):
+                shared = enumerate_lemmas(dag, target, alpha, label)
                 if k:
                     fresh = enumerate_lemmas(dag, target, AtomSet(alpha),
-                                             scope=scope, label=label)
-                    assert _lines(shared) == _lines(fresh), (seed, scope)
+                                             label)
+                    assert _lines(shared) == _lines(fresh), (seed, label)
                     assert shared.target == fresh.target
 
     @pytest.mark.parametrize("seed", [1000, 1004])
@@ -342,12 +342,11 @@ class TestSharedOutcomes:
         dag, node, alpha = _family(seed)
         shared = _CountingBackend(keep_witness=True)
         fresh = 0
-        for target, scope, label in _runs(dag, node):
-            enumerate_lemmas(dag, target, alpha, scope=scope, label=label,
-                             backend=shared)
+        for target, label in _runs(dag, node):
+            enumerate_lemmas(dag, target, alpha, label, backend=shared)
             alone = _CountingBackend(keep_witness=True)
-            enumerate_lemmas(dag, target, AtomSet(alpha), scope=scope,
-                             label=label, backend=alone)
+            enumerate_lemmas(dag, target, AtomSet(alpha), label,
+                             backend=alone)
             fresh += alone.checks
         assert shared.checks < fresh, (shared.checks, fresh)
 
@@ -394,11 +393,10 @@ class TestSharedOutcomes:
 
         dag, node, alpha = _family(1000)
         backend = Unhashable(keep_witness=True)
-        for target, scope, label in _runs(dag, node):
+        for target, label in _runs(dag, node):
             assert _lines(enumerate_lemmas(
-                dag, target, alpha, scope=scope, label=label,
-                backend=backend)) == _lines(enumerate_lemmas(
-                    dag, target, AtomSet(alpha), scope=scope, label=label))
+                dag, target, alpha, label, backend=backend)) == \
+                _lines(enumerate_lemmas(dag, target, AtomSet(alpha), label))
 
 
 class TestBooleanAtoms:
@@ -784,9 +782,11 @@ class _IntegerBoxBackend:
 
 def _box_answers(dag, node, alpha, box):
     """(tred CT, text VA) of the d-DNNF and OBDD targets under `box`."""
-    return [(count_models(build_tred(dag, node, alpha, backend=box,
-                                     kind=kind)),
-             is_valid(build_text(dag, node, alpha, backend=box, kind=kind)))
+    lemmas = enumerate_lemmas(dag, node, alpha, backend=box)
+    neg = enumerate_lemmas(dag, dag.negate(node), alpha, TARGET_NEGATION, box)
+    return [(count_models(build_tred(dag, node, alpha, kind=kind,
+                                     lemmas=lemmas)),
+             is_valid(build_text(dag, node, alpha, kind=kind, lemmas=neg)))
             for kind in (KIND_DDNNF, KIND_OBDD)]
 
 
@@ -800,7 +800,8 @@ class TestAnyTheory:
                                       "(assert (and (> x 0) (< x 1)))")
         assert Oracle(box).query("ct", dag, node, alpha) == 0
         assert Oracle().query("ct", dag, node, alpha) == 1
-        assert count_models(build_tred(dag, node, alpha, backend=box)) == 0
+        assert count_models(build_tred(dag, node, alpha, lemmas=(
+            enumerate_lemmas(dag, node, alpha, backend=box)))) == 0
 
     def test_compiled_answers_match_the_oracle(self):
         box = _IntegerBoxBackend()

@@ -188,7 +188,8 @@ class TestObddRoundTrip:
 
     def test_custom_order_and_text_mode(self, tmp_path):
         fdag = Dag()
-        art = build_text(fdag, build_phi1(fdag), kind=KIND_OBDD, order=(2, 1))
+        art = build_text(fdag, build_phi1(fdag), kind=KIND_OBDD,
+                         manager=ObddManager((2, 1)))
         nnf, mp = paths(tmp_path)
         write_nnf(art, nnf, mp)
         back = read_nnf(nnf, mp)
@@ -305,8 +306,10 @@ class TestObddFold:
             node = random_formula(fdag, rng, atoms)
             alpha = atoms_of(fdag, node).union(AtomSet(atoms))
             # every third instance under the reversed order
-            order = tuple(range(len(alpha), 0, -1)) if i % 3 == 2 else None
-            art = build_tred(fdag, node, alpha, kind=KIND_OBDD, order=order)
+            manager = ObddManager(range(len(alpha), 0, -1)) \
+                if i % 3 == 2 else None
+            art = build_tred(fdag, node, alpha, kind=KIND_OBDD,
+                             manager=manager)
             nnf, mp = paths(tmp_path, "r%d" % i)
             write_nnf(art, nnf, mp)
             self.assert_fold_is_from_formula(nnf, mp)
@@ -488,6 +491,30 @@ class TestFormatErrors:
                       "target forFormula\natoms 2\nx <= 0\nx = 1\nlemmas 0\n")
         with pytest.raises(NnfIoError, match=err):
             read_nnf(str(nnf), str(mp))
+
+    # Each token reads as 1 by `int` alone; the circuit's numbers are
+    # ASCII digits with at most a leading `-`.
+    @pytest.mark.parametrize("tok", ["\u0661", "+1", "0_1"],
+                             ids=["arabic-indic", "plus", "underscore"])
+    @pytest.mark.parametrize("body,err", [
+        ("nnf 3 2 2\nL 1\nL 2\nA 2 0 {}\n", "node id {!r} is not an integer"),
+        ("nnf 3 2 2\nL 1\nL -1\nO {} 2 0 1\n", "bad O node header"),
+        ("nnf 2 1 2\nL 1\nA {} 0\n", "bad child count {!r}"),
+    ], ids=["child-id", "decision-var", "child-count"])
+    def test_body_numbers_are_ascii_digits(self, tmp_path, tok, body, err):
+        nnf, mp = paths(tmp_path)
+        Path(nnf).write_text(body.format(tok), encoding="utf-8")
+        Path(mp).write_text("kcmt-map 1\nkind ddnnf\nmode tReduced\n"
+                            "target forFormula\natoms 2\nx <= 0\nx = 1\n"
+                            "lemmas 0\n")
+        with pytest.raises(NnfIoError, match=re.escape(err.format(tok))):
+            read_nnf(nnf, mp)
+
+    def test_comment_outside_the_digit_rule_still_loads(self, tmp_path):
+        art, nnf, mp = self._written(tmp_path)
+        text = Path(nnf).read_text()
+        Path(nnf).write_text("c \u0661 +1 0_1\n" + text, encoding="utf-8")
+        assert count_models(read_nnf(nnf, mp)) == count_models(art)
 
     def test_error_carries_line_number(self, tmp_path):
         nnf = tmp_path / "bad.nnf"
@@ -1117,7 +1144,7 @@ def _reference_mask(pdag, node, disjunction, masks, path, lineno):
 
 
 def _reference_integer(tok):
-    """A header count or literal: ASCII digits, at most a leading minus."""
+    """A number of the circuit: ASCII digits, at most a leading minus."""
     if re.fullmatch("-?[0-9]+", tok) is None:
         raise ValueError(tok)
     return int(tok)
@@ -1173,14 +1200,14 @@ def _reference_body(nnf, map_text, n_atoms, literal, junction):
             continue
         if tag == "A" and ntoks >= 2:
             try:
-                k = int(toks[1])
+                k = _reference_integer(toks[1])
             except ValueError:
                 raise nnf_io._fail(nnf, lineno,
                                    "bad child count %r" % toks[1])
             start = 2
         elif tag == "O" and ntoks >= 3:
             try:
-                v, k = int(toks[1]), int(toks[2])
+                v, k = map(_reference_integer, toks[1:3])
             except ValueError:
                 raise nnf_io._fail(nnf, lineno, "bad O node header")
             if not 0 <= v <= n_vars:
@@ -1194,7 +1221,8 @@ def _reference_body(nnf, map_text, n_atoms, literal, junction):
             raise nnf_io._fail(nnf, lineno, "%s node announces %d children "
                                "but lists %d" % (tag, k, ntoks - start))
         try:
-            kids = [nodes[j] for j in map(int, toks[start:]) if j >= 0]
+            kids = [nodes[j] for j in map(_reference_integer, toks[start:])
+                    if j >= 0]
         except (ValueError, IndexError):
             kids = ()
         if len(kids) != k:

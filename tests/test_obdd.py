@@ -47,6 +47,10 @@ class TestManagerBasics:
         with pytest.raises(ObddError):
             ObddManager((1, 2, 1))
 
+    def test_order_outside_one_to_k_rejected(self):
+        with pytest.raises(ObddError, match="permutation of 1..2"):
+            ObddManager((1, 3))
+
     def test_literal_structure(self):
         m = ObddManager((1, 2))
         pos = m.literal(1)

@@ -234,7 +234,7 @@ class TestEnumeration:
             want = oracle.query("me", fdag, node, alpha)
             for order in (range(1, nvars + 1), range(nvars, 0, -1)):
                 art = build_tred(fdag, node, alpha, kind=KIND_OBDD,
-                                 order=tuple(order))
+                                 manager=ObddManager(order))
                 assert list(enumerate_models(art)) == want
 
     def test_ddnnf_models_complete_total_and_in_atom_order(self):
@@ -361,7 +361,8 @@ class TestGuards:
             equivalent(a1, a2)
         with pytest.raises(UnsupportedQueryError):
             sentential_entails(a1, a2)
-        a3 = build_tred(fdag, build_phi2(fdag), kind=KIND_OBDD, order=(2, 1))
+        a3 = build_tred(fdag, build_phi2(fdag), kind=KIND_OBDD,
+                        manager=ObddManager((2, 1)))
         with pytest.raises(UnsupportedQueryError):
             equivalent(a1, a3)
         wider = build_tred(fdag, build_phi1(fdag),

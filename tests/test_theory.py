@@ -22,7 +22,8 @@ import pytest
 
 from kcmt import theory
 from kcmt.formulas import REL_EQ, REL_LE, REL_LT, Atom, AtomError
-from kcmt.lemmas import enumerate_lemmas
+from kcmt.lemmas import (TARGET_FORMULA, TARGET_NEGATION, TARGET_TOP,
+                         enumerate_lemmas)
 from kcmt.theory import (
     Literal,
     LraBackend,
@@ -775,11 +776,10 @@ class TestAgainstFractionReference:
         # only the first run's checks of each prefix.
         checks = 0
         for dag, node, alpha in _corpus(52001, 60):
-            for target, scope in ((node, "formula"), (node, "top"),
-                                  (dag.negate(node), "formula")):
+            for target, label in ((node, TARGET_FORMULA), (node, TARGET_TOP),
+                                  (dag.negate(node), TARGET_NEGATION)):
                 diff = _Differential()
-                enumerate_lemmas(dag, target, alpha, scope=scope,
-                                 backend=diff)
+                enumerate_lemmas(dag, target, alpha, label, backend=diff)
                 checks += diff.checks
         assert checks >= 1000, checks
 
