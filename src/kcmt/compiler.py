@@ -276,10 +276,11 @@ class CompiledArtifact:
 
     Variable i of the circuit is atom `alpha.atom_at(i)`. A d-DNNF root is
     a handle in `dag`; an `ObddRef` root lives in `manager`, which is the
-    root's own manager, filled from the root when omitted; `kind` is read
-    from the root. `mode` records which lemma transformation produced the
-    circuit and therefore which queries it can answer soundly; the root of
-    a tExtended artifact is the complement of the tExtended form. A d-DNNF
+    root's own manager, filled from the root when omitted (a d-DNNF has
+    none); `kind` is read from the root. `mode` records which lemma
+    transformation produced the circuit and therefore which queries it can
+    answer soundly; the root of a tExtended artifact is the complement of
+    the tExtended form. A d-DNNF
     artifact's `dag` holds only its circuit, as built or loaded. Queries
     read the circuit as it is and add no node to `dag` or `manager`.
     """
@@ -291,12 +292,12 @@ class CompiledArtifact:
     manager: ObddManager | None = None
 
     def __post_init__(self):
-        if isinstance(self.root, ObddRef):
-            if self.manager is None:
-                self.manager = self.root.manager
-            elif self.manager is not self.root.manager:
-                raise CompileError("the artifact's manager is not its "
-                                   "root's manager")
+        own = self.root.manager if isinstance(self.root, ObddRef) else None
+        if self.manager is None:
+            self.manager = own
+        elif self.manager is not own:
+            raise CompileError("the artifact's manager is not its "
+                               "root's manager")
 
     @property
     def kind(self) -> str:
@@ -332,8 +333,8 @@ def _build(mode: str, fdag: Dag, node: int, alpha: AtomSet | None, kind,
         if manager is None:
             manager = ObddManager(range(1, len(alpha) + 1))
         elif len(manager.order) != len(alpha):
-            raise CompileError("the manager orders %d variables, the atom "
-                               "set has %d" % (len(manager.order), len(alpha)))
+            raise CompileError("the order has %d variables, the atom set "
+                               "has %d" % (len(manager.order), len(alpha)))
     elif kind != KIND_DDNNF:
         raise CompileError("unknown artifact kind %r" % kind)
     elif manager is not None:

@@ -136,6 +136,16 @@ class TestCompile:
         assert code == 2
         assert "order must be a permutation" in err
 
+    def test_wrong_length_order_exits_two(self, ws, tmp_path, capsys):
+        (tmp_path / "ord.txt").write_text("1 2 3\n")
+        code, _, err = run(
+            capsys, "compile", "--input", str(ws / "phi1.smt2"),
+            "--mode", "tred", "--target", "obdd",
+            "--order", str(tmp_path / "ord.txt"),
+            "--out", str(tmp_path / "x.nnf"), "--map", str(tmp_path / "x.map"))
+        assert code == 2
+        assert "the order has 3 variables, the atom set has 2" in err
+
     def test_non_integer_order_exits_two(self, ws, tmp_path, capsys):
         (tmp_path / "ord.txt").write_text("1 two\n")
         code, _, err = run(

@@ -479,7 +479,7 @@ class TestObddArtifacts:
         art = build_tred(fdag, node, kind=KIND_OBDD,
                          manager=ObddManager((2, 1)))
         assert art.order == (2, 1)
-        with pytest.raises(CompileError, match="orders 1 variables"):
+        with pytest.raises(CompileError, match="order has 1 variables"):
             build_tred(fdag, node, kind=KIND_OBDD, manager=ObddManager((1,)))
 
     def test_ddnnf_build_takes_no_manager(self, fdag):
@@ -511,6 +511,11 @@ class TestObddArtifacts:
         filled = CompiledArtifact(art.mode, art.alpha, art.lemmas, copied)
         assert filled.manager is shared and filled.order == art.order
         assert build_tred(fdag, node, alpha).order is None
+
+    def test_ddnnf_artifact_takes_no_manager(self, fdag):
+        art = build_tred(fdag, build_phi1(fdag))
+        with pytest.raises(CompileError, match="root's manager"):
+            dataclasses.replace(art, manager=ObddManager((2, 1)))
 
     @pytest.mark.parametrize("order", [(1, 1), (1, 2, 2)],
                              ids=["1-1", "1-2-2"])

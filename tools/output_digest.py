@@ -8,13 +8,12 @@ prints one sha-256 per shape, over that shape's files of every seed in
 seed order, and a total over all of them. Two trees that print the same
 lines write byte-identical files.
 
-    python3 tools/output_digest.py [--seeds 1000-1049]
+    python3 tools/output_digest.py
 
 The d-DNNF builds enumerate their own lemmas; the OBDD builds reuse
 those sets, as `kcmt compile` would enumerate the same ones.
 """
 
-import argparse
 import hashlib
 import os
 import sys
@@ -26,6 +25,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from kcmt import (KIND_OBDD, Dag, InstanceSpec, build_text,  # noqa: E402
                   build_tred, generate, write_lemmas, write_nnf)
 
+SEEDS = range(1000, 1050)
 SHAPES = ("tred", "text", "obdd-tred", "obdd-text", "smooth-tred")
 SUFFIXES = (".nnf", ".map", ".lem")
 
@@ -48,16 +48,11 @@ def artifacts(seed):
     yield "smooth-tred", tred
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", default="1000-1049", metavar="LO-HI",
-                    help="inclusive seed range (default 1000-1049)")
-    args = ap.parse_args(argv)
-    lo, _, hi = args.seeds.partition("-")
+def main():
     digests = {shape: hashlib.sha256() for shape in SHAPES}
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in range(int(lo), int(hi or lo) + 1):
+        for seed in SEEDS:
             for shape, art in artifacts(seed):
                 stem = os.path.join(tmp, "%d.%s" % (seed, shape))
                 write_nnf(art, stem + ".nnf", stem + ".map")
